@@ -7,8 +7,8 @@ the removability border p = q = 3 = 1 + 2/N the limit is zero, but the
 approach is logarithmic in eps: each halving of the width removes only a
 constant sliver of mass, because diffusion dilutes the spike on the
 timescale eps^2 and quenches the absorption.  The contrast between the two
-regimes is real but gentle at desk scale; see the ledger discussion shipped
-with the test suite for the measured scaling.
+regimes is real but gentle at desk scale; notes/decisions.md records the
+measured masses.
 """
 
 from absorblab import ExperimentSpec, run_experiment

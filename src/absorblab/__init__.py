@@ -42,12 +42,14 @@ from .discretization import (
     DomainKind,
     Field,
     Grid,
+    LaplacianBands,
     SpatialDomain,
     build_grid,
     bump_function,
     field_to_csv,
     integrate_field,
     laplacian_apply,
+    trapezoid_weights,
     unit_sphere_area,
 )
 from .evolution import (

@@ -23,7 +23,7 @@ from .discretization import (
     Grid,
     integrate_field,
     laplacian_apply,
-    unit_sphere_area,
+    trapezoid_weights,
 )
 from .evolution import Trajectory
 
@@ -147,16 +147,6 @@ def _region_indices(grid: Grid, region: tuple[float, float]) -> np.ndarray:
     return idx
 
 
-def _space_integral(grid: Grid, values: np.ndarray, idx: np.ndarray) -> float:
-    w = np.full(idx.size, grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    if grid.domain.kind is DomainKind.RADIAL_BALL:
-        n = grid.domain.dim_n
-        w = w * unit_sphere_area(n) * grid.coords[idx] ** (n - 1)
-    return float(w @ values[idx])
-
-
 def _window_states(traj: Trajectory, t_window: tuple[float, float]):
     lo, hi = t_window
     if not hi > lo:
@@ -185,6 +175,7 @@ def cylinder_integral(
     if which not in ("u", "v"):
         raise ValueError(f"component must be 'u' or 'v', got {which!r}")
     idx = _region_indices(traj.grid, region)
+    weights = trapezoid_weights(traj.grid, idx)
     states = _window_states(traj, t_window)
     times = np.array([s.t for s in states])
     vals = []
@@ -192,7 +183,7 @@ def cylinder_integral(
         comp = s.u if which == "u" else s.v
         if comp is None:
             raise ValueError("trajectory has no v component")
-        vals.append(_space_integral(traj.grid, comp.values**power, idx))
+        vals.append(float(weights @ comp.values[idx] ** power))
     return float(np.trapezoid(np.array(vals), times))
 
 
@@ -201,11 +192,12 @@ def mass_in_region(
 ) -> list[float]:
     """int_region (u + v) at the requested snapshot times."""
     idx = _region_indices(traj.grid, region)
+    weights = trapezoid_weights(traj.grid, idx)
     out = []
     for t in times:
         s = traj.sample(t)
         total = s.u.values if s.v is None else s.u.values + s.v.values
-        out.append(_space_integral(traj.grid, total, idx))
+        out.append(float(weights @ total[idx]))
     return out
 
 
@@ -375,12 +367,11 @@ def mean_value_check(
         raise ValueError("cylinder exceeds the computed time range")
 
     idx = _region_indices(grid, ball(rho))
+    weights = trapezoid_weights(grid, idx)
     states = _window_states(caloric, (t0 - rho**2, t0))
     times = np.array([s.t for s in states])
-    powers = np.array(
-        [_space_integral(grid, s.u.values**power_s, idx) for s in states]
-    )
-    volumes = np.full(len(states), _space_integral(grid, np.ones(grid.nodes), idx))
+    powers = np.array([float(weights @ s.u.values[idx] ** power_s) for s in states])
+    volumes = np.full(len(states), float(weights @ np.ones(weights.size)))
     avg = float(np.trapezoid(powers, times)) / float(np.trapezoid(volumes, times))
     denom = avg ** (1.0 / power_s)
 

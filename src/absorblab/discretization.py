@@ -3,9 +3,10 @@
 Two mesh geometries: a symmetric interval [-L, L] and the radial reduction
 of a ball of radius R in dimension N (nodes on [0, R], integrals weighted
 by the sphere area omega * r^(N-1)).  All grids are uniform; the Laplacian
-is the second-order central stencil, with ghost nodes supplied by the
-boundary condition (mirror reflection for zero-flux, zero ghost value for
-a homogeneous Dirichlet wall).
+is the second-order central stencil, stored once as tridiagonal bands that
+the solver steps with and every probe applies.  A zero-flux wall mirrors
+the ghost node.  A homogeneous Dirichlet wall node is pinned at 0 by the
+solver, so it is not an unknown and its Laplacian row is zero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ __all__ = [
     "Grid",
     "Field",
     "build_grid",
+    "LaplacianBands",
     "laplacian_apply",
+    "trapezoid_weights",
     "integrate_field",
     "bump_function",
     "unit_sphere_area",
@@ -107,48 +110,78 @@ def unit_sphere_area(dim_n: int) -> float:
     return 2.0 * math.pi ** (dim_n / 2.0) / math.gamma(dim_n / 2.0)
 
 
-def _quadrature_weights(grid: Grid) -> np.ndarray:
-    w = np.full(grid.nodes, grid.h)
+def trapezoid_weights(grid: Grid, idx: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Trapezoid weights over a contiguous run of nodes (all nodes by default).
+
+    `idx` is a slice or a sorted array of consecutive node indices; the end
+    nodes of the run get half weight.  Radial grids carry the surface-measure
+    factor omega_{N-1} r^(N-1), so the weights integrate over the N-ball.
+    """
+    coords = grid.coords[idx]
+    w = np.full(coords.size, grid.h)
     w[0] *= 0.5
     w[-1] *= 0.5
     if grid.domain.kind is DomainKind.RADIAL_BALL:
         n = grid.domain.dim_n
-        w = w * unit_sphere_area(n) * grid.coords ** (n - 1)
+        w = w * unit_sphere_area(n) * coords ** (n - 1)
     return w
 
 
-def laplacian_apply(field: Field, bc: BoundaryCondition) -> Field:
-    """Discrete Laplacian of a field under the given boundary condition.
+class LaplacianBands:
+    """Tridiagonal bands of the discrete Laplacian under one boundary condition.
 
-    Interval: (w[i-1] - 2 w[i] + w[i+1]) / h^2, exact on quadratics.
-    Radial: w'' + (N-1)/r * w' with the regularized origin stencil
-    2N (w[1] - w[0]) / h^2.  Ghost values: mirror image for zero-flux,
-    0 for the Dirichlet wall.
+    Row i of L w is sub[i] w[i-1] + diag[i] w[i] + sup[i] w[i+1].  Interval:
+    (w[i-1] - 2 w[i] + w[i+1]) / h^2.  Radial: w'' + (N-1)/r * w' with the
+    regularized origin row 2N (w[1] - w[0]) / h^2.  A zero-flux wall row uses
+    the mirrored ghost.  Dirichlet wall nodes are `pinned`: the solver holds
+    them at 0, so their rows are zero.
     """
-    grid = field.grid
-    w = field.values
-    h = grid.h
-    out = np.empty_like(w)
-    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
 
-    if grid.domain.kind is DomainKind.INTERVAL:
-        if bc is BoundaryCondition.NEUMANN_ZERO:
-            out[0] = 2.0 * (w[1] - w[0]) / h**2
-            out[-1] = 2.0 * (w[-2] - w[-1]) / h**2
+    def __init__(self, grid: Grid, bc: BoundaryCondition):
+        n = grid.nodes
+        h = grid.h
+        sub = np.full(n, 1.0 / h**2)
+        diag = np.full(n, -2.0 / h**2)
+        sup = np.full(n, 1.0 / h**2)
+        pinned = np.zeros(n, dtype=bool)
+        neumann = bc is BoundaryCondition.NEUMANN_ZERO
+
+        if grid.domain.kind is DomainKind.RADIAL_BALL:
+            dim = grid.domain.dim_n
+            drift = (dim - 1) / (2.0 * h * grid.coords[1:-1])
+            sub[1:-1] -= drift
+            sup[1:-1] += drift
+            diag[0] = -2.0 * dim / h**2
+            sup[0] = 2.0 * dim / h**2
+        elif neumann:
+            sup[0] = 2.0 / h**2
         else:
-            out[0] = (w[1] - 2.0 * w[0]) / h**2
-            out[-1] = (w[-2] - 2.0 * w[-1]) / h**2
-        return Field(grid, out)
+            pinned[0] = True
+        if neumann:
+            sub[-1] = 2.0 / h**2
+        else:
+            pinned[-1] = True
+        for band in (sub, diag, sup):
+            band[pinned] = 0.0
 
-    n = grid.domain.dim_n
-    r = grid.coords
-    out[1:-1] += (n - 1) / r[1:-1] * (w[2:] - w[:-2]) / (2.0 * h)
-    out[0] = 2.0 * n * (w[1] - w[0]) / h**2
-    if bc is BoundaryCondition.NEUMANN_ZERO:
-        out[-1] = 2.0 * (w[-2] - w[-1]) / h**2
-    else:
-        out[-1] = (w[-2] - 2.0 * w[-1]) / h**2 + (n - 1) / r[-1] * (0.0 - w[-2]) / (2.0 * h)
-    return Field(grid, out)
+        self.sub = sub
+        self.diag = diag
+        self.sup = sup
+        self.pinned = pinned
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        out = self.diag * w
+        out[:-1] += self.sup[:-1] * w[1:]
+        out[1:] += self.sub[1:] * w[:-1]
+        return out
+
+
+def laplacian_apply(field: Field, bc: BoundaryCondition) -> Field:
+    """Discrete Laplacian of a field: the solver's bands applied to its values.
+
+    Rows follow `LaplacianBands`; in particular Dirichlet wall rows are 0.
+    """
+    return Field(field.grid, LaplacianBands(field.grid, bc).apply(field.values))
 
 
 def integrate_field(field: Field, weight: Field | None = None) -> float:
@@ -162,7 +195,7 @@ def integrate_field(field: Field, weight: Field | None = None) -> float:
         if not field.grid.compatible(weight.grid):
             raise ValueError("field and weight live on different grids")
         values = values * weight.values
-    return float(_quadrature_weights(field.grid) @ values)
+    return float(trapezoid_weights(field.grid) @ values)
 
 
 def bump_function(grid: Grid, center: float, width: float) -> Field:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .closed_forms import PowerPair
-from .discretization import BoundaryCondition, DomainKind, Field, Grid, laplacian_apply
+from .discretization import BoundaryCondition, Field, Grid, LaplacianBands, laplacian_apply
 
 __all__ = [
     "SolverConfig",
@@ -122,48 +122,8 @@ class Trajectory:
         raise ValueError(f"no snapshot at t={t}")
 
 
-class _Diffusion:
-    """Tridiagonal bands of the discrete Laplacian plus bc bookkeeping."""
-
-    def __init__(self, grid: Grid, bc: BoundaryCondition):
-        n = grid.nodes
-        h = grid.h
-        sub = np.full(n, 1.0 / h**2)
-        diag = np.full(n, -2.0 / h**2)
-        sup = np.full(n, 1.0 / h**2)
-        pinned = np.zeros(n, dtype=bool)
-
-        if grid.domain.kind is DomainKind.INTERVAL:
-            if bc is BoundaryCondition.NEUMANN_ZERO:
-                sup[0] = 2.0 / h**2
-                sub[-1] = 2.0 / h**2
-            else:
-                pinned[0] = pinned[-1] = True
-        else:
-            dim = grid.domain.dim_n
-            r = grid.coords
-            drift = (dim - 1) / (2.0 * h * r[1:-1])
-            sub[1:-1] -= drift
-            sup[1:-1] += drift
-            diag[0] = -2.0 * dim / h**2
-            sup[0] = 2.0 * dim / h**2
-            if bc is BoundaryCondition.NEUMANN_ZERO:
-                sub[-1] = 2.0 / h**2
-            else:
-                pinned[-1] = True
-
-        self.grid = grid
-        self.bc = bc
-        self.sub = sub
-        self.diag = diag
-        self.sup = sup
-        self.pinned = pinned
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        out = self.diag * w
-        out[:-1] += self.sup[:-1] * w[1:]
-        out[1:] += self.sub[1:] * w[:-1]
-        return out
+class _Diffusion(LaplacianBands):
+    """Theta-implicit diffusion step on the shared Laplacian bands."""
 
     def step(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
         """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned rows -> 0."""
@@ -171,20 +131,11 @@ class _Diffusion:
             rhs = w + (1.0 - theta) * dt * self.apply(w)
         else:
             rhs = w.copy()
-        n = self.grid.nodes
-        ab = np.zeros((3, n))
+        rhs[self.pinned] = 0.0
+        ab = np.zeros((3, w.size))
         ab[0, 1:] = -theta * dt * self.sup[:-1]
         ab[1, :] = 1.0 - theta * dt * self.diag
         ab[2, :-1] = -theta * dt * self.sub[1:]
-        if self.pinned.any():
-            idx = np.nonzero(self.pinned)[0]
-            ab[1, idx] = 1.0
-            rhs[idx] = 0.0
-            for i in idx:
-                if i + 1 < n:
-                    ab[0, i + 1] = 0.0
-                if i - 1 >= 0:
-                    ab[2, i - 1] = 0.0
         try:
             x = solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError as exc:
@@ -367,8 +318,10 @@ def residual_of(
 
     r_u = (u(t+dt) - u(t-dt)) / (2 dt) - Lap(u(t)) + v(t)**p and the
     symmetric r_v.  Used to verify exact solutions against the discrete
-    operator; boundary nodes carry the ghost convention of `bc` and should
-    be excluded when the probed fields do not satisfy that condition.
+    operator: Lap is `laplacian_apply`, the bands the solver steps with.
+    Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows of Lap
+    are zero, because the solver pins those nodes.  Exclude boundary nodes
+    when the probed fields do not satisfy the condition of `bc`.
     """
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")

@@ -112,86 +112,6 @@ def _base_schema(**overrides) -> dict[str, _Param]:
     return schema
 
 
-_SCHEMAS: dict[str, dict[str, _Param]] = {
-    "flat_validation": _base_schema(
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
-        n_snapshots=_Param("int", 16, lambda x: x >= 2, "n_snapshots must be >= 2"),
-    ),
-    "convergence_order": _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
-        t_ref=_Param("float", 1.0, _positive, "t_ref must be > 0"),
-        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3]),
-        node_list=_Param("float_list", [101, 201, 401]),
-        mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
-    ),
-    "blowup_fit": _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
-        n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
-    ),
-    "estimate_saturation": _base_schema(
-        m=_Param("float", 1e4, _positive, "m must be > 0"),
-        nodes=_Param("int", 101, _node_count, "nodes must be >= 3"),
-        t_probe=_Param("float", 0.1, _positive, "t_probe must be > 0"),
-        n_snapshots=_Param("int", 12, lambda x: x >= 2, "n_snapshots must be >= 2"),
-        margin_frac=_Param("float", 0.2, lambda x: 0 < x < 0.5,
-                           "margin_frac must lie in (0, 0.5)"),
-    ),
-    "trace_measurement": _base_schema(
-        ic_width=_Param("float", 0.3, _positive, "ic_width must be > 0"),
-        ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
-        psi_center=_Param("float", 0.0),
-        psi_width=_Param("float", 0.5, _positive, "psi_width must be > 0"),
-        t_min=_Param("float", 1e-3, _positive, "t_min must be > 0"),
-        t_end=_Param("float", 0.05, _positive, "t_end must be > 0"),
-        n_snapshots=_Param("int", 10, lambda x: x >= 2, "n_snapshots must be >= 2"),
-    ),
-    "dichotomy_probe": _base_schema(
-        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
-        t_end=_Param("float", 0.5, _positive, "t_end must be > 0"),
-        ic_width=_Param("float", 0.4, _positive, "ic_width must be > 0"),
-        ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
-        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5]),
-        region_lo=_Param("float", -0.5),
-        region_hi=_Param("float", 0.5),
-        growth_ratio=_Param("float", 10.0, lambda x: x > 1, "growth_ratio must be > 1"),
-        saturation_tol=_Param("float", 0.05, _positive, "saturation_tol must be > 0"),
-        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
-    ),
-    "removability_sweep": _base_schema(
-        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
-        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025]),
-        t_probe=_Param("float", 0.05, _positive, "t_probe must be > 0"),
-        collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
-        converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
-        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
-    ),
-    "subsolution_check": _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
-        n_snapshots=_Param("int", 40, lambda x: x >= 3, "n_snapshots must be >= 3"),
-    ),
-    "mean_value_check": _base_schema(
-        p=_Param("float", 2.0, _positive, "p must be > 0"),
-        q=_Param("float", 2.0, _positive, "q must be > 0"),
-        extent=_Param("float", 2.0, _positive, "extent must be > 0"),
-        kernel_time=_Param("float", 0.05, _positive, "kernel_time must be > 0"),
-        t_end=_Param("float", 0.35, _positive, "t_end must be > 0"),
-        center_x=_Param("float", 0.0),
-        center_t=_Param("float", 0.3, _positive, "center_t must be > 0"),
-        rho=_Param("float", 0.45, _positive, "rho must be > 0"),
-        epsilons=_Param("float_list", [0.1, 0.2, 0.4]),
-        s=_Param("float", 1.0, _positive, "s must be > 0"),
-        n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
-    ),
-}
-
-RECIPE_NAMES = tuple(_SCHEMAS)
-
-# recipes whose pair must satisfy pq != 1 up front
-_NEEDS_PAIR = frozenset(RECIPE_NAMES) - {"mean_value_check"}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -283,12 +203,12 @@ def parse_config(text: str) -> ExperimentSpec:
     if "experiment" not in entries:
         raise ConfigError("missing required key 'experiment'")
     name, name_line = entries.pop("experiment")
-    if name not in _SCHEMAS:
+    if name not in _RECIPES:
         raise ConfigError(
             f"line {name_line}: unknown experiment '{name}'; "
             f"known recipes: {', '.join(RECIPE_NAMES)}"
         )
-    schema = _SCHEMAS[name]
+    schema = _RECIPES[name].schema
 
     seed = 0
     if "seed" in entries:
@@ -320,11 +240,11 @@ def parse_config(text: str) -> ExperimentSpec:
 
 def _resolve(name: str, params: dict) -> dict:
     """Fill defaults and run cross-field validation for a recipe."""
-    if name not in _SCHEMAS:
+    if name not in _RECIPES:
         raise ConfigError(
             f"unknown experiment '{name}'; known recipes: {', '.join(RECIPE_NAMES)}"
         )
-    schema = _SCHEMAS[name]
+    schema = _RECIPES[name].schema
     resolved = {}
     for key, param in schema.items():
         if key in params:
@@ -337,7 +257,7 @@ def _resolve(name: str, params: dict) -> dict:
     for key in params:
         if key not in schema:
             raise ConfigError(f"recipe {name}: unknown key '{key}'")
-    if name in _NEEDS_PAIR and resolved["p"] * resolved["q"] == 1.0:
+    if _RECIPES[name].coupled and resolved["p"] * resolved["q"] == 1.0:
         raise ConfigError(f"recipe {name}: pq = 1 is excluded")
     if "t_start" in resolved and resolved["t_end"] <= resolved["t_start"]:
         raise ConfigError(f"recipe {name}: t_end must exceed t_start")
@@ -346,11 +266,6 @@ def _resolve(name: str, params: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # recipe implementations
-
-
-def _interval_grid(params: dict) -> Grid:
-    domain = SpatialDomain(DomainKind.INTERVAL, params["extent"], 1)
-    return build_grid(domain, params["nodes"])
 
 
 def _bc(params: dict) -> BoundaryCondition:
@@ -375,20 +290,18 @@ def _flat_fields(grid: Grid, pair, t: float) -> tuple[Field, Field]:
     return Field(grid, np.full(grid.nodes, u)), Field(grid, np.full(grid.nodes, v))
 
 
-def _flat_tracked(pair, params: dict, n_snapshots: int):
-    grid = _interval_grid(params)
+def _flat_tracked(pair, grid: Grid, params: dict) -> Trajectory:
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
-    times = np.geomspace(t0 * 1.02, t1, n_snapshots)
+    times = np.geomspace(t0 * 1.02, t1, params["n_snapshots"])
     times[-1] = t1
     config = _solver_config(pair, params, t0, t1)
-    return solve(ic_u, ic_v, config, times), grid
+    return solve(ic_u, ic_v, config, times)
 
 
-def _run_flat_validation(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
+def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     consts = cf.flat_constants(pair)
-    traj, _ = _flat_tracked(pair, params, params["n_snapshots"])
+    traj = _flat_tracked(pair, grid, params)
     err_u = err_v = 0.0
     for s in traj.states:
         exact_u = consts.a_star * s.t**-pair.a
@@ -409,19 +322,10 @@ def _fit_slope(xs, errs) -> float:
     return float(slope)
 
 
-def _run_convergence_order(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    if not pair.superlinear:
-        raise ConfigError("convergence_order requires pq > 1")
+def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     bc = _bc(params)
-    grid = _interval_grid(params)
-
-    def flat_u(t):
-        return Field(grid, np.full(grid.nodes, cf.eval_flat(pair, t)[0]))
-
-    def flat_v(t):
-        return Field(grid, np.full(grid.nodes, cf.eval_flat(pair, t)[1]))
-
+    flat_u = lambda t: _flat_fields(grid, pair, t)[0]
+    flat_v = lambda t: _flat_fields(grid, pair, t)[1]
     dt_list = params["dt_list"]
     temporal_errs = []
     for dt in dt_list:
@@ -460,11 +364,8 @@ def _run_convergence_order(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, None
 
 
-def _run_blowup_fit(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    if not pair.superlinear:
-        raise ConfigError("blowup_fit requires pq > 1")
-    traj, grid = _flat_tracked(pair, params, params["n_snapshots"])
+def _run_blowup_fit(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
+    traj = _flat_tracked(pair, grid, params)
     center = int(np.argmin(np.abs(grid.coords)))
     window = (params["t_start"], params["t_end"])
     fit_u = dg.fit_power_law([(s.t, float(s.u.values[center])) for s in traj.states], window)
@@ -484,11 +385,7 @@ def _run_blowup_fit(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, traj
 
 
-def _run_estimate_saturation(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    if not pair.superlinear:
-        raise ConfigError("estimate_saturation requires pq > 1")
-    grid = _interval_grid(params)
+def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     m = params["m"]
     ic = Field(grid, np.full(grid.nodes, m))
     t_probe = params["t_probe"]
@@ -510,9 +407,7 @@ def _run_estimate_saturation(params: dict, rng) -> tuple[dict, Trajectory | None
     return outcome, traj
 
 
-def _run_trace_measurement(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    grid = _interval_grid(params)
+def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     ic = bump_function(grid, 0.0, params["ic_width"])
     ic_u = Field(grid, ic.values * params["ic_mass"])
     ic_v = Field(grid, ic.values * params["ic_mass"])
@@ -536,9 +431,7 @@ def _run_trace_measurement(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, traj
 
 
-def _run_dichotomy_probe(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    grid = _interval_grid(params)
+def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     ic = bump_function(grid, 0.0, params["ic_width"])
     ic_u = Field(grid, ic.values * params["ic_mass"])
     ic_v = Field(grid, ic.values * params["ic_mass"])
@@ -572,9 +465,7 @@ def _run_dichotomy_probe(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, traj
 
 
-def _run_removability_sweep(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
-    grid = _interval_grid(params)
+def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     t_probe = params["t_probe"]
     masses = []
     last_traj = None
@@ -604,11 +495,9 @@ def _run_removability_sweep(params: dict, rng) -> tuple[dict, Trajectory | None]
     return outcome, last_traj
 
 
-def _run_subsolution_check(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    pair = cf.derive_exponents(params["p"], params["q"])
+def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     n = params["n_snapshots"]
     t0, t1 = params["t_start"], params["t_end"]
-    grid = _interval_grid(params)
     ic_u, ic_v = _flat_fields(grid, pair, t0)
     times = np.linspace(t0 + (t1 - t0) / n, t1, n)
     config = _solver_config(pair, params, t0, t1)
@@ -626,24 +515,14 @@ def _run_subsolution_check(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, traj
 
 
-def _run_mean_value_check(params: dict, rng) -> tuple[dict, Trajectory | None]:
-    grid = _interval_grid(params)
+def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     s0 = params["kernel_time"]
     t_end = params["t_end"]
     if t_end <= s0:
         raise ConfigError("t_end must exceed kernel_time")
     kernel = np.exp(-grid.coords**2 / (4.0 * s0)) / math.sqrt(4.0 * math.pi * s0)
     ic = Field(grid, kernel)
-    config = SolverConfig(
-        pair=None,
-        bc=_bc(params),
-        t_start=s0,
-        t_end=t_end,
-        dt_init=params["dt_init"],
-        dt_min=params["dt_min"],
-        tol_step=params["tol_step"],
-        theta_scheme=params["theta"],
-    )
+    config = _solver_config(None, params, s0, t_end)
     n = params["n_snapshots"]
     times = np.linspace(s0 + (t_end - s0) / n, t_end, n)
     traj = heat_solve(ic, config, times)
@@ -667,17 +546,91 @@ def _run_mean_value_check(params: dict, rng) -> tuple[dict, Trajectory | None]:
     return outcome, traj
 
 
-_RUNNERS = {
-    "flat_validation": _run_flat_validation,
-    "convergence_order": _run_convergence_order,
-    "blowup_fit": _run_blowup_fit,
-    "estimate_saturation": _run_estimate_saturation,
-    "trace_measurement": _run_trace_measurement,
-    "dichotomy_probe": _run_dichotomy_probe,
-    "removability_sweep": _run_removability_sweep,
-    "subsolution_check": _run_subsolution_check,
-    "mean_value_check": _run_mean_value_check,
+@dataclass(frozen=True)
+class _Recipe:
+    """A recipe as data: its runner, its config schema, and what it needs of (p, q)."""
+
+    run: Callable[[dict, cf.PowerPair | None, Grid], tuple[dict, Trajectory | None]]
+    schema: dict[str, _Param]
+    coupled: bool = True  # runs the coupled system: p, q form a pair, pq = 1 excluded
+    superlinear: bool = False  # the recipe also requires pq > 1
+
+
+_RECIPES: dict[str, _Recipe] = {
+    "flat_validation": _Recipe(_run_flat_validation, _base_schema(
+        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+        n_snapshots=_Param("int", 16, lambda x: x >= 2, "n_snapshots must be >= 2"),
+    )),
+    "convergence_order": _Recipe(_run_convergence_order, _base_schema(
+        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
+        t_ref=_Param("float", 1.0, _positive, "t_ref must be > 0"),
+        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3]),
+        node_list=_Param("float_list", [101, 201, 401]),
+        mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
+    ), superlinear=True),
+    "blowup_fit": _Recipe(_run_blowup_fit, _base_schema(
+        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
+        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+        n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
+    ), superlinear=True),
+    "estimate_saturation": _Recipe(_run_estimate_saturation, _base_schema(
+        m=_Param("float", 1e4, _positive, "m must be > 0"),
+        nodes=_Param("int", 101, _node_count, "nodes must be >= 3"),
+        t_probe=_Param("float", 0.1, _positive, "t_probe must be > 0"),
+        n_snapshots=_Param("int", 12, lambda x: x >= 2, "n_snapshots must be >= 2"),
+        margin_frac=_Param("float", 0.2, lambda x: 0 < x < 0.5,
+                           "margin_frac must lie in (0, 0.5)"),
+    ), superlinear=True),
+    "trace_measurement": _Recipe(_run_trace_measurement, _base_schema(
+        ic_width=_Param("float", 0.3, _positive, "ic_width must be > 0"),
+        ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
+        psi_center=_Param("float", 0.0),
+        psi_width=_Param("float", 0.5, _positive, "psi_width must be > 0"),
+        t_min=_Param("float", 1e-3, _positive, "t_min must be > 0"),
+        t_end=_Param("float", 0.05, _positive, "t_end must be > 0"),
+        n_snapshots=_Param("int", 10, lambda x: x >= 2, "n_snapshots must be >= 2"),
+    )),
+    "dichotomy_probe": _Recipe(_run_dichotomy_probe, _base_schema(
+        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
+        t_end=_Param("float", 0.5, _positive, "t_end must be > 0"),
+        ic_width=_Param("float", 0.4, _positive, "ic_width must be > 0"),
+        ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
+        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5]),
+        region_lo=_Param("float", -0.5),
+        region_hi=_Param("float", 0.5),
+        growth_ratio=_Param("float", 10.0, lambda x: x > 1, "growth_ratio must be > 1"),
+        saturation_tol=_Param("float", 0.05, _positive, "saturation_tol must be > 0"),
+        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
+    )),
+    "removability_sweep": _Recipe(_run_removability_sweep, _base_schema(
+        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
+        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025]),
+        t_probe=_Param("float", 0.05, _positive, "t_probe must be > 0"),
+        collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
+        converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
+        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
+    )),
+    "subsolution_check": _Recipe(_run_subsolution_check, _base_schema(
+        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
+        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+        n_snapshots=_Param("int", 40, lambda x: x >= 3, "n_snapshots must be >= 3"),
+    )),
+    "mean_value_check": _Recipe(_run_mean_value_check, _base_schema(
+        p=_Param("float", 2.0, _positive, "p must be > 0"),
+        q=_Param("float", 2.0, _positive, "q must be > 0"),
+        extent=_Param("float", 2.0, _positive, "extent must be > 0"),
+        kernel_time=_Param("float", 0.05, _positive, "kernel_time must be > 0"),
+        t_end=_Param("float", 0.35, _positive, "t_end must be > 0"),
+        center_x=_Param("float", 0.0),
+        center_t=_Param("float", 0.3, _positive, "center_t must be > 0"),
+        rho=_Param("float", 0.45, _positive, "rho must be > 0"),
+        epsilons=_Param("float_list", [0.1, 0.2, 0.4]),
+        s=_Param("float", 1.0, _positive, "s must be > 0"),
+        n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
+    ), coupled=False),
 }
+
+RECIPE_NAMES = tuple(_RECIPES)
 
 
 # ---------------------------------------------------------------------------
@@ -689,28 +642,29 @@ def run_experiment(
     out_dir: str | Path | None = None,
     runid: str | None = None,
 ) -> RunRecord:
-    """Execute one recipe; solver failures are recorded, not raised."""
+    """Execute one recipe; solver failures are recorded, config errors raised.
+
+    `seed` only labels the run: no recipe draws random numbers.
+    """
     params = _resolve(spec.name, spec.parameters)
+    recipe = _RECIPES[spec.name]
     runid = runid or f"{spec.name}-s{spec.seed:04d}"
-    rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    traj = None
+    outcome, traj, error = {}, None, None
     try:
-        outcome, traj = _RUNNERS[spec.name](params, rng)
-        record = RunRecord(
-            name=spec.name, runid=runid, seed=spec.seed, params=params, outcome=outcome
-        )
+        pair = cf.derive_exponents(params["p"], params["q"]) if recipe.coupled else None
+        if recipe.superlinear and not pair.superlinear:
+            raise ConfigError(f"{spec.name} requires pq > 1")
+        grid = build_grid(SpatialDomain(DomainKind.INTERVAL, params["extent"], 1), params["nodes"])
+        outcome, traj = recipe.run(params, pair, grid)
+    except ConfigError:
+        raise
     except (NumericsError, ValueError, FloatingPointError) as exc:
-        record = RunRecord(
-            name=spec.name,
-            runid=runid,
-            seed=spec.seed,
-            params=params,
-            outcome={},
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    record.wall_time_s = time.perf_counter() - start
+        error = f"{type(exc).__name__}: {exc}"
+    record = RunRecord(
+        name=spec.name, runid=runid, seed=spec.seed, params=params, outcome=outcome,
+        failed=error is not None, error=error, wall_time_s=time.perf_counter() - start,
+    )
     if out_dir is not None and traj is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

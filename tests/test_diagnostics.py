@@ -196,6 +196,16 @@ class TestCylinderIntegral:
         masses = mass_in_region(traj, (-0.5, 0.5), [0.1, 0.2])
         assert masses == pytest.approx([3.0, 3.0], rel=1e-12)
 
+    @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1),
+                                             (DomainKind.RADIAL_BALL, 3)])
+    def test_whole_domain_region_matches_integrate_field(self, kind, dim_n):
+        # one quadrature rule: a region over every node is the full integral, bit for bit
+        g = build_grid(SpatialDomain(kind, 1.0, dim_n), 201)
+        u = np.exp(np.sin(3.0 * g.coords))
+        traj = synthetic_trajectory(g, [0.1, 0.2], lambda t: u * t)
+        masses = mass_in_region(traj, (g.coords[0], g.coords[-1]), [0.1, 0.2])
+        assert masses == [integrate_field(s.u) for s in traj.states]
+
 
 class TestDichotomyClassify:
     def test_saturating_integrals_are_regular(self):

@@ -29,6 +29,7 @@ from absorblab import (
     steps_to_csv,
     trajectory_to_csv,
 )
+from absorblab.evolution import _Diffusion
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 DIR = BoundaryCondition.DIRICHLET_ZERO
@@ -285,6 +286,52 @@ class TestResidualOf:
             errs.append(np.max(np.abs(r_u.values)))
         slope, _ = np.polyfit(np.log(dts), np.log(errs), 1)
         assert slope == pytest.approx(2.0, abs=0.2)
+
+
+def grid_of(kind, dim_n, nodes=9):
+    return build_grid(SpatialDomain(kind, 1.0, dim_n), nodes)
+
+
+def smooth_positive(g):
+    # nonzero on every wall, so the Dirichlet pinning is exercised
+    return np.exp(np.cos(2.0 * g.coords)) + g.coords**2
+
+
+GEOMETRIES = [(DomainKind.INTERVAL, 1)] + [(DomainKind.RADIAL_BALL, n) for n in (1, 2, 3, 5)]
+
+
+class TestSharedOperator:
+    """The probe operator `laplacian_apply` is the operator the solver steps with."""
+
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_probe_equals_solver_bands(self, kind, dim_n, bc):
+        g = grid_of(kind, dim_n, nodes=41)
+        w = smooth_positive(g)
+        probe = laplacian_apply(Field(g, w), bc).values
+        assert np.array_equal(probe, _Diffusion(g, bc).apply(w))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_step_is_dense_theta_solve(self, kind, dim_n, bc, theta):
+        g = grid_of(kind, dim_n)
+        n, dt = g.nodes, 1e-3
+        w = smooth_positive(g)
+        basis = np.eye(n)
+        lap = np.column_stack(
+            [laplacian_apply(Field(g, basis[:, j]), bc).values for j in range(n)]
+        )
+        wall = np.zeros(n, dtype=bool)
+        if bc is DIR:
+            wall[-1] = True
+            wall[0] = kind is DomainKind.INTERVAL
+        rhs = w + (1.0 - theta) * dt * lap @ w
+        rhs[wall] = 0.0
+        x = np.linalg.solve(np.eye(n) - theta * dt * lap, rhs)
+        out = _Diffusion(g, bc).step(w, theta, dt)
+        assert np.allclose(out, x, atol=1e-11)
+        assert np.all(out[wall] == 0.0)
 
 
 class TestTheta:

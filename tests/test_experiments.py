@@ -1,18 +1,26 @@
 """Config parsing, recipes, sweeps, record serialization, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from absorblab import ConfigError, ExperimentSpec, parse_config, run_experiment, sweep, write_records
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args, cwd):
+    # an absolute src path first, so the package resolves from any cwd
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, inherited])))
     return subprocess.run(
         [sys.executable, "-m", "absorblab.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -153,6 +161,13 @@ class TestSweep:
         assert [r.failed for r in records] == [False, True, False]
         assert "pq = 1" in records[1].error
 
+    def test_recipe_config_error_is_isolated(self):
+        base = ExperimentSpec("convergence_order", {"p": 2, "q": 2})
+        records = sweep(base, {"q": [2.0, 0.25]})
+        assert [r.failed for r in records] == [False, True]
+        assert records[1].error.startswith("ConfigError")
+        assert "pq > 1" in records[1].error
+
 
 class TestRecords:
     def test_csv_self_describing(self, tmp_path):
@@ -210,6 +225,13 @@ class TestCli:
         result = run_cli(["run", str(cfg)], tmp_path)
         assert result.returncode == 1
         assert "frobnicate" in result.stderr
+
+    def test_recipe_config_error_exit_one(self, tmp_path):
+        cfg = tmp_path / "sublinear.cfg"
+        cfg.write_text("experiment = convergence_order\np = 0.5\nq = 1\n")
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        assert "pq > 1" in result.stderr
 
     def test_missing_file_exit_one(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "nope.cfg")], tmp_path)
