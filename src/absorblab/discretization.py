@@ -170,9 +170,10 @@ class LaplacianBands:
         self.pinned = pinned
 
     def apply(self, w: np.ndarray) -> np.ndarray:
+        """L w for one field of n values, or row by row for a (k, n) stack."""
         out = self.diag * w
-        out[:-1] += self.sup[:-1] * w[1:]
-        out[1:] += self.sub[1:] * w[:-1]
+        out[..., :-1] += self.sup[:-1] * w[..., 1:]
+        out[..., 1:] += self.sub[1:] * w[..., :-1]
         return out
 
 

@@ -1,8 +1,8 @@
 """Time integration of the coupled system with positivity preservation.
 
-One step = theta-implicit diffusion (tridiagonal solve per component along
-the 1D/radial line) followed by a semi-implicit absorption update of
-denominator form,
+One step = theta-implicit diffusion (one tridiagonal solve covering all
+components along the 1D/radial line) followed by a semi-implicit absorption
+update of denominator form,
 
     u_new = u_half / (1 + dt * v_half**p / max(u_half, floor)),
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .closed_forms import PowerPair
 from .discretization import BoundaryCondition, Field, Grid, LaplacianBands, laplacian_apply
@@ -68,7 +68,6 @@ class SolverConfig:
     dt_min: float = 1e-12
     tol_step: float = 1e-6
     theta_scheme: float = 1.0
-    absorption_floor: float = 1e-300
 
     def __post_init__(self):
         if self.t_start < 0:
@@ -83,8 +82,6 @@ class SolverConfig:
             raise ValueError("tol_step must be positive")
         if not 0.5 <= self.theta_scheme <= 1.0:
             raise ValueError("theta_scheme must lie in [0.5, 1]")
-        if self.absorption_floor <= 0:
-            raise ValueError("absorption_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,57 +123,68 @@ class _Diffusion(LaplacianBands):
     """Theta-implicit diffusion step on the shared Laplacian bands."""
 
     def step(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
-        """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned rows -> 0."""
+        """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
+
+        w is one field or a (k, n) stack; one LAPACK gtsv call solves all rows.
+        """
         if theta < 1.0:
             rhs = w + (1.0 - theta) * dt * self.apply(w)
         else:
             rhs = w.copy()
-        rhs[self.pinned] = 0.0
-        ab = np.zeros((3, w.size))
-        ab[0, 1:] = -theta * dt * self.sup[:-1]
-        ab[1, :] = 1.0 - theta * dt * self.diag
-        ab[2, :-1] = -theta * dt * self.sub[1:]
-        try:
-            x = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"tridiagonal solve failed: {exc}") from exc
+        rhs[..., self.pinned] = 0.0
+        c = -theta * dt
+        _, _, _, x, info = dgtsv(c * self.sub[1:], 1.0 + c * self.diag, c * self.sup[:-1], rhs.T)
+        if info != 0:
+            raise NumericsError(f"tridiagonal solve failed: LAPACK gtsv info={info}")
         # theta < 1 can undershoot slightly; fractional powers need >= 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x.T, 0.0)
 
 
-_Reaction = Callable[[Sequence[np.ndarray], float], list[np.ndarray]]
+_Reaction = Callable[[np.ndarray, float], np.ndarray]
+_ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
 
-def _system_reaction(pair: PowerPair, floor: float) -> _Reaction:
+def _system_reaction(pair: PowerPair) -> _Reaction:
     def update(halves, dt):
         u, v = halves
-        u_new = u / (1.0 + dt * v**pair.p / np.maximum(u, floor))
-        v_new = v / (1.0 + dt * u**pair.q / np.maximum(v, floor))
-        return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
+        u_new = u / (1.0 + dt * v**pair.p / np.maximum(u, _ABSORPTION_FLOOR))
+        v_new = v / (1.0 + dt * u**pair.q / np.maximum(v, _ABSORPTION_FLOOR))
+        return np.maximum(np.stack((u_new, v_new)), 0.0)
 
     return update
 
 
-def _scalar_reaction(big_q: float, floor: float) -> _Reaction:
+def _scalar_reaction(big_q: float) -> _Reaction:
     def update(halves, dt):
-        (w,) = halves
-        w_new = w / (1.0 + dt * w**big_q / np.maximum(w, floor))
-        return [np.maximum(w_new, 0.0)]
+        w_new = halves / (1.0 + dt * halves**big_q / np.maximum(halves, _ABSORPTION_FLOOR))
+        return np.maximum(w_new, 0.0)
 
     return update
 
 
 def _advance(
-    components: list[np.ndarray],
+    w: np.ndarray,
     dt: float,
     op: _Diffusion,
     theta: float,
     reaction: _Reaction | None,
-) -> list[np.ndarray]:
-    halves = [op.step(w, theta, dt) for w in components]
+) -> np.ndarray:
+    halves = op.step(w, theta, dt)
     if reaction is None:
         return halves
     return reaction(halves, dt)
+
+
+def _stacked(*fields: Field) -> np.ndarray:
+    """The fields' values as a (k, n) solver state; rejects bad data."""
+    if not all(f.grid.compatible(fields[0].grid) for f in fields):
+        raise ValueError("initial fields live on different grids")
+    w = np.stack([f.values for f in fields])
+    if np.any(w < 0):
+        raise ValueError("initial data must be nonnegative")
+    if not np.isfinite(w).all():
+        raise ValueError("initial data must be finite")
+    return w
 
 
 def step_imex(state: State, dt: float, config: SolverConfig) -> State:
@@ -187,30 +195,26 @@ def step_imex(state: State, dt: float, config: SolverConfig) -> State:
         raise ValueError("config.pair is required for the coupled system")
     if state.v is None:
         raise ValueError("coupled step needs both components")
-    op = _Diffusion(state.u.grid, config.bc)
-    reaction = _system_reaction(config.pair, config.absorption_floor)
-    u, v = _advance([state.u.values, state.v.values], dt, op, config.theta_scheme, reaction)
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise NonFiniteState(f"non-finite values after step from t={state.t}")
     grid = state.u.grid
-    return State(state.t + dt, Field(grid, u), Field(grid, v))
+    op = _Diffusion(grid, config.bc)
+    reaction = _system_reaction(config.pair)
+    w = _advance(_stacked(state.u, state.v), dt, op, config.theta_scheme, reaction)
+    if not np.isfinite(w).all():
+        raise NonFiniteState(f"non-finite values after step from t={state.t}")
+    return State(state.t + dt, Field(grid, w[0]), Field(grid, w[1]))
 
 
-def _error(a: list[np.ndarray], b: list[np.ndarray]) -> float:
-    err = 0.0
-    for x, y in zip(a, b):
-        scale = 1.0 + float(np.max(np.abs(y)))
-        err = max(err, float(np.max(np.abs(x - y))) / scale)
-    return err
+def _error(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan."""
+    scale = 1.0 + np.max(np.abs(b), axis=-1)
+    return float(np.max(np.max(np.abs(a - b), axis=-1) / scale))
 
 
 def _integrate(
-    components: list[np.ndarray],
-    grid: Grid,
+    fields: Sequence[Field],
     config: SolverConfig,
     output_times: Sequence[float],
     reaction: _Reaction | None,
-    scalar: bool,
 ) -> Trajectory:
     times = [float(t) for t in output_times]
     if not times:
@@ -219,22 +223,12 @@ def _integrate(
         raise ValueError("output times must be strictly increasing")
     if times[0] <= config.t_start or times[-1] > config.t_end * (1 + 1e-12):
         raise ValueError("output times must lie in (t_start, t_end]")
-    for w in components:
-        if np.any(w < 0):
-            raise ValueError("initial data must be nonnegative")
-        if not np.isfinite(w).all():
-            raise ValueError("initial data must be finite")
+    state = _stacked(*fields)
 
+    grid = fields[0].grid
     op = _Diffusion(grid, config.bc)
     theta = config.theta_scheme
     tol = config.tol_step
-
-    def snapshot(t, comps):
-        if scalar:
-            return State(t, Field(grid, comps[0]))
-        return State(t, Field(grid, comps[0]), Field(grid, comps[1]))
-
-    state = [w.copy() for w in components]
     t = config.t_start
     dt_ctrl = config.dt_init
     states: list[State] = []
@@ -258,9 +252,8 @@ def _integrate(
                         f"dt fell below dt_min={config.dt_min} at t={t:.6g}"
                     )
             state = two_half
-            for w in state:
-                if not np.isfinite(w).all():
-                    raise NonFiniteState(f"non-finite state at t={t + dt_try:.6g}")
+            if not np.isfinite(state).all():
+                raise NonFiniteState(f"non-finite state at t={t + dt_try:.6g}")
             t += dt_try
             log.append(StepRecord(t, dt_try, retries))
             if retries:
@@ -268,7 +261,7 @@ def _integrate(
             elif err < 0.25 * tol:
                 dt_ctrl = max(dt_ctrl, 2.0 * dt_try)
         t = t_out
-        states.append(snapshot(t, state))
+        states.append(State(t, *(Field(grid, w) for w in state)))
 
     return Trajectory(states=states, steps=log)
 
@@ -282,17 +275,12 @@ def solve(
     """Integrate the coupled system from nonnegative initial fields."""
     if config.pair is None:
         raise ValueError("config.pair is required for the coupled system")
-    if not ic_u.grid.compatible(ic_v.grid):
-        raise ValueError("initial fields live on different grids")
-    reaction = _system_reaction(config.pair, config.absorption_floor)
-    return _integrate(
-        [ic_u.values, ic_v.values], ic_u.grid, config, output_times, reaction, scalar=False
-    )
+    return _integrate([ic_u, ic_v], config, output_times, _system_reaction(config.pair))
 
 
 def heat_solve(ic: Field, config: SolverConfig, output_times: Sequence[float]) -> Trajectory:
     """Integrate the pure heat equation (absorption removed)."""
-    return _integrate([ic.values], ic.grid, config, output_times, None, scalar=True)
+    return _integrate([ic], config, output_times, None)
 
 
 def scalar_solve(
@@ -301,8 +289,7 @@ def scalar_solve(
     """Integrate the scalar equation U_t - Lap(U) + U^Q = 0."""
     if big_q <= 0:
         raise ValueError(f"Q must be positive, got {big_q}")
-    reaction = _scalar_reaction(big_q, config.absorption_floor)
-    return _integrate([ic.values], ic.grid, config, output_times, reaction, scalar=True)
+    return _integrate([ic], config, output_times, _scalar_reaction(big_q))
 
 
 def residual_of(

@@ -294,7 +294,6 @@ def _flat_tracked(pair, grid: Grid, params: dict) -> Trajectory:
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
     times = np.geomspace(t0 * 1.02, t1, params["n_snapshots"])
-    times[-1] = t1
     config = _solver_config(pair, params, t0, t1)
     return solve(ic_u, ic_v, config, times)
 
@@ -390,7 +389,6 @@ def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Traj
     ic = Field(grid, np.full(grid.nodes, m))
     t_probe = params["t_probe"]
     times = np.geomspace(t_probe / 32.0, t_probe, params["n_snapshots"])
-    times[-1] = t_probe
     config = _solver_config(pair, params, 0.0, t_probe)
     traj = solve(ic, ic, config, times)
     margin = params["margin_frac"] * params["extent"]
@@ -413,7 +411,6 @@ def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     ic_v = Field(grid, ic.values * params["ic_mass"])
     psi = bump_function(grid, params["psi_center"], params["psi_width"])
     times = np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
-    times[-1] = params["t_end"]
     config = _solver_config(pair, params, 0.0, params["t_end"])
     traj = solve(ic_u, ic_v, config, times)
     samples = dg.trace_functional(traj, psi)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from absorblab import (
     BoundaryCondition,
@@ -29,7 +30,7 @@ from absorblab import (
     steps_to_csv,
     trajectory_to_csv,
 )
-from absorblab.evolution import _Diffusion
+from absorblab.evolution import _Diffusion, _advance, _error, _system_reaction
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 DIR = BoundaryCondition.DIRICHLET_ZERO
@@ -97,6 +98,27 @@ class TestStepImex:
         one = Field(g, np.ones(11))
         with pytest.raises(ValueError):
             step_imex(State(0.0, one, one), 0.0, config(pair))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_rejects_negative_or_nonfinite_data(self, bad, component):
+        # the check `solve` makes: bad data is rejected, never clamped to 0
+        g = interval_grid(11)
+        pair = derive_exponents(2, 2)
+        one = Field(g, np.ones(11))
+        wrong = Field(g, np.full(11, bad))
+        state = State(0.0, wrong, one) if component == "u" else State(0.0, one, wrong)
+        with pytest.raises(ValueError, match="initial data"):
+            step_imex(state, 1e-3, config(pair))
+
+    def test_rejects_fields_on_different_grids(self):
+        pair = derive_exponents(2, 2)
+        u = Field(interval_grid(11), np.ones(11))
+        v = Field(grid_of(DomainKind.RADIAL_BALL, 3, nodes=11), np.ones(11))
+        with pytest.raises(ValueError, match="different grids"):
+            step_imex(State(0.0, u, v), 1e-3, config(pair))
+        with pytest.raises(ValueError, match="different grids"):
+            solve(u, v, config(pair), [0.01])
 
 
 class TestSolve:
@@ -300,6 +322,28 @@ def smooth_positive(g):
 GEOMETRIES = [(DomainKind.INTERVAL, 1)] + [(DomainKind.RADIAL_BALL, n) for n in (1, 2, 3, 5)]
 
 
+def two_rows(g):
+    w = smooth_positive(g)
+    return np.stack([w, 0.5 * w[::-1] + 0.1])
+
+
+def list_based_advance(components, dt, bands, theta, pair):
+    """Reference: the per-component step, one solve_banded call per field."""
+    halves = []
+    for w in components:
+        rhs = w + (1.0 - theta) * dt * bands.apply(w) if theta < 1.0 else w.copy()
+        rhs[bands.pinned] = 0.0
+        ab = np.zeros((3, w.size))
+        ab[0, 1:] = -theta * dt * bands.sup[:-1]
+        ab[1, :] = 1.0 - theta * dt * bands.diag
+        ab[2, :-1] = -theta * dt * bands.sub[1:]
+        halves.append(np.maximum(solve_banded((1, 1), ab, rhs), 0.0))
+    u, v = halves
+    u_new = u / (1.0 + dt * v**pair.p / np.maximum(u, 1e-300))
+    v_new = v / (1.0 + dt * u**pair.q / np.maximum(v, 1e-300))
+    return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
+
+
 class TestSharedOperator:
     """The probe operator `laplacian_apply` is the operator the solver steps with."""
 
@@ -332,6 +376,44 @@ class TestSharedOperator:
         out = _Diffusion(g, bc).step(w, theta, dt)
         assert np.allclose(out, x, atol=1e-11)
         assert np.all(out[wall] == 0.0)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, theta):
+        g = grid_of(kind, dim_n, nodes=41)
+        op = _Diffusion(g, bc)
+        w = two_rows(g)
+        applied = op.apply(w)
+        stepped = op.step(w, theta, 1e-3)
+        for i in range(2):
+            assert np.array_equal(applied[i], op.apply(w[i]))
+            assert np.array_equal(stepped[i], op.step(w[i], theta, 1e-3))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_advance_equals_list_based_reference(self, kind, dim_n, bc, theta):
+        g = grid_of(kind, dim_n, nodes=41)
+        pair = derive_exponents(2, 3)
+        op = _Diffusion(g, bc)
+        reaction = _system_reaction(pair)
+        w = two_rows(g)
+        ref = list(w)
+        for _ in range(5):
+            w = _advance(w, 1e-3, op, theta, reaction)
+            ref = list_based_advance(ref, 1e-3, op, theta, pair)
+            assert np.array_equal(w, np.stack(ref))
+
+
+def test_error_is_nan_when_any_row_is_nan():
+    # a non-finite attempt must fail the err <= tol test and be retried
+    a = np.ones((2, 5))
+    b = np.ones((2, 5))
+    for row in range(2):
+        bad = a.copy()
+        bad[row, 2] = np.nan
+        assert np.isnan(_error(bad, b))
 
 
 class TestTheta:
