@@ -1,8 +1,9 @@
 """Time integration of the coupled system with positivity preservation.
 
 One step = theta-implicit diffusion (one tridiagonal solve covering all
-components along the 1D/radial line) followed by a semi-implicit absorption
-update of denominator form,
+components along the 1D/radial line, on LU factors computed once per
+(theta, dt) and cached) followed by a semi-implicit absorption update of
+denominator form,
 
     u_new = u_half / (1 + dt * v_half**p / max(u_half, floor)),
 
@@ -14,7 +15,10 @@ oracles for the diagnostics.
 Adaptive stepping is plain step doubling: a full step is compared against
 two half steps, the step is rejected and dt halved whenever the scaled gap
 exceeds the local tolerance, and the half-step composition is what gets
-accepted (no extrapolation, so the positivity clamp is never undone).
+accepted (no extrapolation, so the positivity clamp is never undone).  A
+rejected attempt's half step is the retry's full step, so a retry costs two
+steps, not three.  dt only halves, doubles or is clipped to an output time,
+so a few cached factorisations serve almost every step.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .closed_forms import PowerPair
 from .discretization import BoundaryCondition, Field, Grid, LaplacianBands, laplacian_apply
@@ -119,45 +123,77 @@ class Trajectory:
         raise ValueError(f"no snapshot at t={t}")
 
 
+_FACTOR_CACHE_SIZE = 4  # (theta, dt) factorisations one operator keeps, oldest out first
+
+
 class _Diffusion(LaplacianBands):
     """Theta-implicit diffusion step on the shared Laplacian bands."""
+
+    def __init__(self, grid: Grid, bc: BoundaryCondition):
+        super().__init__(grid, bc)
+        self._pinned_at = np.flatnonzero(self.pinned)
+        self._factors: dict[tuple[float, float], list] = {}
+
+    def _factor(self, theta: float, dt: float) -> list:
+        """LU factors of I - theta dt L, from a small first-in-first-out cache."""
+        key = (theta, dt)
+        factors = self._factors.get(key)
+        if factors is None:
+            c = -theta * dt
+            *factors, info = dgttrf(c * self.sub[1:], 1.0 + c * self.diag, c * self.sup[:-1])
+            if info != 0:
+                raise NumericsError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
+            if len(self._factors) >= _FACTOR_CACHE_SIZE:
+                del self._factors[next(iter(self._factors))]
+            self._factors[key] = factors
+        return factors
 
     def step(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
         """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
 
-        w is one field or a (k, n) stack; one LAPACK gtsv call solves all rows.
+        w is one field or a (k, n) stack; every row is a right-hand side of
+        one LAPACK gttrs call on the cached factors of I - theta dt L.
+        gttrf + gttrs do the same floating-point operations as one gtsv
+        call, row interchanges included, so the result equals a gtsv solve
+        bit for bit.
         """
         if theta < 1.0:
             rhs = w + (1.0 - theta) * dt * self.apply(w)
         else:
             rhs = w.copy()
-        rhs[..., self.pinned] = 0.0
-        c = -theta * dt
-        _, _, _, x, info = dgtsv(c * self.sub[1:], 1.0 + c * self.diag, c * self.sup[:-1], rhs.T)
-        if info != 0:
-            raise NumericsError(f"tridiagonal solve failed: LAPACK gtsv info={info}")
+        if self._pinned_at.size:
+            rhs[..., self._pinned_at] = 0.0
+        x, _ = dgttrs(*self._factor(theta, dt), rhs.T, overwrite_b=1)
         # theta < 1 can undershoot slightly; fractional powers need >= 0
-        return np.maximum(x.T, 0.0)
+        return np.maximum(x, 0.0, out=x).T
 
 
 _Reaction = Callable[[np.ndarray, float], np.ndarray]
 _ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
 
+def _absorb(halves: np.ndarray, rate: np.ndarray, dt: float) -> np.ndarray:
+    """halves / (1 + dt * rate / max(halves, floor)), clamped at 0, computed in rate."""
+    rate *= dt
+    rate /= np.maximum(halves, _ABSORPTION_FLOOR)
+    rate += 1.0
+    np.divide(halves, rate, out=rate)
+    return np.maximum(rate, 0.0, out=rate)
+
+
 def _system_reaction(pair: PowerPair) -> _Reaction:
     def update(halves, dt):
-        u, v = halves
-        u_new = u / (1.0 + dt * v**pair.p / np.maximum(u, _ABSORPTION_FLOOR))
-        v_new = v / (1.0 + dt * u**pair.q / np.maximum(v, _ABSORPTION_FLOOR))
-        return np.maximum(np.stack((u_new, v_new)), 0.0)
+        rate = np.empty_like(halves)
+        np.power(halves[1], pair.p, out=rate[0])  # v**p absorbs u
+        np.power(halves[0], pair.q, out=rate[1])  # u**q absorbs v
+        return _absorb(halves, rate, dt)
 
     return update
 
 
 def _scalar_reaction(big_q: float) -> _Reaction:
     def update(halves, dt):
-        w_new = halves / (1.0 + dt * halves**big_q / np.maximum(halves, _ABSORPTION_FLOOR))
-        return np.maximum(w_new, 0.0)
+        return _absorb(halves, np.power(halves, big_q), dt)
 
     return update
 
@@ -206,8 +242,8 @@ def step_imex(state: State, dt: float, config: SolverConfig) -> State:
 
 def _error(a: np.ndarray, b: np.ndarray) -> float:
     """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan."""
-    scale = 1.0 + np.max(np.abs(b), axis=-1)
-    return float(np.max(np.max(np.abs(a - b), axis=-1) / scale))
+    scale = 1.0 + np.abs(b).max(axis=-1)
+    return float((np.abs(a - b).max(axis=-1) / scale).max())
 
 
 def _integrate(
@@ -238,11 +274,13 @@ def _integrate(
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
             dt_try = min(dt_ctrl, t_out - t)
             retries = 0
+            full = _advance(state, dt_try, op, theta, reaction)
             while True:
-                full = _advance(state, dt_try, op, theta, reaction)
                 half = _advance(state, 0.5 * dt_try, op, theta, reaction)
                 two_half = _advance(half, 0.5 * dt_try, op, theta, reaction)
                 err = _error(full, two_half)
+                # err is nan or inf whenever two_half holds a nan or an inf, so
+                # an accepted state is always finite and needs no check
                 if np.isfinite(err) and err <= tol:
                     break
                 dt_try *= 0.5
@@ -251,9 +289,9 @@ def _integrate(
                     raise StepSizeUnderflow(
                         f"dt fell below dt_min={config.dt_min} at t={t:.6g}"
                     )
+                # the retry's full step is the rejected half step: same state, same dt
+                full = half
             state = two_half
-            if not np.isfinite(state).all():
-                raise NonFiniteState(f"non-finite state at t={t + dt_try:.6g}")
             t += dt_try
             log.append(StepRecord(t, dt_try, retries))
             if retries:

@@ -493,6 +493,8 @@ def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Traje
 
 
 def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
+    if not pair.q > pair.p > 1:
+        raise ConfigError("composite subsolution needs q > p > 1")
     n = params["n_snapshots"]
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from absorblab import (
     BoundaryCondition,
@@ -30,7 +31,14 @@ from absorblab import (
     steps_to_csv,
     trajectory_to_csv,
 )
-from absorblab.evolution import _Diffusion, _advance, _error, _system_reaction
+from absorblab import evolution
+from absorblab.evolution import (
+    _FACTOR_CACHE_SIZE,
+    _Diffusion,
+    _advance,
+    _error,
+    _system_reaction,
+)
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 DIR = BoundaryCondition.DIRICHLET_ZERO
@@ -344,6 +352,23 @@ def list_based_advance(components, dt, bands, theta, pair):
     return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
 
 
+def gtsv_step(bands, w, theta, dt):
+    """Reference: the uncached step, one LAPACK gtsv call on freshly built bands."""
+    rhs = w + (1.0 - theta) * dt * bands.apply(w) if theta < 1.0 else w.copy()
+    rhs[..., bands.pinned] = 0.0
+    c = -theta * dt
+    *_, x, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], rhs.T)
+    assert info == 0
+    return np.maximum(x.T, 0.0)
+
+
+# hit, miss and evict: the halve/double ladder, a dt clipped to an output
+# time, a return to dt, then more distinct values than the cache holds; on
+# the 41-node interval (h = 0.05), theta dt > h^2 makes the LU factorisation
+# swap rows at a Dirichlet wall
+DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3]
+
+
 class TestSharedOperator:
     """The probe operator `laplacian_apply` is the operator the solver steps with."""
 
@@ -400,10 +425,55 @@ class TestSharedOperator:
         reaction = _system_reaction(pair)
         w = two_rows(g)
         ref = list(w)
-        for _ in range(5):
-            w = _advance(w, 1e-3, op, theta, reaction)
-            ref = list_based_advance(ref, 1e-3, op, theta, pair)
+        for dt in DT_SEQUENCE:
+            w = _advance(w, dt, op, theta, reaction)
+            ref = list_based_advance(ref, dt, op, theta, pair)
             assert np.array_equal(w, np.stack(ref))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc, theta):
+        g = grid_of(kind, dim_n, nodes=41)
+        op = _Diffusion(g, bc)
+        w = ref = two_rows(g)
+        for dt in DT_SEQUENCE:
+            w = op.step(w, theta, dt)
+            ref = gtsv_step(op, ref, theta, dt)
+            assert np.array_equal(w, ref)
+            assert np.array_equal(op.step(w[1], theta, dt), gtsv_step(op, ref[1], theta, dt))
+            assert len(op._factors) <= _FACTOR_CACHE_SIZE
+        assert len(op._factors) == _FACTOR_CACHE_SIZE
+        assert (theta, DT_SEQUENCE[-1]) in op._factors
+
+
+def test_rejection_reuses_the_half_step(monkeypatch):
+    # an accepted attempt costs three _advance calls, each retry two more
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _advance(*args)
+
+    monkeypatch.setattr(evolution, "_advance", counted)
+    g = interval_grid(41)
+    ic = bump_function(g, 0.0, 0.3)
+    traj = solve(ic, ic, config(derive_exponents(2, 3), t_end=0.02, dt_init=1e-2), [0.02])
+    retries = sum(rec.retries for rec in traj.steps)
+    assert retries >= 1
+    assert len(calls) == 3 * len(traj.steps) + 2 * retries
+
+
+def test_always_overflowing_attempts_end_in_underflow():
+    # at theta = 0.5 the explicit Laplacian of a 1e308 spike overflows at any
+    # dt: every attempt is non-finite, so each is rejected and dt runs down
+    # to dt_min, and no non-finite state is ever accepted
+    g = interval_grid(41)
+    spike = np.zeros(41)
+    spike[20] = 1e308
+    cfg = config(derive_exponents(2, 3), dt_init=1e-4, dt_min=1e-8, theta_scheme=0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepSizeUnderflow):
+        solve(Field(g, spike), Field(g, spike), cfg, [1e-3])
 
 
 def test_error_is_nan_when_any_row_is_nan():

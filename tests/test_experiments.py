@@ -168,6 +168,14 @@ class TestSweep:
         assert records[1].error.startswith("ConfigError")
         assert "pq > 1" in records[1].error
 
+    def test_subsolution_order_error_is_isolated(self):
+        base = ExperimentSpec("subsolution_check",
+                              {"p": 2, "q": 3, "nodes": 51, "n_snapshots": 5, "t_end": 0.2})
+        records = sweep(base, {"q": [2.0, 3.0]})
+        assert [r.failed for r in records] == [True, False]
+        assert records[0].error.startswith("ConfigError")
+        assert "q > p > 1" in records[0].error
+
 
 class TestRecords:
     def test_csv_self_describing(self, tmp_path):
@@ -232,6 +240,13 @@ class TestCli:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 1
         assert "pq > 1" in result.stderr
+
+    def test_subsolution_order_error_exit_one(self, tmp_path):
+        cfg = tmp_path / "equal.cfg"
+        cfg.write_text("experiment = subsolution_check\np = 2\nq = 2\n")
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        assert "q > p > 1" in result.stderr
 
     def test_missing_file_exit_one(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "nope.cfg")], tmp_path)

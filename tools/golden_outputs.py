@@ -1,0 +1,79 @@
+"""Write a fixed set of recipe outputs for a byte-identity comparison.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 tools/golden_outputs.py OUT_DIR
+
+Each case runs through `absorblab.experiments.run_experiment` with the
+`absorblab` that is first on the path, and writes into OUT_DIR/<case>/:
+
+- record.json, the run record with `wall_time_s` set to 0;
+- trajectory_<case>.csv and steps_<case>.csv, when the run produced a
+  trajectory;
+- config_error.txt in place of all three, when the recipe raised ConfigError.
+
+To check that a change keeps every output byte, run the script once with
+PYTHONPATH pointing at a checkout of the parent commit and once at the
+change, then `diff -r` the two directories.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import absorblab
+from absorblab.experiments import (
+    RECIPE_NAMES,
+    ConfigError,
+    ExperimentSpec,
+    run_experiment,
+    write_records,
+)
+
+PAIRS = [(2, 2), (2, 3)]
+VARIANT = {"bc": "dirichlet_zero", "theta": 0.5}
+
+
+def cases() -> list[tuple[str, str, dict]]:
+    """(case name, recipe, parameters); 24 cases."""
+    out = []
+    for name in RECIPE_NAMES:
+        if name == "mean_value_check":  # no (p, q): one run at its defaults
+            out.append((name, name, {}))
+            continue
+        for p, q in PAIRS:
+            out.append((f"{name}-p{p}q{q}", name, {"p": p, "q": q}))
+    for name in ("flat_validation", "trace_measurement"):
+        for p, q in PAIRS:
+            out.append((f"{name}-p{p}q{q}-dirichlet-cn", name, {"p": p, "q": q, **VARIANT}))
+    out.append(("mean_value_check-dirichlet-cn", "mean_value_check", dict(VARIANT)))
+    for m in (10.0, 1e4):
+        out.append((f"estimate_saturation-p2q3-m{m:g}", "estimate_saturation",
+                    {"p": 2, "q": 3, "m": m}))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    root = Path(argv[0])
+    print(f"absorblab from {Path(absorblab.__file__).parent}")
+    for case, name, params in cases():
+        out = root / case
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            record = run_experiment(ExperimentSpec(name, params), out_dir=out, runid=case)
+        except ConfigError as exc:
+            (out / "config_error.txt").write_text(f"{exc}\n", encoding="utf-8")
+            print(f"{case}: ConfigError: {exc}")
+            continue
+        write_records([replace(record, wall_time_s=0.0)], out, fmt="json")
+        print(f"{case}: {'failed: ' + record.error if record.failed else 'ok'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
