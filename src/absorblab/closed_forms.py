@@ -61,9 +61,6 @@ class PowerPair:
     def superlinear(self) -> bool:
         return self.p * self.q > 1.0
 
-    def swapped(self) -> "PowerPair":
-        return PowerPair(self.q, self.p)
-
 
 @dataclass(frozen=True)
 class FlatSolutionConstants:

@@ -85,30 +85,39 @@ def _positive(x) -> bool:
     return x > 0
 
 
-def _node_count(x) -> bool:
-    return x >= 3
+def _positives(count: int) -> Callable[[list], bool]:
+    return lambda xs: len(xs) >= count and min(xs) > 0
 
 
 _BC_NAMES = ("neumann_zero", "dirichlet_zero")
 
+# keys that several recipes read, each declared once; see `_schema`
+_SHARED: dict[str, _Param] = {
+    "p": _Param("float", _REQUIRED, _positive, "p must be > 0"),
+    "q": _Param("float", _REQUIRED, _positive, "q must be > 0"),
+    "nodes": _Param("int", 401, lambda x: x >= 3, "nodes must be >= 3"),
+    "extent": _Param("float", 1.0, _positive, "extent must be > 0"),
+    "bc": _Param("str", "neumann_zero", lambda s: s in _BC_NAMES,
+                 f"bc must be one of {_BC_NAMES}"),
+    "t_start": _Param("float", 0.1, _positive, "t_start must be > 0"),
+    "t_end": _Param("float", 1.0, _positive, "t_end must be > 0"),
+    "dt_init": _Param("float", 1e-4, _positive, "dt_init must be > 0"),
+    "dt_min": _Param("float", 1e-12, _positive, "dt_min must be > 0"),
+    "tol_step": _Param("float", 1e-6, _positive, "tol_step must be > 0"),
+    "theta": _Param("float", 1.0, lambda x: 0.5 <= x <= 1.0, "theta must lie in [0.5, 1]"),
+}
+_SOLVER = ("bc", "dt_init", "dt_min", "tol_step", "theta")  # read by `_solver_config`
+# `run_experiment` reads p, q, nodes and extent; a schema with p runs the coupled system
+_COUPLED = ("p", "q", "nodes", "extent", *_SOLVER)
 
-def _base_schema(**overrides) -> dict[str, _Param]:
-    schema = {
-        "p": _Param("float", _REQUIRED, _positive, "p must be > 0"),
-        "q": _Param("float", _REQUIRED, _positive, "q must be > 0"),
-        "nodes": _Param("int", 401, _node_count, "nodes must be >= 3"),
-        "extent": _Param("float", 1.0, _positive, "extent must be > 0"),
-        "bc": _Param("str", "neumann_zero", lambda s: s in _BC_NAMES,
-                     f"bc must be one of {_BC_NAMES}"),
-        "t_start": _Param("float", 0.0, lambda x: x >= 0, "t_start must be >= 0"),
-        "t_end": _Param("float", 1.0, _positive, "t_end must be > 0"),
-        "dt_init": _Param("float", 1e-4, _positive, "dt_init must be > 0"),
-        "dt_min": _Param("float", 1e-12, _positive, "dt_min must be > 0"),
-        "tol_step": _Param("float", 1e-6, _positive, "tol_step must be > 0"),
-        "theta": _Param("float", 1.0, lambda x: 0.5 <= x <= 1.0,
-                        "theta must lie in [0.5, 1]"),
-    }
-    schema.update(overrides)
+
+def _schema(*shared: str, **own) -> dict[str, _Param]:
+    """The named shared keys, then `own`: a `_Param` there declares a recipe's own key,
+    a plain value takes the shared key of that name with that default."""
+    schema = {key: _SHARED[key] for key in shared}
+    for key, value in own.items():
+        schema[key] = value if isinstance(value, _Param) else dataclasses.replace(
+            _SHARED[key], default=value)
     return schema
 
 
@@ -175,7 +184,7 @@ def _coerce(key: str, value, param: _Param, line: int):
         out = [float(v) for v in items]
     else:  # pragma: no cover - schema bug
         raise AssertionError(param.kind)
-    if param.check is not None and param.kind != "float_list" and not param.check(out):
+    if param.check is not None and not param.check(out):
         raise ConfigError(f"line {line}: key '{key}': {param.message}")
     return out
 
@@ -257,7 +266,7 @@ def _resolve(name: str, params: dict) -> dict:
     for key in params:
         if key not in schema:
             raise ConfigError(f"recipe {name}: unknown key '{key}'")
-    if _RECIPES[name].coupled and resolved["p"] * resolved["q"] == 1.0:
+    if "p" in resolved and resolved["p"] * resolved["q"] == 1.0:
         raise ConfigError(f"recipe {name}: pq = 1 is excluded")
     if "t_start" in resolved and resolved["t_end"] <= resolved["t_start"]:
         raise ConfigError(f"recipe {name}: t_end must exceed t_start")
@@ -406,32 +415,27 @@ def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Traj
 
 
 def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    ic = bump_function(grid, 0.0, params["ic_width"])
-    ic_u = Field(grid, ic.values * params["ic_mass"])
-    ic_v = Field(grid, ic.values * params["ic_mass"])
+    ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     psi = bump_function(grid, params["psi_center"], params["psi_width"])
     times = np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
     config = _solver_config(pair, params, 0.0, params["t_end"])
-    traj = solve(ic_u, ic_v, config, times)
+    traj = solve(ic, ic, config, times)
     samples = dg.trace_functional(traj, psi)
-    target_u = integrate_field(ic_u, psi)
-    target_v = integrate_field(ic_v, psi)
+    target = integrate_field(ic, psi)  # u and v start from the same data
     outcome = {
         "times": [s.t for s in samples],
         "trace_u": [s.value_u for s in samples],
         "trace_v": [s.value_v for s in samples],
-        "target_u": target_u,
-        "target_v": target_v,
-        "earliest_gap_u": abs(samples[0].value_u - target_u) / abs(target_u),
-        "earliest_gap_v": abs(samples[0].value_v - target_v) / abs(target_v),
+        "target_u": target,
+        "target_v": target,
+        "earliest_gap_u": abs(samples[0].value_u - target) / abs(target),
+        "earliest_gap_v": abs(samples[0].value_v - target) / abs(target),
     }
     return outcome, traj
 
 
 def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    ic = bump_function(grid, 0.0, params["ic_width"])
-    ic_u = Field(grid, ic.values * params["ic_mass"])
-    ic_v = Field(grid, ic.values * params["ic_mass"])
+    ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     t_end = params["t_end"]
     windows = sorted(params["windows"], reverse=True)  # shrinking lower edges
     if windows[-1] <= 0 or windows[0] >= t_end:
@@ -439,7 +443,7 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
     ladder = list(np.geomspace(windows[-1] / 4.0, t_end, 60))
     times = sorted(set(ladder) | set(windows) | {t_end})
     config = _solver_config(pair, params, 0.0, t_end)
-    traj = solve(ic_u, ic_v, config, times)
+    traj = solve(ic, ic, config, times)
     region = (params["region_lo"], params["region_hi"])
     uq = [dg.cylinder_integral(traj, pair.q, "u", region, (w, t_end)) for w in windows]
     vp = [dg.cylinder_integral(traj, pair.p, "v", region, (w, t_end)) for w in windows]
@@ -551,82 +555,83 @@ class _Recipe:
 
     run: Callable[[dict, cf.PowerPair | None, Grid], tuple[dict, Trajectory | None]]
     schema: dict[str, _Param]
-    coupled: bool = True  # runs the coupled system: p, q form a pair, pq = 1 excluded
     superlinear: bool = False  # the recipe also requires pq > 1
 
 
 _RECIPES: dict[str, _Recipe] = {
-    "flat_validation": _Recipe(_run_flat_validation, _base_schema(
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+    "flat_validation": _Recipe(_run_flat_validation, _schema(*_COUPLED, "t_start", "t_end",
         n_snapshots=_Param("int", 16, lambda x: x >= 2, "n_snapshots must be >= 2"),
     )),
-    "convergence_order": _Recipe(_run_convergence_order, _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
+    "convergence_order": _Recipe(_run_convergence_order, _schema(
+        "p", "q", "nodes", "extent", "bc",
+        nodes=201,
         t_ref=_Param("float", 1.0, _positive, "t_ref must be > 0"),
-        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3]),
-        node_list=_Param("float_list", [101, 201, 401]),
+        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3], _positives(2),
+                       "dt_list must hold >= 2 values, each > 0"),
+        node_list=_Param("float_list", [101, 201, 401],
+                         lambda ns: len(ns) >= 2 and all(n.is_integer() and n >= 3 for n in ns),
+                         "node_list must hold >= 2 integers, each >= 3"),
         mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
     ), superlinear=True),
-    "blowup_fit": _Recipe(_run_blowup_fit, _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+    "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_COUPLED, "t_start", "t_end",
+        nodes=201,
         n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
     ), superlinear=True),
-    "estimate_saturation": _Recipe(_run_estimate_saturation, _base_schema(
+    "estimate_saturation": _Recipe(_run_estimate_saturation, _schema(*_COUPLED,
         m=_Param("float", 1e4, _positive, "m must be > 0"),
-        nodes=_Param("int", 101, _node_count, "nodes must be >= 3"),
+        nodes=101,
         t_probe=_Param("float", 0.1, _positive, "t_probe must be > 0"),
         n_snapshots=_Param("int", 12, lambda x: x >= 2, "n_snapshots must be >= 2"),
         margin_frac=_Param("float", 0.2, lambda x: 0 < x < 0.5,
                            "margin_frac must lie in (0, 0.5)"),
     ), superlinear=True),
-    "trace_measurement": _Recipe(_run_trace_measurement, _base_schema(
+    "trace_measurement": _Recipe(_run_trace_measurement, _schema(*_COUPLED,
         ic_width=_Param("float", 0.3, _positive, "ic_width must be > 0"),
         ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
         psi_center=_Param("float", 0.0),
         psi_width=_Param("float", 0.5, _positive, "psi_width must be > 0"),
         t_min=_Param("float", 1e-3, _positive, "t_min must be > 0"),
-        t_end=_Param("float", 0.05, _positive, "t_end must be > 0"),
+        t_end=0.05,
         n_snapshots=_Param("int", 10, lambda x: x >= 2, "n_snapshots must be >= 2"),
     )),
-    "dichotomy_probe": _Recipe(_run_dichotomy_probe, _base_schema(
-        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
-        t_end=_Param("float", 0.5, _positive, "t_end must be > 0"),
+    "dichotomy_probe": _Recipe(_run_dichotomy_probe, _schema(*_COUPLED,
+        nodes=801,
+        t_end=0.5,
         ic_width=_Param("float", 0.4, _positive, "ic_width must be > 0"),
         ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
-        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5]),
+        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5], _positives(3),
+                       "windows must hold >= 3 values, each > 0"),
         region_lo=_Param("float", -0.5),
         region_hi=_Param("float", 0.5),
         growth_ratio=_Param("float", 10.0, lambda x: x > 1, "growth_ratio must be > 1"),
         saturation_tol=_Param("float", 0.05, _positive, "saturation_tol must be > 0"),
-        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
+        dt_init=1e-6,
     )),
-    "removability_sweep": _Recipe(_run_removability_sweep, _base_schema(
-        nodes=_Param("int", 801, _node_count, "nodes must be >= 3"),
-        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025]),
+    "removability_sweep": _Recipe(_run_removability_sweep, _schema(*_COUPLED,
+        nodes=801,
+        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025], _positives(2),
+                        "eps_list must hold >= 2 values, each > 0"),
         t_probe=_Param("float", 0.05, _positive, "t_probe must be > 0"),
         collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
         converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
-        dt_init=_Param("float", 1e-6, _positive, "dt_init must be > 0"),
+        dt_init=1e-6,
     )),
-    "subsolution_check": _Recipe(_run_subsolution_check, _base_schema(
-        nodes=_Param("int", 201, _node_count, "nodes must be >= 3"),
-        t_start=_Param("float", 0.1, _positive, "t_start must be > 0"),
+    "subsolution_check": _Recipe(_run_subsolution_check, _schema(*_COUPLED, "t_start", "t_end",
+        nodes=201,
         n_snapshots=_Param("int", 40, lambda x: x >= 3, "n_snapshots must be >= 3"),
     )),
-    "mean_value_check": _Recipe(_run_mean_value_check, _base_schema(
-        p=_Param("float", 2.0, _positive, "p must be > 0"),
-        q=_Param("float", 2.0, _positive, "q must be > 0"),
-        extent=_Param("float", 2.0, _positive, "extent must be > 0"),
+    "mean_value_check": _Recipe(_run_mean_value_check, _schema("nodes", "extent", *_SOLVER,
+        extent=2.0,
         kernel_time=_Param("float", 0.05, _positive, "kernel_time must be > 0"),
-        t_end=_Param("float", 0.35, _positive, "t_end must be > 0"),
+        t_end=0.35,
         center_x=_Param("float", 0.0),
         center_t=_Param("float", 0.3, _positive, "center_t must be > 0"),
         rho=_Param("float", 0.45, _positive, "rho must be > 0"),
-        epsilons=_Param("float_list", [0.1, 0.2, 0.4]),
+        epsilons=_Param("float_list", [0.1, 0.2, 0.4], lambda es: all(0 < e < 1 for e in es),
+                        "epsilons must each lie in (0, 1)"),
         s=_Param("float", 1.0, _positive, "s must be > 0"),
         n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
-    ), coupled=False),
+    )),
 }
 
 RECIPE_NAMES = tuple(_RECIPES)
@@ -651,7 +656,7 @@ def run_experiment(
     start = time.perf_counter()
     outcome, traj, error = {}, None, None
     try:
-        pair = cf.derive_exponents(params["p"], params["q"]) if recipe.coupled else None
+        pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
         if recipe.superlinear and not pair.superlinear:
             raise ConfigError(f"{spec.name} requires pq > 1")
         grid = build_grid(SpatialDomain(DomainKind.INTERVAL, params["extent"], 1), params["nodes"])
@@ -679,11 +684,8 @@ def sweep(
 ) -> list[RunRecord]:
     """One run per grid point; per-run seed = base seed + grid index."""
     axes = grid if grid is not None else base.sweep_axes
-    if not axes:
-        axes = {}
     names = list(axes)
-    values = [axes[n] for n in names]
-    points = list(itertools.product(*values)) if names else [()]
+    points = list(itertools.product(*(axes[n] for n in names)))
     records = []
     for index, point in enumerate(points):
         params = dict(base.parameters)

@@ -11,6 +11,7 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
+    NonFiniteState,
     SolverConfig,
     SpatialDomain,
     State,
@@ -127,6 +128,16 @@ class TestStepImex:
             step_imex(State(0.0, u, v), 1e-3, config(pair))
         with pytest.raises(ValueError, match="different grids"):
             solve(u, v, config(pair), [0.01])
+
+    def test_overflowing_step_raises_non_finite_state(self):
+        # at theta = 0.5 the explicit half of the step overflows on a 1e308 spike
+        g = interval_grid(41)
+        spike = np.zeros(41)
+        spike[20] = 1e308
+        cfg = config(derive_exponents(2, 3), theta_scheme=0.5)
+        state = State(0.0, Field(g, spike), Field(g, spike))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+            step_imex(state, 1e-3, cfg)
 
 
 class TestSolve:

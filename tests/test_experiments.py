@@ -1,5 +1,6 @@
 """Config parsing, recipes, sweeps, record serialization, and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from absorblab import ConfigError, ExperimentSpec, parse_config, run_experiment, sweep, write_records
+from absorblab import experiments
+from absorblab.experiments import _RECIPES, _SHARED, RECIPE_NAMES
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -34,6 +37,35 @@ def strip_wall_time_csv(text):
         del cells[idx]
         out.append(",".join(cells))
     return "\n".join(out)
+
+
+# list values that broke or misled a run before the parse-time check: the
+# first five crashed, fitted an order through one point, or exited 2
+BAD_LISTS = [
+    ("removability_sweep", "eps_list = 0.1"),
+    ("convergence_order", "dt_list = 0.01"),
+    ("convergence_order", "node_list = 101, 2.5"),
+    ("dichotomy_probe", "windows = 1e-3, 1e-4"),
+    ("mean_value_check", "epsilons = 1.5"),
+    ("removability_sweep", "eps_list = 0.1, 0"),
+    ("convergence_order", "dt_list = 0.01, -0.005"),
+    ("convergence_order", "node_list = 101"),
+    ("convergence_order", "node_list = 101, 2"),
+    ("dichotomy_probe", "windows = 1e-3, 1e-4, 0"),
+    ("mean_value_check", "epsilons = 0.1, 0"),
+]
+GOOD_LISTS = [
+    ("removability_sweep", "eps_list = 0.1, 0.05"),
+    ("convergence_order", "dt_list = 0.01, 0.005"),
+    ("convergence_order", "node_list = 3, 101.0"),
+    ("dichotomy_probe", "windows = 1e-3, 1e-4, 1e-5"),
+    ("mean_value_check", "epsilons = 0.5"),
+]
+
+
+def config_text(recipe, *lines):
+    pair = ["p = 2", "q = 2"] if "p" in _RECIPES[recipe].schema else []
+    return "\n".join([f"experiment = {recipe}", *pair, *lines, ""])
 
 
 class TestParseConfig:
@@ -103,6 +135,89 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("experiment = flat_validation\np = 2\nq = 2\nseed = 1.5\n")
 
+    @pytest.mark.parametrize("recipe, line", BAD_LISTS)
+    def test_bad_list_rejected_at_parse_time(self, recipe, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line \d: key '{key}': {key} must"):
+            parse_config(config_text(recipe, line))
+
+    @pytest.mark.parametrize("recipe, line", GOOD_LISTS)
+    def test_list_at_its_limit_accepted(self, recipe, line):
+        parse_config(config_text(recipe, line))
+
+
+# small overrides that keep one run of each recipe fast
+FAST = {
+    "flat_validation": {"p": 2, "q": 2, "nodes": 41, "t_end": 0.2, "n_snapshots": 4},
+    "convergence_order": {"p": 2, "q": 2, "nodes": 41},
+    "blowup_fit": {"p": 2, "q": 2, "nodes": 41},
+    "estimate_saturation": {"p": 2, "q": 2, "nodes": 41, "t_probe": 1e-3},
+    "trace_measurement": {"p": 2, "q": 2, "nodes": 41},
+    "dichotomy_probe": {"p": 2, "q": 2, "nodes": 41, "t_end": 0.01},
+    "removability_sweep": {"p": 2, "q": 2, "nodes": 41, "t_probe": 1e-3},
+    "subsolution_check": {"p": 2, "q": 3, "nodes": 41},
+    "mean_value_check": {"nodes": 41},
+}
+
+# keys each recipe accepted, echoed and never read before they were deleted
+DELETED = [
+    ("convergence_order", key)
+    for key in ("t_start", "t_end", "dt_init", "dt_min", "tol_step", "theta")
+] + [
+    ("estimate_saturation", "t_start"), ("estimate_saturation", "t_end"),
+    ("removability_sweep", "t_start"), ("removability_sweep", "t_end"),
+    ("trace_measurement", "t_start"), ("dichotomy_probe", "t_start"),
+    ("mean_value_check", "p"), ("mean_value_check", "q"), ("mean_value_check", "t_start"),
+]
+
+
+class ReadRecorder(dict):
+    """A parameter dict that remembers every key looked up by index."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", RECIPE_NAMES)
+    def test_every_key_is_read(self, name, monkeypatch):
+        recorders = []
+        resolve = experiments._resolve
+
+        def recording_resolve(*args):
+            recorders.append(ReadRecorder(resolve(*args)))
+            return recorders[-1]
+
+        monkeypatch.setattr(experiments, "_resolve", recording_resolve)
+        record = run_experiment(ExperimentSpec(name, FAST[name]))
+        assert not record.failed, record.error
+        assert recorders[0].read == set(_RECIPES[name].schema)
+
+    def test_settable_key_count(self):
+        assert sum(len(r.schema) for r in _RECIPES.values()) == 119
+
+    @pytest.mark.parametrize("name", RECIPE_NAMES)
+    def test_shared_keys_differ_only_in_default(self, name):
+        for key, param in _RECIPES[name].schema.items():
+            if key in _SHARED:
+                assert dataclasses.replace(param, default=_SHARED[key].default) == _SHARED[key]
+
+    @pytest.mark.parametrize("name, key", DELETED)
+    def test_deleted_key_is_unknown(self, name, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(config_text(name, f"{key} = 0.5"))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            run_experiment(ExperimentSpec(name, {**FAST[name], key: 0.5}))
+
+    def test_t_start_is_positive_where_read(self):
+        with pytest.raises(ConfigError, match="t_start must be > 0"):
+            parse_config("experiment = blowup_fit\np = 2\nq = 2\nt_start = 0\n")
+
 
 class TestRunExperiment:
     def test_flat_validation_tracks(self):
@@ -146,6 +261,11 @@ class TestSweep:
         assert len(records) == 1
         assert records[0].outcome == single.outcome
         assert records[0].seed == 5
+
+    def test_no_axes_is_one_run(self):
+        records = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"], seed=2))
+        assert [r.runid for r in records] == ["flat_validation-s0002-g000"]
+        assert not records[0].failed
 
     def test_grid_order_and_seeds(self):
         base = ExperimentSpec("estimate_saturation",
@@ -247,6 +367,22 @@ class TestCli:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 1
         assert "q > p > 1" in result.stderr
+
+    def test_deleted_key_exit_one(self, tmp_path):
+        cfg = tmp_path / "removability.cfg"
+        cfg.write_text("experiment = removability_sweep\np = 2\nq = 3\nt_end = 0.1\n")
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        assert "unknown key 't_end'" in result.stderr
+
+    @pytest.mark.parametrize("recipe, line", BAD_LISTS[:5])
+    def test_bad_list_exit_one(self, tmp_path, recipe, line):
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text(config_text(recipe, line))
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        assert f"{line.split(' =')[0]} must" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_file_exit_one(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "nope.cfg")], tmp_path)
