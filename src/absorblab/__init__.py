@@ -46,14 +46,12 @@ from .discretization import (
     SpatialDomain,
     build_grid,
     bump_function,
-    field_to_csv,
     integrate_field,
     laplacian_apply,
     trapezoid_weights,
     unit_sphere_area,
 )
 from .evolution import (
-    NonFiniteState,
     NumericsError,
     SolverConfig,
     State,
@@ -63,7 +61,6 @@ from .evolution import (
     residual_of,
     scalar_solve,
     solve,
-    step_imex,
     steps_to_csv,
     trajectory_to_csv,
 )

@@ -155,19 +155,21 @@ def elliptic_constants(pair: PowerPair, dim_n: int) -> EllipticSolutionConstants
     return EllipticSolutionConstants(a_sub, b_sub, dim_n)
 
 
+_ORIGIN_FLOOR = 1e-12  # smallest |x| that `eval_elliptic` evaluates at
+
+
 def eval_elliptic(
     pair: PowerPair,
     constants: EllipticSolutionConstants,
     coords,
-    floor: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (A|x|^-2a, B|x|^-2b) on an array of coordinates.
 
-    |x| is floored at `floor` so that a node sitting exactly on the
+    |x| is floored at `_ORIGIN_FLOOR` so that a node sitting exactly on the
     singularity yields a large finite value instead of inf; callers are
     expected to restrict any accuracy claim to nodes away from the origin.
     """
-    r = np.maximum(np.abs(np.asarray(coords, dtype=float)), floor)
+    r = np.maximum(np.abs(np.asarray(coords, dtype=float)), _ORIGIN_FLOOR)
     return constants.a_sub * r ** (-2.0 * pair.a), constants.b_sub * r ** (-2.0 * pair.b)
 
 

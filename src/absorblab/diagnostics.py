@@ -359,9 +359,6 @@ def mean_value_check(
             return (0.0, radius)
         return (x0 - radius, x0 + radius)
 
-    lo, hi = ball(rho)
-    if lo < grid.coords[0] - 1e-12 or hi > grid.coords[-1] + 1e-12:
-        raise ValueError("cylinder exceeds the spatial domain")
     t_first, t_last = caloric.states[0].t, caloric.states[-1].t
     if t0 - rho**2 < t_first - 1e-12 or t0 > t_last + 1e-12:
         raise ValueError("cylinder exceeds the computed time range")

@@ -30,7 +30,6 @@ __all__ = [
     "integrate_field",
     "bump_function",
     "unit_sphere_area",
-    "field_to_csv",
 ]
 
 
@@ -228,10 +227,3 @@ def bump_function(grid: Grid, center: float, width: float) -> Field:
         raise ValueError("bump support does not contain any grid node")
     return Field(grid, values / mass)
 
-
-def field_to_csv(field: Field, path) -> None:
-    """Write (coordinate, value) rows with full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("coordinate,value\n")
-        for x, v in zip(field.grid.coords, field.values):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")

@@ -39,8 +39,6 @@ __all__ = [
     "Trajectory",
     "NumericsError",
     "StepSizeUnderflow",
-    "NonFiniteState",
-    "step_imex",
     "solve",
     "heat_solve",
     "scalar_solve",
@@ -56,10 +54,6 @@ class NumericsError(RuntimeError):
 
 class StepSizeUnderflow(NumericsError):
     """Raised when error control pushes dt below dt_min."""
-
-
-class NonFiniteState(NumericsError):
-    """Raised when a step produces inf or nan values."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,9 @@ class StepRecord:
     retries: int
 
 
+_SAMPLE_TOL = 1e-12  # relative gap within which `Trajectory.sample` finds a snapshot
+
+
 @dataclass
 class Trajectory:
     states: list[State]
@@ -116,9 +113,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def sample(self, t: float, tol: float = 1e-12) -> State:
+    def sample(self, t: float) -> State:
         for s in self.states:
-            if abs(s.t - t) <= tol * max(1.0, abs(t)):
+            if abs(s.t - t) <= _SAMPLE_TOL * max(1.0, abs(t)):
                 return s
         raise ValueError(f"no snapshot at t={t}")
 
@@ -221,23 +218,6 @@ def _stacked(*fields: Field) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("initial data must be finite")
     return w
-
-
-def step_imex(state: State, dt: float, config: SolverConfig) -> State:
-    """One diffusion + absorption step of the coupled system."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if config.pair is None:
-        raise ValueError("config.pair is required for the coupled system")
-    if state.v is None:
-        raise ValueError("coupled step needs both components")
-    grid = state.u.grid
-    op = _Diffusion(grid, config.bc)
-    reaction = _system_reaction(config.pair)
-    w = _advance(_stacked(state.u, state.v), dt, op, config.theta_scheme, reaction)
-    if not np.isfinite(w).all():
-        raise NonFiniteState(f"non-finite values after step from t={state.t}")
-    return State(state.t + dt, Field(grid, w[0]), Field(grid, w[1]))
 
 
 def _error(a: np.ndarray, b: np.ndarray) -> float:

@@ -110,6 +110,23 @@ _SOLVER = ("bc", "dt_init", "dt_min", "tol_step", "theta")  # read by `_solver_c
 # `run_experiment` reads p, q, nodes and extent; a schema with p runs the coupled system
 _COUPLED = ("p", "q", "nodes", "extent", *_SOLVER)
 
+# A rule is a check across keys of the resolved config, with the message of
+# the ConfigError its failure raises.
+_Rule = tuple[Callable[[dict], bool], str]
+
+# (keys, check, message): every recipe whose schema has the keys gets the rule
+_SHARED_RULES = (
+    (("p", "q"), lambda c: c["p"] * c["q"] != 1.0, "pq = 1 is excluded"),
+    (("t_start", "t_end"), lambda c: c["t_end"] > c["t_start"], "t_end must exceed t_start"),
+    (("dt_init", "dt_min"), lambda c: c["dt_min"] <= c["dt_init"],
+     "dt_min must not exceed dt_init"),
+)
+
+
+def _inside(c: dict, lo: float, hi: float) -> bool:
+    """[lo, hi] lies in the recipe's interval [-extent, extent]."""
+    return -c["extent"] <= lo and hi <= c["extent"]
+
 
 def _schema(*shared: str, **own) -> dict[str, _Param]:
     """The named shared keys, then `own`: a `_Param` there declares a recipe's own key,
@@ -161,9 +178,10 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
-def _coerce(key: str, value, param: _Param, line: int):
+def _coerce(key: str, value, param: _Param, at: str):
+    """`value` as the kind `param` declares, checked; `at` prefixes messages."""
     def fail(expected):
-        raise ConfigError(f"line {line}: key '{key}': expected {expected}, got {value!r}")
+        raise ConfigError(f"{at}key '{key}': expected {expected}, got {value!r}")
 
     if param.kind == "int":
         if not isinstance(value, int):
@@ -185,12 +203,16 @@ def _coerce(key: str, value, param: _Param, line: int):
     else:  # pragma: no cover - schema bug
         raise AssertionError(param.kind)
     if param.check is not None and not param.check(out):
-        raise ConfigError(f"line {line}: key '{key}': {param.message}")
+        raise ConfigError(f"{at}key '{key}': {param.message}")
     return out
 
 
+def _at(line: int | None) -> str:
+    return f"line {line}: " if line is not None else ""
+
+
 def parse_config(text: str) -> ExperimentSpec:
-    """Parse and validate a flat key-value experiment document."""
+    """Parse a flat key-value experiment document; `_resolve` validates it."""
     entries: dict[str, tuple[object, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,13 +233,7 @@ def parse_config(text: str) -> ExperimentSpec:
 
     if "experiment" not in entries:
         raise ConfigError("missing required key 'experiment'")
-    name, name_line = entries.pop("experiment")
-    if name not in _RECIPES:
-        raise ConfigError(
-            f"line {name_line}: unknown experiment '{name}'; "
-            f"known recipes: {', '.join(RECIPE_NAMES)}"
-        )
-    schema = _RECIPES[name].schema
+    name = entries["experiment"][0]
 
     seed = 0
     if "seed" in entries:
@@ -226,50 +242,56 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"line {line}: key 'seed': expected an integer, got {value!r}")
         seed = value
 
-    params: dict = {}
-    axes: dict = {}
-    for key, (value, line) in entries.items():
-        if key.startswith("sweep."):
-            axis = key[len("sweep."):]
-            if axis not in schema:
-                raise ConfigError(f"line {line}: unknown sweep axis '{axis}' for {name}")
-            param = schema[axis]
-            if param.kind == "float_list":
-                raise ConfigError(f"line {line}: cannot sweep over list parameter '{axis}'")
-            items = value if isinstance(value, list) else [value]
-            axes[axis] = [_coerce(axis, v, param, line) for v in items]
-            continue
-        if key not in schema:
-            raise ConfigError(f"line {line}: unknown key '{key}' for recipe {name}")
-        params[key] = _coerce(key, value, schema[key], line)
+    swept = {key: entries.pop(key) for key in list(entries) if key.startswith("sweep.")}
+    lines = {key: line for key, (_, line) in entries.items()}
+    params = {key: value for key, (value, _) in entries.items() if key != "experiment"}
+    resolved = _resolve(name, params, lines)
 
-    resolved = _resolve(name, params)
+    schema = _RECIPES[name].schema
+    axes: dict = {}
+    for key, (value, line) in swept.items():
+        axis = key[len("sweep."):]
+        if axis not in schema:
+            raise ConfigError(f"line {line}: unknown sweep axis '{axis}' for {name}")
+        param = schema[axis]
+        if param.kind == "float_list":
+            raise ConfigError(f"line {line}: cannot sweep over list parameter '{axis}'")
+        items = value if isinstance(value, list) else [value]
+        axes[axis] = [_coerce(axis, v, param, _at(line)) for v in items]
     return ExperimentSpec(name=name, parameters=resolved, seed=seed, sweep_axes=axes)
 
 
-def _resolve(name: str, params: dict) -> dict:
-    """Fill defaults and run cross-field validation for a recipe."""
-    if name not in _RECIPES:
+def _resolve(name, params: dict, lines: dict[str, int] | None = None) -> dict:
+    """Fill defaults and check every key and rule of a recipe.
+
+    The one place that decides whether a config is valid; `lines` maps keys
+    (and "experiment") to config-file line numbers for the messages.
+    """
+    lines = lines or {}
+    recipe = _RECIPES.get(name) if isinstance(name, str) else None
+    if recipe is None:
         raise ConfigError(
-            f"unknown experiment '{name}'; known recipes: {', '.join(RECIPE_NAMES)}"
+            f"{_at(lines.get('experiment'))}unknown experiment '{name}'; "
+            f"known recipes: {', '.join(RECIPE_NAMES)}"
         )
-    schema = _RECIPES[name].schema
+    schema = recipe.schema
+    for key in params:
+        if key not in schema:
+            raise ConfigError(f"{_at(lines.get(key))}unknown key '{key}' for recipe {name}")
     resolved = {}
     for key, param in schema.items():
         if key in params:
-            value = _coerce(key, params[key], param, 0)
+            value = _coerce(key, params[key], param, _at(lines.get(key)))
         elif param.default is _REQUIRED:
             raise ConfigError(f"recipe {name}: missing required key '{key}'")
         else:
             value = param.default
         resolved[key] = value
-    for key in params:
-        if key not in schema:
-            raise ConfigError(f"recipe {name}: unknown key '{key}'")
-    if "p" in resolved and resolved["p"] * resolved["q"] == 1.0:
-        raise ConfigError(f"recipe {name}: pq = 1 is excluded")
-    if "t_start" in resolved and resolved["t_end"] <= resolved["t_start"]:
-        raise ConfigError(f"recipe {name}: t_end must exceed t_start")
+    shared = [(check, message) for keys, check, message in _SHARED_RULES
+              if set(keys) <= schema.keys()]
+    for check, message in (*shared, *recipe.rules):
+        if not check(resolved):
+            raise ConfigError(message)
     return resolved
 
 
@@ -438,8 +460,6 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
     ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     t_end = params["t_end"]
     windows = sorted(params["windows"], reverse=True)  # shrinking lower edges
-    if windows[-1] <= 0 or windows[0] >= t_end:
-        raise ConfigError("windows must lie strictly inside (0, t_end)")
     ladder = list(np.geomspace(windows[-1] / 4.0, t_end, 60))
     times = sorted(set(ladder) | set(windows) | {t_end})
     config = _solver_config(pair, params, 0.0, t_end)
@@ -497,8 +517,6 @@ def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Traje
 
 
 def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    if not pair.q > pair.p > 1:
-        raise ConfigError("composite subsolution needs q > p > 1")
     n = params["n_snapshots"]
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
@@ -518,17 +536,18 @@ def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     return outcome, traj
 
 
+def _kernel_times(params: dict) -> np.ndarray:
+    """mean_value_check's output times: n_snapshots evenly spaced after kernel_time."""
+    s0, t_end, n = params["kernel_time"], params["t_end"], params["n_snapshots"]
+    return np.linspace(s0 + (t_end - s0) / n, t_end, n)
+
+
 def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     s0 = params["kernel_time"]
-    t_end = params["t_end"]
-    if t_end <= s0:
-        raise ConfigError("t_end must exceed kernel_time")
     kernel = np.exp(-grid.coords**2 / (4.0 * s0)) / math.sqrt(4.0 * math.pi * s0)
     ic = Field(grid, kernel)
-    config = _solver_config(None, params, s0, t_end)
-    n = params["n_snapshots"]
-    times = np.linspace(s0 + (t_end - s0) / n, t_end, n)
-    traj = heat_solve(ic, config, times)
+    config = _solver_config(None, params, s0, params["t_end"])
+    traj = heat_solve(ic, config, _kernel_times(params))
     epsilons = sorted(params["epsilons"])
     ratios = dg.mean_value_check(
         traj, params["s"], (params["center_x"], params["center_t"]),
@@ -551,11 +570,15 @@ def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Traject
 
 @dataclass(frozen=True)
 class _Recipe:
-    """A recipe as data: its runner, its config schema, and what it needs of (p, q)."""
+    """A recipe as data: its runner, its config schema, and its own rules."""
 
     run: Callable[[dict, cf.PowerPair | None, Grid], tuple[dict, Trajectory | None]]
     schema: dict[str, _Param]
-    superlinear: bool = False  # the recipe also requires pq > 1
+    rules: tuple[_Rule, ...] = ()
+
+
+_SUPERLINEAR: _Rule = (lambda c: c["p"] * c["q"] > 1.0, "this recipe requires pq > 1")
+_IC_INSIDE: _Rule = (lambda c: c["ic_width"] <= c["extent"], "ic_width must not exceed extent")
 
 
 _RECIPES: dict[str, _Recipe] = {
@@ -572,11 +595,11 @@ _RECIPES: dict[str, _Recipe] = {
                          lambda ns: len(ns) >= 2 and all(n.is_integer() and n >= 3 for n in ns),
                          "node_list must hold >= 2 integers, each >= 3"),
         mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
-    ), superlinear=True),
+    ), (_SUPERLINEAR,)),
     "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_COUPLED, "t_start", "t_end",
         nodes=201,
         n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
-    ), superlinear=True),
+    ), (_SUPERLINEAR,)),
     "estimate_saturation": _Recipe(_run_estimate_saturation, _schema(*_COUPLED,
         m=_Param("float", 1e4, _positive, "m must be > 0"),
         nodes=101,
@@ -584,7 +607,7 @@ _RECIPES: dict[str, _Recipe] = {
         n_snapshots=_Param("int", 12, lambda x: x >= 2, "n_snapshots must be >= 2"),
         margin_frac=_Param("float", 0.2, lambda x: 0 < x < 0.5,
                            "margin_frac must lie in (0, 0.5)"),
-    ), superlinear=True),
+    ), (_SUPERLINEAR,)),
     "trace_measurement": _Recipe(_run_trace_measurement, _schema(*_COUPLED,
         ic_width=_Param("float", 0.3, _positive, "ic_width must be > 0"),
         ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
@@ -593,19 +616,31 @@ _RECIPES: dict[str, _Recipe] = {
         t_min=_Param("float", 1e-3, _positive, "t_min must be > 0"),
         t_end=0.05,
         n_snapshots=_Param("int", 10, lambda x: x >= 2, "n_snapshots must be >= 2"),
+    ), (
+        _IC_INSIDE,
+        (lambda c: _inside(c, c["psi_center"] - c["psi_width"], c["psi_center"] + c["psi_width"]),
+         "psi_center ± psi_width must lie inside [-extent, extent]"),
+        (lambda c: c["t_min"] < c["t_end"], "t_min must be below t_end"),
     )),
     "dichotomy_probe": _Recipe(_run_dichotomy_probe, _schema(*_COUPLED,
         nodes=801,
         t_end=0.5,
         ic_width=_Param("float", 0.4, _positive, "ic_width must be > 0"),
         ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
-        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5], _positives(3),
-                       "windows must hold >= 3 values, each > 0"),
+        windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5],
+                       lambda ws: len(set(ws)) == len(ws) >= 3 and min(ws) > 0,
+                       "windows must hold >= 3 distinct values, each > 0"),
         region_lo=_Param("float", -0.5),
         region_hi=_Param("float", 0.5),
         growth_ratio=_Param("float", 10.0, lambda x: x > 1, "growth_ratio must be > 1"),
         saturation_tol=_Param("float", 0.05, _positive, "saturation_tol must be > 0"),
         dt_init=1e-6,
+    ), (
+        _IC_INSIDE,
+        (lambda c: max(c["windows"]) < c["t_end"], "windows must lie strictly inside (0, t_end)"),
+        (lambda c: c["region_lo"] < c["region_hi"], "region_lo must be below region_hi"),
+        (lambda c: _inside(c, c["region_lo"], c["region_hi"]),
+         "[region_lo, region_hi] must lie inside [-extent, extent]"),
     )),
     "removability_sweep": _Recipe(_run_removability_sweep, _schema(*_COUPLED,
         nodes=801,
@@ -615,10 +650,14 @@ _RECIPES: dict[str, _Recipe] = {
         collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
         converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
         dt_init=1e-6,
+    ), (
+        (lambda c: max(c["eps_list"]) <= c["extent"], "eps_list values must not exceed extent"),
     )),
     "subsolution_check": _Recipe(_run_subsolution_check, _schema(*_COUPLED, "t_start", "t_end",
         nodes=201,
         n_snapshots=_Param("int", 40, lambda x: x >= 3, "n_snapshots must be >= 3"),
+    ), (
+        (lambda c: c["q"] > c["p"] > 1, "composite subsolution needs q > p > 1"),
     )),
     "mean_value_check": _Recipe(_run_mean_value_check, _schema("nodes", "extent", *_SOLVER,
         extent=2.0,
@@ -631,6 +670,14 @@ _RECIPES: dict[str, _Recipe] = {
                         "epsilons must each lie in (0, 1)"),
         s=_Param("float", 1.0, _positive, "s must be > 0"),
         n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
+    ), (
+        (lambda c: c["t_end"] > c["kernel_time"], "t_end must exceed kernel_time"),
+        (lambda c: _inside(c, c["center_x"] - c["rho"], c["center_x"] + c["rho"]),
+         "center_x ± rho must lie inside [-extent, extent]"),
+        (lambda c: _kernel_times(c)[0] <= c["center_t"] - c["rho"] ** 2
+         and c["center_t"] <= c["t_end"],
+         "[center_t - rho^2, center_t] must lie between the first output time, "
+         "kernel_time + (t_end - kernel_time)/n_snapshots, and t_end"),
     )),
 }
 
@@ -651,18 +698,13 @@ def run_experiment(
     `seed` only labels the run: no recipe draws random numbers.
     """
     params = _resolve(spec.name, spec.parameters)
-    recipe = _RECIPES[spec.name]
     runid = runid or f"{spec.name}-s{spec.seed:04d}"
     start = time.perf_counter()
     outcome, traj, error = {}, None, None
     try:
         pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
-        if recipe.superlinear and not pair.superlinear:
-            raise ConfigError(f"{spec.name} requires pq > 1")
         grid = build_grid(SpatialDomain(DomainKind.INTERVAL, params["extent"], 1), params["nodes"])
-        outcome, traj = recipe.run(params, pair, grid)
-    except ConfigError:
-        raise
+        outcome, traj = _RECIPES[spec.name].run(params, pair, grid)
     except (NumericsError, ValueError, FloatingPointError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     record = RunRecord(
@@ -690,26 +732,14 @@ def sweep(
     for index, point in enumerate(points):
         params = dict(base.parameters)
         params.update(dict(zip(names, point)))
-        spec = ExperimentSpec(
-            name=base.name,
-            parameters=params,
-            seed=base.seed + index,
-            sweep_axes={},
-        )
+        spec = ExperimentSpec(base.name, params, seed=base.seed + index)
         runid = f"{base.name}-s{base.seed:04d}-g{index:03d}"
         try:
             record = run_experiment(spec, out_dir=out_dir, runid=runid)
         except ConfigError as exc:
             # a bad grid point must not poison its neighbours
-            record = RunRecord(
-                name=base.name,
-                runid=runid,
-                seed=spec.seed,
-                params=params,
-                outcome={},
-                failed=True,
-                error=f"ConfigError: {exc}",
-            )
+            record = RunRecord(base.name, runid, spec.seed, params, outcome={}, failed=True,
+                               error=f"ConfigError: {exc}")
         records.append(record)
     return records
 
@@ -724,11 +754,6 @@ def _json_ready(value):
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     return value
-
-
-def _record_obj(record: RunRecord) -> dict:
-    obj = dataclasses.asdict(record)
-    return _json_ready(obj)
 
 
 def _flatten(record: RunRecord) -> dict:
@@ -756,7 +781,7 @@ def write_records(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         path = out / "record.json"
-        payload = [_record_obj(r) for r in records]
+        payload = [_json_ready(dataclasses.asdict(r)) for r in records]
         if len(payload) == 1:
             payload = payload[0]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from absorblab import (
     SpatialDomain,
     build_grid,
     bump_function,
-    field_to_csv,
     integrate_field,
     laplacian_apply,
     unit_sphere_area,
@@ -187,15 +186,3 @@ def test_field_requires_matching_length():
     with pytest.raises(ValueError):
         Field(g, np.ones(7))
 
-
-def test_field_csv_round_trip(tmp_path):
-    g = interval_grid(11)
-    field = Field(g, np.sin(g.coords))
-    path = tmp_path / "field.csv"
-    field_to_csv(field, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "coordinate,value"
-    assert len(lines) == 12
-    x, v = lines[3].split(",")
-    assert float(x) == g.coords[2]
-    assert float(v) == field.values[2]

@@ -11,10 +11,8 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
-    NonFiniteState,
     SolverConfig,
     SpatialDomain,
-    State,
     StepSizeUnderflow,
     build_grid,
     bump_function,
@@ -28,7 +26,6 @@ from absorblab import (
     scalar_profile,
     scalar_solve,
     solve,
-    step_imex,
     steps_to_csv,
     trajectory_to_csv,
 )
@@ -57,87 +54,70 @@ def heat_kernel(x, t):
     return np.exp(-(x**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
-class TestStepImex:
+def one_step(u, v, pair, dt=1e-3):
+    """One coupled step as `solve` takes it: implicit diffusion, then absorption."""
+    w = np.stack([u.values, v.values])
+    return _advance(w, dt, _Diffusion(u.grid, NEU), 1.0, _system_reaction(pair))
+
+
+class TestOneStep:
     def test_zero_v_reduces_to_implicit_diffusion(self):
         g = interval_grid(101)
         pair = derive_exponents(2, 2)
         u0 = bump_function(g, 0.0, 0.5)
         zero = Field(g, np.zeros(101))
         dt = 1e-3
-        out = step_imex(State(0.0, u0, zero), dt, config(pair))
+        out = one_step(u0, zero, pair, dt)
         # independent reference: dense solve of (I - dt L) x = u0
         basis = np.eye(101)
         lap_cols = np.column_stack(
             [laplacian_apply(Field(g, basis[:, j]), NEU).values for j in range(101)]
         )
         x = np.linalg.solve(np.eye(101) - dt * lap_cols, u0.values)
-        assert np.allclose(out.u.values, x, atol=1e-11)
-        assert np.all(out.v.values == 0.0)
+        assert np.allclose(out[0], x, atol=1e-11)
+        assert np.all(out[1] == 0.0)
 
     def test_flat_field_unchanged_by_diffusion(self):
         g = interval_grid(101)
         pair = derive_exponents(2, 2)
-        flat = Field(g, np.full(101, 4.2))
-        zero = Field(g, np.zeros(101))
-        out = step_imex(State(0.0, flat, zero), 1e-3, config(pair))
-        assert np.allclose(out.u.values, 4.2, rtol=1e-13)
+        out = one_step(Field(g, np.full(101, 4.2)), Field(g, np.zeros(101)), pair)
+        assert np.allclose(out[0], 4.2, rtol=1e-13)
 
     def test_flat_unit_state_one_step_value(self):
         g = interval_grid(101)
         pair = derive_exponents(2, 2)
         one = Field(g, np.ones(101))
-        out = step_imex(State(0.0, one, one), 1e-3, config(pair))
+        out = one_step(one, one, pair)
         expected = 1.0 / 1.001
-        assert np.allclose(out.u.values, expected, atol=1e-6)
-        assert np.allclose(out.v.values, expected, atol=1e-6)
+        assert np.allclose(out[0], expected, atol=1e-6)
+        assert np.allclose(out[1], expected, atol=1e-6)
 
     def test_zero_component_stays_exactly_zero(self):
         # with u = 0 the v equation degenerates to pure heat: flat v persists
         g = interval_grid(101)
         pair = derive_exponents(2, 2)
-        zero = Field(g, np.zeros(101))
-        one = Field(g, np.ones(101))
-        out = step_imex(State(0.0, zero, one), 1e-3, config(pair))
-        assert np.all(out.u.values == 0.0)
-        assert np.allclose(out.v.values, 1.0, rtol=1e-13)
-
-    def test_rejects_nonpositive_dt(self):
-        g = interval_grid(11)
-        pair = derive_exponents(2, 2)
-        one = Field(g, np.ones(11))
-        with pytest.raises(ValueError):
-            step_imex(State(0.0, one, one), 0.0, config(pair))
+        out = one_step(Field(g, np.zeros(101)), Field(g, np.ones(101)), pair)
+        assert np.all(out[0] == 0.0)
+        assert np.allclose(out[1], 1.0, rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     @pytest.mark.parametrize("component", ["u", "v"])
     def test_rejects_negative_or_nonfinite_data(self, bad, component):
-        # the check `solve` makes: bad data is rejected, never clamped to 0
+        # bad data is rejected, never clamped to 0
         g = interval_grid(11)
         pair = derive_exponents(2, 2)
         one = Field(g, np.ones(11))
         wrong = Field(g, np.full(11, bad))
-        state = State(0.0, wrong, one) if component == "u" else State(0.0, one, wrong)
+        u, v = (wrong, one) if component == "u" else (one, wrong)
         with pytest.raises(ValueError, match="initial data"):
-            step_imex(state, 1e-3, config(pair))
+            solve(u, v, config(pair), [0.01])
 
     def test_rejects_fields_on_different_grids(self):
         pair = derive_exponents(2, 2)
         u = Field(interval_grid(11), np.ones(11))
         v = Field(grid_of(DomainKind.RADIAL_BALL, 3, nodes=11), np.ones(11))
         with pytest.raises(ValueError, match="different grids"):
-            step_imex(State(0.0, u, v), 1e-3, config(pair))
-        with pytest.raises(ValueError, match="different grids"):
             solve(u, v, config(pair), [0.01])
-
-    def test_overflowing_step_raises_non_finite_state(self):
-        # at theta = 0.5 the explicit half of the step overflows on a 1e308 spike
-        g = interval_grid(41)
-        spike = np.zeros(41)
-        spike[20] = 1e308
-        cfg = config(derive_exponents(2, 3), theta_scheme=0.5)
-        state = State(0.0, Field(g, spike), Field(g, spike))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-            step_imex(state, 1e-3, cfg)
 
 
 class TestSolve:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,69 @@ def config_text(recipe, *lines):
     return "\n".join([f"experiment = {recipe}", *pair, *lines, ""])
 
 
+# cross-field values that reached the runner and ended as an exit-2
+# ValueError there (the repeated windows completed with a verdict), each
+# with a fragment of the ConfigError message it now raises
+BAD_CONFIGS = [
+    ("dichotomy_probe", {"region_lo": 0.5, "region_hi": -0.5}, "region_lo must be below"),
+    ("dichotomy_probe", {"region_lo": 0.2, "region_hi": 0.2}, "region_lo must be below"),
+    ("dichotomy_probe", {"region_hi": 1.5}, "region_hi] must lie inside"),
+    ("dichotomy_probe", {"region_lo": -1.5}, "region_hi] must lie inside"),
+    ("trace_measurement", {"psi_center": 5.0}, "psi_center ± psi_width must lie inside"),
+    ("trace_measurement", {"psi_center": -0.6}, "psi_center ± psi_width must lie inside"),
+    ("trace_measurement", {"ic_width": 1.5}, "ic_width must not exceed extent"),
+    ("dichotomy_probe", {"ic_width": 2.0}, "ic_width must not exceed extent"),
+    ("removability_sweep", {"eps_list": [2.0, 0.1]}, "eps_list values must not exceed extent"),
+    ("mean_value_check", {"center_x": 9.0}, "center_x ± rho must lie inside"),
+    ("mean_value_check", {"center_x": -1.6}, "center_x ± rho must lie inside"),
+    ("mean_value_check", {"center_t": 0.1}, "[center_t - rho^2, center_t] must lie between"),
+    ("mean_value_check", {"center_t": 0.4}, "[center_t - rho^2, center_t] must lie between"),
+    ("trace_measurement", {"t_min": 0.05}, "t_min must be below t_end"),
+    ("trace_measurement", {"t_min": 0.1}, "t_min must be below t_end"),
+    ("flat_validation", {"dt_min": 1e-3}, "dt_min must not exceed dt_init"),
+    ("dichotomy_probe", {"windows": [1e-3, 1e-3, 1e-3]}, "windows must hold >= 3 distinct"),
+]
+BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
+
+# each rule at its limit, where it still accepts, and a run that completes there
+AT_THE_LIMIT = [
+    ("dichotomy_probe", {"region_lo": -1.0, "region_hi": 1.0, "ic_width": 1.0, "t_end": 0.01}),
+    ("trace_measurement", {"psi_center": 0.5, "psi_width": 0.5, "ic_width": 1.0,
+                           "t_min": 0.049}),
+    ("removability_sweep", {"eps_list": [1.0, 0.5], "t_probe": 1e-3}),
+    ("mean_value_check", {"center_x": -1.55, "rho": 0.45, "center_t": 0.35}),
+    ("flat_validation", {"dt_min": 1e-4, "t_end": 0.2, "n_snapshots": 4}),
+]
+
+# every config that the defaults, the demos and perfbench run
+IN_USE = [
+    (name, {"p": 2, "q": 3} if "p" in _RECIPES[name].schema else {}) for name in RECIPE_NAMES
+] + [
+    ("flat_validation", {"p": 2, "q": 2}),
+    ("convergence_order", {"p": 2, "q": 2}),
+    ("blowup_fit", {"p": 2, "q": 2}),
+    ("blowup_fit", {"p": 3, "q": 2}),
+    *[("estimate_saturation", {"p": 2, "q": 2, "m": m}) for m in (10.0, 100.0, 1e3, 1e4)],
+    ("trace_measurement", {"p": 2, "q": 2}),
+    ("dichotomy_probe", {"p": 3, "q": 3, "ic_width": 0.4}),
+    ("dichotomy_probe", {"p": 3, "q": 3, "ic_width": 0.025}),
+    ("removability_sweep", {"p": 3, "q": 3}),
+    ("removability_sweep", {"p": 1.5, "q": 1.5}),
+]
+
+
+def with_pair(name, params):
+    pair = {"p": 2.0, "q": 2.0} if "p" in _RECIPES[name].schema else {}
+    return {**pair, "nodes": 41, **params}
+
+
+def text_of(name, params):
+    lines = [f"experiment = {name}"]
+    for key, value in params.items():
+        lines.append(f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestParseConfig:
     def test_minimal_flat_validation_defaults(self):
         spec = parse_config("experiment = flat_validation\np = 2\nq = 2\n")
@@ -85,6 +149,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("experiment = frobnicate\n")
 
+    def test_list_as_recipe_name_rejected(self):
+        # a list value is unhashable: the recipe lookup used to raise TypeError
+        with pytest.raises(ConfigError, match="line 1: unknown experiment"):
+            parse_config("experiment = flat_validation, blowup_fit\n")
+
     def test_negative_exponent_cites_positivity(self):
         with pytest.raises(ConfigError, match="p must be > 0"):
             parse_config("experiment = flat_validation\np = -1\nq = 2\n")
@@ -98,7 +167,7 @@ class TestParseConfig:
             parse_config("experiment = flat_validation\np = 2\nnodes = many\nq = 2\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key 'wibble'"):
+        with pytest.raises(ConfigError, match="line 4: unknown key 'wibble'"):
             parse_config("experiment = flat_validation\np = 2\nq = 2\nwibble = 3\n")
 
     def test_duplicate_key_rejected(self):
@@ -144,6 +213,39 @@ class TestParseConfig:
     @pytest.mark.parametrize("recipe, line", GOOD_LISTS)
     def test_list_at_its_limit_accepted(self, recipe, line):
         parse_config(config_text(recipe, line))
+
+    def test_sweep_base_must_be_valid(self):
+        # every swept point would pass the rule, but the base config does not
+        with pytest.raises(ConfigError, match="q > p > 1"):
+            parse_config("experiment = subsolution_check\np = 2\nq = 2\nsweep.q = 3, 4\n")
+
+
+class TestRules:
+    @pytest.mark.parametrize("name, extra, message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_config_is_config_error(self, name, extra, message):
+        params = with_pair(name, extra)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text_of(name, params))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(ExperimentSpec(name, params))
+
+    @pytest.mark.parametrize("name, extra", AT_THE_LIMIT)
+    def test_limit_is_accepted_and_runs(self, name, extra):
+        params = with_pair(name, extra)
+        parse_config(text_of(name, params))
+        record = run_experiment(ExperimentSpec(name, params))
+        assert not record.failed, record.error
+
+    @pytest.mark.parametrize("name, params", IN_USE)
+    def test_configs_in_use_are_accepted(self, name, params):
+        parse_config(text_of(name, params))
+
+    def test_bad_point_is_isolated(self):
+        base = ExperimentSpec("mean_value_check", {"nodes": 41})
+        records = sweep(base, {"center_x": [0.0, 9.0]})
+        assert [r.failed for r in records] == [False, True]
+        assert records[1].error.startswith("ConfigError")
+        assert "center_x ± rho" in records[1].error
 
 
 # small overrides that keep one run of each recipe fast
@@ -374,6 +476,16 @@ class TestCli:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 1
         assert "unknown key 't_end'" in result.stderr
+
+    @pytest.mark.parametrize("index", [0, 9, 15])
+    def test_bad_config_exit_one(self, tmp_path, index):
+        name, extra, message = BAD_CONFIGS[index]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text_of(name, with_pair(name, extra)))
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("recipe, line", BAD_LISTS[:5])
     def test_bad_list_exit_one(self, tmp_path, recipe, line):
