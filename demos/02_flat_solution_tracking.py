@@ -34,10 +34,10 @@ def main():
     traj = solve(ic_u, ic_v, config, times)
 
     print("      t      u_numeric     u_exact      rel_error")
-    for s in traj.states:
-        exact = eval_flat(pair, s.t)[0]
-        err = abs(s.u.values.max() - exact) / exact
-        print(f"  {s.t:8.4f}  {s.u.values.max():.8f}  {exact:.8f}  {err:.2e}")
+    for t, (u, _) in zip(traj.times, traj.values):
+        exact = eval_flat(pair, t)[0]
+        err = abs(u.max() - exact) / exact
+        print(f"  {t:8.4f}  {u.max():.8f}  {exact:.8f}  {err:.2e}")
     print(f"\naccepted steps: {len(traj.steps)}, "
           f"largest dt: {max(r.dt for r in traj.steps):.3g}")
 

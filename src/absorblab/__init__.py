@@ -26,7 +26,6 @@ from .closed_forms import (
 from .diagnostics import (
     DichotomyVerdict,
     FitResult,
-    TraceSample,
     check_f_subsolution,
     check_upper_estimate,
     cylinder_integral,
@@ -54,7 +53,6 @@ from .discretization import (
 from .evolution import (
     NumericsError,
     SolverConfig,
-    State,
     StepSizeUnderflow,
     Trajectory,
     heat_solve,

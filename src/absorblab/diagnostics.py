@@ -4,7 +4,9 @@ Log-log exponent fitting, weighted trace functionals, space-time cylinder
 integrals, the regular/singular trend classifier, the backward-estimate
 monitor sup u * t^a, the composite-subsolution residual check, and the
 parabolic mean value ratio.  Everything here is a pure function over
-immutable trajectories; nothing mutates solver state.
+trajectories; nothing mutates solver state.  A trajectory's `values` is a
+(T, k, n) array, rows u, v for a coupled run and one row for a heat or
+scalar run; every reduction takes one snapshot and one row at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .discretization import (
     DomainKind,
     Field,
     Grid,
-    integrate_field,
     laplacian_apply,
     trapezoid_weights,
 )
@@ -29,7 +30,6 @@ from .evolution import Trajectory
 
 __all__ = [
     "FitResult",
-    "TraceSample",
     "DichotomyEvidence",
     "DichotomyVerdict",
     "UpperEstimateReport",
@@ -52,13 +52,6 @@ class FitResult:
     amplitude: float
     rms_residual: float
     window: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class TraceSample:
-    t: float
-    value_u: float
-    value_v: float | None = None
 
 
 @dataclass(frozen=True)
@@ -121,17 +114,22 @@ def _check_interior_support(psi: Field) -> None:
             raise ValueError("weight must vanish on the lateral boundary")
 
 
-def trace_functional(traj: Trajectory, psi: Field) -> list[TraceSample]:
-    """Weighted integrals (int u psi, int v psi) at every snapshot."""
+def trace_functional(traj: Trajectory, psi: Field) -> np.ndarray:
+    """Weighted integrals int w psi of every row w at every snapshot, as a (T, k) array."""
     if not traj.grid.compatible(psi.grid):
         raise ValueError("weight lives on a different grid")
     _check_interior_support(psi)
-    out = []
-    for s in traj.states:
-        value_u = integrate_field(s.u, psi)
-        value_v = integrate_field(s.v, psi) if s.v is not None else None
-        out.append(TraceSample(s.t, value_u, value_v))
-    return out
+    weights = trapezoid_weights(traj.grid)
+    return np.array([[weights @ (row * psi.values) for row in snapshot]
+                     for snapshot in traj.values])
+
+
+_SLACK = 1e-12  # a node or a snapshot this close outside a region or window counts as inside
+
+
+def _within(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the entries of x in [lo, hi], widened by `_SLACK` at both ends."""
+    return np.nonzero((x >= lo - _SLACK) & (x <= hi + _SLACK))[0]
 
 
 def _region_indices(grid: Grid, region: tuple[float, float]) -> np.ndarray:
@@ -139,32 +137,32 @@ def _region_indices(grid: Grid, region: tuple[float, float]) -> np.ndarray:
     if not hi > lo:
         raise ValueError(f"empty region {region}")
     x = grid.coords
-    if lo < x[0] - 1e-12 or hi > x[-1] + 1e-12:
+    if lo < x[0] - _SLACK or hi > x[-1] + _SLACK:
         raise ValueError(f"region {region} exceeds the domain")
-    idx = np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0]
+    idx = _within(x, lo, hi)
     if idx.size < 2:
         raise ValueError(f"region {region} contains fewer than 2 grid nodes")
     return idx
 
 
-def _window_states(traj: Trajectory, t_window: tuple[float, float]):
+def _window_indices(traj: Trajectory, t_window: tuple[float, float]) -> np.ndarray:
     lo, hi = t_window
     if not hi > lo:
         raise ValueError(f"empty time window {t_window}")
-    states = [s for s in traj.states if lo - 1e-12 <= s.t <= hi + 1e-12]
-    if len(states) < 2:
+    idx = _within(traj.times, lo, hi)
+    if idx.size < 2:
         raise ValueError(f"time window {t_window} contains fewer than 2 snapshots")
-    return states
+    return idx
 
 
 def cylinder_integral(
     traj: Trajectory,
     power: float,
-    which: str,
+    row: int,
     region: tuple[float, float],
     t_window: tuple[float, float],
 ) -> float:
-    """Space-time integral of one component raised to a power.
+    """Space-time integral of one row (0 for u, 1 for v) raised to a power.
 
     Trapezoidal in both space (over the grid nodes inside `region`, with the
     radial surface factor where applicable) and time (over the snapshots
@@ -172,31 +170,25 @@ def cylinder_integral(
     """
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    if which not in ("u", "v"):
-        raise ValueError(f"component must be 'u' or 'v', got {which!r}")
     idx = _region_indices(traj.grid, region)
     weights = trapezoid_weights(traj.grid, idx)
-    states = _window_states(traj, t_window)
-    times = np.array([s.t for s in states])
-    vals = []
-    for s in states:
-        comp = s.u if which == "u" else s.v
-        if comp is None:
-            raise ValueError("trajectory has no v component")
-        vals.append(float(weights @ comp.values[idx] ** power))
-    return float(np.trapezoid(np.array(vals), times))
+    snaps = _window_indices(traj, t_window)
+    vals = [float(weights @ traj.values[i, row, idx] ** power) for i in snaps]
+    return float(np.trapezoid(np.array(vals), traj.times[snaps]))
 
 
 def mass_in_region(
     traj: Trajectory, region: tuple[float, float], times: Sequence[float]
 ) -> list[float]:
-    """int_region (u + v) at the requested snapshot times."""
+    """int_region of the sum of the rows (u + v) at the requested snapshot times."""
     idx = _region_indices(traj.grid, region)
     weights = trapezoid_weights(traj.grid, idx)
     out = []
     for t in times:
-        s = traj.sample(t)
-        total = s.u.values if s.v is None else s.u.values + s.v.values
+        hits = _within(traj.times, t, t)
+        if hits.size == 0:
+            raise ValueError(f"no snapshot at t={t}")
+        total = traj.values[hits[0]].sum(axis=0)
         out.append(float(weights @ total[idx]))
     return out
 
@@ -262,16 +254,16 @@ def check_upper_estimate(
     """Empirical constants sup u * t^a and sup v * t^b over interior nodes."""
     if not pair.superlinear:
         raise ValueError("backward estimate monitor requires pq > 1")
+    if traj.values.shape[1] != 2:
+        raise ValueError("monitor needs a coupled trajectory")
     mask = _interior_mask(traj.grid, interior_margin)
     if not mask.any():
         raise ValueError(f"margin {interior_margin} leaves no interior nodes")
     sup_u = 0.0
     sup_v = 0.0
-    for s in traj.states:
-        if s.v is None:
-            raise ValueError("monitor needs a coupled trajectory")
-        sup_u = max(sup_u, float(np.max(s.u.values[mask])) * s.t**pair.a)
-        sup_v = max(sup_v, float(np.max(s.v.values[mask])) * s.t**pair.b)
+    for t, (u, v) in zip(traj.times.tolist(), traj.values):
+        sup_u = max(sup_u, float(np.max(u[mask])) * t**pair.a)
+        sup_v = max(sup_v, float(np.max(v[mask])) * t**pair.b)
     return UpperEstimateReport(sup_u_t_a=sup_u, sup_v_t_b=sup_v)
 
 
@@ -298,7 +290,9 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
     convention enters.
     """
     d, c, k = subsolution_constants(pair)
-    if len(traj.states) < 3:
+    if traj.values.shape[1] != 2:
+        raise ValueError("subsolution check needs a coupled trajectory")
+    if len(traj.times) < 3:
         raise ValueError("need at least 3 snapshots for the time derivative")
     grid = traj.grid
     interior = np.ones(grid.nodes, dtype=bool)
@@ -307,12 +301,8 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
         interior[0] = False
     bound = k**pair.q
     worst = 0.0
-    f_vals = []
-    for s in traj.states:
-        if s.v is None:
-            raise ValueError("subsolution check needs a coupled trajectory")
-        f_vals.append((k + s.u.values) ** d + s.v.values)
-    times = traj.times()
+    f_vals = [(k + u) ** d + v for u, v in traj.values]
+    times = traj.times
     for i in range(1, len(f_vals) - 1):
         h_m = times[i] - times[i - 1]
         h_p = times[i + 1] - times[i]
@@ -322,7 +312,7 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
             + h_m / (h_p * (h_m + h_p)) * f_vals[i + 1]
         )
         lap = laplacian_apply(Field(grid, f_vals[i]), BoundaryCondition.NEUMANN_ZERO).values
-        u_mid = traj.states[i].u.values
+        u_mid = traj.values[i, 0]
         residual = f_t - lap + c * (k + u_mid) ** (d - 1.0) * f_vals[i] ** pair.p - bound
         worst = max(worst, float(np.max(residual[interior])))
     return SubsolutionReport(max_violation=max(worst, 0.0), d=d, c=c, k=k)
@@ -359,16 +349,16 @@ def mean_value_check(
             return (0.0, radius)
         return (x0 - radius, x0 + radius)
 
-    t_first, t_last = caloric.states[0].t, caloric.states[-1].t
-    if t0 - rho**2 < t_first - 1e-12 or t0 > t_last + 1e-12:
+    if t0 - rho**2 < caloric.times[0] - _SLACK or t0 > caloric.times[-1] + _SLACK:
         raise ValueError("cylinder exceeds the computed time range")
 
+    w = caloric.values[:, 0]  # the caloric field, one row per snapshot
     idx = _region_indices(grid, ball(rho))
     weights = trapezoid_weights(grid, idx)
-    states = _window_states(caloric, (t0 - rho**2, t0))
-    times = np.array([s.t for s in states])
-    powers = np.array([float(weights @ s.u.values[idx] ** power_s) for s in states])
-    volumes = np.full(len(states), float(weights @ np.ones(weights.size)))
+    snaps = _window_indices(caloric, (t0 - rho**2, t0))
+    times = caloric.times[snaps]
+    powers = np.array([float(weights @ w[i, idx] ** power_s) for i in snaps])
+    volumes = np.full(len(snaps), float(weights @ np.ones(weights.size)))
     avg = float(np.trapezoid(powers, times)) / float(np.trapezoid(volumes, times))
     denom = avg ** (1.0 / power_s)
 
@@ -376,7 +366,7 @@ def mean_value_check(
     for eps in epsilons:
         r_in = rho * (1.0 - eps)
         idx_in = _region_indices(grid, ball(r_in))
-        states_in = _window_states(caloric, (t0 - r_in**2, t0))
-        sup = max(float(np.max(s.u.values[idx_in])) for s in states_in)
+        snaps_in = _window_indices(caloric, (t0 - r_in**2, t0))
+        sup = max(float(np.max(w[i, idx_in])) for i in snaps_in)
         out.append((float(eps), sup / denom))
     return out

@@ -23,6 +23,7 @@ so a few cached factorisations serve almost every step.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,7 +35,6 @@ from .discretization import BoundaryCondition, Field, Grid, LaplacianBands, lapl
 
 __all__ = [
     "SolverConfig",
-    "State",
     "StepRecord",
     "Trajectory",
     "NumericsError",
@@ -83,41 +83,24 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class State:
-    """Snapshot at time t; v is None for scalar/heat trajectories."""
-
-    t: float
-    u: Field
-    v: Field | None = None
-
-
-@dataclass(frozen=True)
 class StepRecord:
     t: float
     dt: float
     retries: int
 
 
-_SAMPLE_TOL = 1e-12  # relative gap within which `Trajectory.sample` finds a snapshot
-
-
 @dataclass
 class Trajectory:
-    states: list[State]
+    """Snapshots of one solve: `values[i]` is the (k, n) state at `times[i]`.
+
+    Rows are u, v for `solve` and the one field for `heat_solve` and
+    `scalar_solve`; `steps` logs every accepted step.
+    """
+
+    grid: Grid
+    times: np.ndarray
+    values: np.ndarray
     steps: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].u.grid
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    def sample(self, t: float) -> State:
-        for s in self.states:
-            if abs(s.t - t) <= _SAMPLE_TOL * max(1.0, abs(t)):
-                return s
-        raise ValueError(f"no snapshot at t={t}")
 
 
 _FACTOR_CACHE_SIZE = 4  # (theta, dt) factorisations one operator keeps, oldest out first
@@ -247,10 +230,10 @@ def _integrate(
     tol = config.tol_step
     t = config.t_start
     dt_ctrl = config.dt_init
-    states: list[State] = []
+    values = np.empty((len(times), *state.shape))
     log: list[StepRecord] = []
 
-    for t_out in times:
+    for i, t_out in enumerate(times):
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
             dt_try = min(dt_ctrl, t_out - t)
             retries = 0
@@ -279,9 +262,9 @@ def _integrate(
             elif err < 0.25 * tol:
                 dt_ctrl = max(dt_ctrl, 2.0 * dt_try)
         t = t_out
-        states.append(State(t, *(Field(grid, w) for w in state)))
+        values[i] = state
 
-    return Trajectory(states=states, steps=log)
+    return Trajectory(grid, np.array(times), values, log)
 
 
 def solve(
@@ -339,19 +322,18 @@ def residual_of(
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Long-format CSV with one row per (snapshot, node)."""
+    """Long-format CSV with one row per (snapshot, node); v is empty for one row."""
+    coords = list(map(repr, traj.grid.coords.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,node_coordinate,u,v\n")
-        coords = traj.grid.coords
-        for s in traj.states:
-            v_vals = s.v.values if s.v is not None else None
-            for i, x in enumerate(coords):
-                v_txt = repr(float(v_vals[i])) if v_vals is not None else ""
-                fh.write(f"{float(s.t)!r},{float(x)!r},{float(s.u.values[i])!r},{v_txt}\n")
+        for t, snapshot in zip(map(repr, traj.times.tolist()), traj.values):
+            columns = [map(repr, row) for row in snapshot.tolist()]
+            if len(columns) == 1:
+                columns.append(itertools.repeat(""))
+            fh.writelines(f"{t},{x},{u},{v}\n" for x, u, v in zip(coords, *columns))
 
 
 def steps_to_csv(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,dt,retries\n")
-        for rec in traj.steps:
-            fh.write(f"{float(rec.t)!r},{float(rec.dt)!r},{rec.retries}\n")
+        fh.writelines(f"{float(rec.t)!r},{float(rec.dt)!r},{rec.retries}\n" for rec in traj.steps)

@@ -128,6 +128,16 @@ def _inside(c: dict, lo: float, hi: float) -> bool:
     return -c["extent"] <= lo and hi <= c["extent"]
 
 
+def _grid(c: dict) -> Grid:
+    """The interval grid every recipe runs on."""
+    return build_grid(SpatialDomain(DomainKind.INTERVAL, c["extent"], 1), c["nodes"])
+
+
+def _holds_two(x: np.ndarray, lo: float, hi: float) -> bool:
+    """[lo, hi] holds at least 2 of the nodes or output times x, as the diagnostics count."""
+    return dg._within(x, lo, hi).size >= 2
+
+
 def _schema(*shared: str, **own) -> dict[str, _Param]:
     """The named shared keys, then `own`: a `_Param` there declares a recipe's own key,
     a plain value takes the shared key of that name with that default."""
@@ -332,15 +342,13 @@ def _flat_tracked(pair, grid: Grid, params: dict) -> Trajectory:
 def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     consts = cf.flat_constants(pair)
     traj = _flat_tracked(pair, grid, params)
-    err_u = err_v = 0.0
-    for s in traj.states:
-        exact_u = consts.a_star * s.t**-pair.a
-        exact_v = consts.b_star * s.t**-pair.b
-        err_u = max(err_u, float(np.max(np.abs(s.u.values - exact_u))) / exact_u)
-        err_v = max(err_v, float(np.max(np.abs(s.v.values - exact_v))) / exact_v)
+    err = np.zeros(2)
+    for t, snapshot in zip(traj.times.tolist(), traj.values):
+        exact = np.array([consts.a_star * t**-pair.a, consts.b_star * t**-pair.b])
+        err = np.maximum(err, np.abs(snapshot - exact[:, None]).max(axis=1) / exact)
     outcome = {
-        "max_rel_err_u": err_u,
-        "max_rel_err_v": err_v,
+        "max_rel_err_u": float(err[0]),
+        "max_rel_err_v": float(err[1]),
         "a_star": consts.a_star,
         "b_star": consts.b_star,
     }
@@ -398,8 +406,8 @@ def _run_blowup_fit(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | 
     traj = _flat_tracked(pair, grid, params)
     center = int(np.argmin(np.abs(grid.coords)))
     window = (params["t_start"], params["t_end"])
-    fit_u = dg.fit_power_law([(s.t, float(s.u.values[center])) for s in traj.states], window)
-    fit_v = dg.fit_power_law([(s.t, float(s.v.values[center])) for s in traj.states], window)
+    fit_u, fit_v = (dg.fit_power_law(zip(traj.times, traj.values[:, row, center]), window)
+                    for row in (0, 1))
     outcome = {
         "exponent_u": fit_u.exponent,
         "exponent_v": fit_v.exponent,
@@ -442,16 +450,18 @@ def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     times = np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
     config = _solver_config(pair, params, 0.0, params["t_end"])
     traj = solve(ic, ic, config, times)
-    samples = dg.trace_functional(traj, psi)
+    trace_u, trace_v = dg.trace_functional(traj, psi).T.tolist()
     target = integrate_field(ic, psi)  # u and v start from the same data
+    if target == 0.0:
+        raise ValueError("psi and the initial bump overlap on no grid node; refine the grid")
     outcome = {
-        "times": [s.t for s in samples],
-        "trace_u": [s.value_u for s in samples],
-        "trace_v": [s.value_v for s in samples],
+        "times": traj.times.tolist(),
+        "trace_u": trace_u,
+        "trace_v": trace_v,
         "target_u": target,
         "target_v": target,
-        "earliest_gap_u": abs(samples[0].value_u - target) / abs(target),
-        "earliest_gap_v": abs(samples[0].value_v - target) / abs(target),
+        "earliest_gap_u": abs(trace_u[0] - target) / abs(target),
+        "earliest_gap_v": abs(trace_v[0] - target) / abs(target),
     }
     return outcome, traj
 
@@ -465,8 +475,8 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
     config = _solver_config(pair, params, 0.0, t_end)
     traj = solve(ic, ic, config, times)
     region = (params["region_lo"], params["region_hi"])
-    uq = [dg.cylinder_integral(traj, pair.q, "u", region, (w, t_end)) for w in windows]
-    vp = [dg.cylinder_integral(traj, pair.p, "v", region, (w, t_end)) for w in windows]
+    uq = [dg.cylinder_integral(traj, pair.q, 0, region, (w, t_end)) for w in windows]
+    vp = [dg.cylinder_integral(traj, pair.p, 1, region, (w, t_end)) for w in windows]
     masses = dg.mass_in_region(traj, region, windows)
     verdict = dg.dichotomy_classify(
         uq, vp, masses,
@@ -495,7 +505,7 @@ def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Traje
         config = _solver_config(pair, params, 0.0, t_probe)
         times = [t_probe / 4.0, t_probe / 2.0, t_probe]
         traj = solve(ic, ic, config, times)
-        masses.append(integrate_field(traj.states[-1].u))
+        masses.append(integrate_field(Field(grid, traj.values[-1, 0])))
         last_traj = traj
     last_first = masses[-1] / masses[0]
     last_two_gap = abs(masses[-1] - masses[-2]) / masses[-2]
@@ -540,6 +550,12 @@ def _kernel_times(params: dict) -> np.ndarray:
     """mean_value_check's output times: n_snapshots evenly spaced after kernel_time."""
     s0, t_end, n = params["kernel_time"], params["t_end"], params["n_snapshots"]
     return np.linspace(s0 + (t_end - s0) / n, t_end, n)
+
+
+def _innermost(params: dict) -> float:
+    """The smallest radius `dg.mean_value_check` samples; its ball and its window lie
+    inside those of every larger radius, so they hold the fewest nodes and snapshots."""
+    return params["rho"] * (1.0 - max(params["epsilons"]))
 
 
 def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
@@ -620,6 +636,8 @@ _RECIPES: dict[str, _Recipe] = {
         _IC_INSIDE,
         (lambda c: _inside(c, c["psi_center"] - c["psi_width"], c["psi_center"] + c["psi_width"]),
          "psi_center ± psi_width must lie inside [-extent, extent]"),
+        (lambda c: abs(c["psi_center"]) < c["ic_width"] + c["psi_width"],
+         "psi must overlap the initial bump: |psi_center| < ic_width + psi_width"),
         (lambda c: c["t_min"] < c["t_end"], "t_min must be below t_end"),
     )),
     "dichotomy_probe": _Recipe(_run_dichotomy_probe, _schema(*_COUPLED,
@@ -641,6 +659,8 @@ _RECIPES: dict[str, _Recipe] = {
         (lambda c: c["region_lo"] < c["region_hi"], "region_lo must be below region_hi"),
         (lambda c: _inside(c, c["region_lo"], c["region_hi"]),
          "[region_lo, region_hi] must lie inside [-extent, extent]"),
+        (lambda c: _holds_two(_grid(c).coords, c["region_lo"], c["region_hi"]),
+         "[region_lo, region_hi] must hold at least 2 grid nodes"),
     )),
     "removability_sweep": _Recipe(_run_removability_sweep, _schema(*_COUPLED,
         nodes=801,
@@ -666,8 +686,9 @@ _RECIPES: dict[str, _Recipe] = {
         center_x=_Param("float", 0.0),
         center_t=_Param("float", 0.3, _positive, "center_t must be > 0"),
         rho=_Param("float", 0.45, _positive, "rho must be > 0"),
-        epsilons=_Param("float_list", [0.1, 0.2, 0.4], lambda es: all(0 < e < 1 for e in es),
-                        "epsilons must each lie in (0, 1)"),
+        epsilons=_Param("float_list", [0.1, 0.2, 0.4],
+                        lambda es: len(es) >= 1 and all(0 < e < 1 for e in es),
+                        "epsilons must hold >= 1 value, each in (0, 1)"),
         s=_Param("float", 1.0, _positive, "s must be > 0"),
         n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
     ), (
@@ -678,6 +699,12 @@ _RECIPES: dict[str, _Recipe] = {
          and c["center_t"] <= c["t_end"],
          "[center_t - rho^2, center_t] must lie between the first output time, "
          "kernel_time + (t_end - kernel_time)/n_snapshots, and t_end"),
+        (lambda c: _holds_two(_grid(c).coords, c["center_x"] - _innermost(c),
+                              c["center_x"] + _innermost(c)),
+         "the innermost ball center_x ± rho (1 - max epsilons) must hold at least 2 grid nodes"),
+        (lambda c: _holds_two(_kernel_times(c), c["center_t"] - _innermost(c) ** 2, c["center_t"]),
+         "[center_t - r^2, center_t] with r = rho (1 - max epsilons) must hold at least 2 "
+         "output times"),
     )),
 }
 
@@ -703,8 +730,7 @@ def run_experiment(
     outcome, traj, error = {}, None, None
     try:
         pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
-        grid = build_grid(SpatialDomain(DomainKind.INTERVAL, params["extent"], 1), params["nodes"])
-        outcome, traj = _RECIPES[spec.name].run(params, pair, grid)
+        outcome, traj = _RECIPES[spec.name].run(params, pair, _grid(params))
     except (NumericsError, ValueError, FloatingPointError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     record = RunRecord(

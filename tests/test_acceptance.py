@@ -96,9 +96,9 @@ def test_02_flat_tracking():
     config = SolverConfig(pair=pair, bc=NEU, t_start=0.1, t_end=1.0, dt_init=1e-4)
     traj = solve(ic_u, ic_v, config, np.geomspace(0.102, 1.0, 15))
     worst = 0.0
-    for s in traj.states:
-        exact = consts.a_star * s.t**-pair.a
-        worst = max(worst, float(np.max(np.abs(s.u.values - exact))) / exact)
+    for t, (u, _) in zip(traj.times, traj.values):
+        exact = consts.a_star * t**-pair.a
+        worst = max(worst, float(np.max(np.abs(u - exact))) / exact)
     ok = worst < 1e-4
     report(2, ok, f"max relative tracking error {worst:.2e} (< 1e-4)")
 
@@ -108,7 +108,7 @@ def test_03_scalar_bound():
     ic = Field(grid, np.full(101, 1e4))
     config = SolverConfig(pair=None, bc=NEU, t_start=0.0, t_end=0.1, dt_init=1e-6)
     traj = scalar_solve(ic, 2.0, config, [0.1])
-    value = float(traj.states[-1].u.values.max())
+    value = float(traj.values[-1, 0].max())
     bound = scalar_profile(2.0, 0.1)
     ok = value <= bound and value >= 0.95 * bound
     report(3, ok, f"U(0.1) = {value:.6f}, bound {bound:.1f}, within 5%")

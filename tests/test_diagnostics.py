@@ -11,7 +11,6 @@ from absorblab import (
     Field,
     SolverConfig,
     SpatialDomain,
-    State,
     Trajectory,
     build_grid,
     bump_function,
@@ -39,12 +38,9 @@ def interval_grid(nodes, extent=1.0):
 
 
 def synthetic_trajectory(grid, times, u_fn, v_fn=None):
-    states = []
-    for t in times:
-        u = Field(grid, u_fn(t))
-        v = Field(grid, v_fn(t)) if v_fn is not None else None
-        states.append(State(float(t), u, v))
-    return Trajectory(states=states)
+    fns = [u_fn] if v_fn is None else [u_fn, v_fn]
+    values = np.array([[fn(t) for fn in fns] for t in times], dtype=float)
+    return Trajectory(grid, np.array(times, dtype=float), values)
 
 
 def flat_trajectory(grid, pair, times):
@@ -101,17 +97,25 @@ class TestTraceFunctional:
         traj = synthetic_trajectory(
             g, [0.1, 0.2], lambda t: np.full(401, 2.5), lambda t: np.full(401, 0.5)
         )
-        for sample in trace_functional(traj, psi):
-            assert sample.value_u == pytest.approx(2.5, rel=1e-12)
-            assert sample.value_v == pytest.approx(0.5, rel=1e-12)
+        for value_u, value_v in trace_functional(traj, psi):
+            assert value_u == pytest.approx(2.5, rel=1e-12)
+            assert value_v == pytest.approx(0.5, rel=1e-12)
+
+    def test_one_column_per_row(self):
+        g = interval_grid(101)
+        psi = bump_function(g, 0.0, 0.5)
+        coupled = synthetic_trajectory(g, [0.1, 0.2, 0.3], lambda t: np.ones(101),
+                                       lambda t: np.ones(101))
+        single = synthetic_trajectory(g, [0.1, 0.2, 0.3], lambda t: np.ones(101))
+        assert trace_functional(coupled, psi).shape == (3, 2)
+        assert trace_functional(single, psi).shape == (3, 1)
 
     def test_disjoint_supports_give_exact_zero(self):
         g = interval_grid(401)
         u = bump_function(g, -0.5, 0.3)
         psi = bump_function(g, 0.5, 0.3)
         traj = synthetic_trajectory(g, [0.1], lambda t: u.values, lambda t: u.values)
-        sample = trace_functional(traj, psi)[0]
-        assert sample.value_u == 0.0
+        assert trace_functional(traj, psi)[0, 0] == 0.0
 
     def test_heat_run_against_kernel_quadrature(self):
         # double quadrature of G(x-y, t) ic(y) psi(x) on the same mesh
@@ -126,16 +130,16 @@ class TestTraceFunctional:
         w = np.full(g.nodes, g.h)
         w[0] *= 0.5
         w[-1] *= 0.5
-        for sample in samples:
+        for t, (value_u,) in zip(traj.times, samples):
             smeared = np.array(
-                [np.sum(w * heat_kernel(x - g.coords, sample.t) * ic.values)
+                [np.sum(w * heat_kernel(x - g.coords, t) * ic.values)
                  for x in g.coords]
             )
             oracle = float(np.sum(w * smeared * psi.values))
-            assert abs(sample.value_u - oracle) <= 1e-3
+            assert abs(value_u - oracle) <= 1e-3
         # early-time value approaches psi(0) * (initial mass)
         peak = psi.values.max()
-        assert samples[0].value_u == pytest.approx(peak, rel=0.05)
+        assert samples[0, 0] == pytest.approx(peak, rel=0.05)
 
     def test_rejects_boundary_supported_weight(self):
         g = interval_grid(101)
@@ -150,14 +154,14 @@ class TestCylinderIntegral:
         traj = synthetic_trajectory(
             g, np.linspace(0.5, 1.5, 11), lambda t: np.ones(401), lambda t: np.ones(401)
         )
-        value = cylinder_integral(traj, 3.0, "u", (-0.5, 0.5), (0.5, 1.5))
+        value = cylinder_integral(traj, 3.0, 0, (-0.5, 0.5), (0.5, 1.5))
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_flat_solution_closed_form(self):
         pair = derive_exponents(2, 2)
         g = interval_grid(401)
         traj = flat_trajectory(g, pair, np.linspace(0.1, 1.0, 181))
-        value = cylinder_integral(traj, 2.0, "u", (-0.5, 0.5), (0.2, 0.5))
+        value = cylinder_integral(traj, 2.0, 0, (-0.5, 0.5), (0.2, 0.5))
         exact = (1.0 / 0.2 - 1.0 / 0.5) * 1.0  # A*^2 = 1
         assert value == pytest.approx(exact, rel=0.01)
 
@@ -165,8 +169,8 @@ class TestCylinderIntegral:
         pair = derive_exponents(2, 2)
         g = interval_grid(401)
         traj = flat_trajectory(g, pair, np.linspace(0.05, 1.0, 191))
-        v1 = cylinder_integral(traj, 1.0, "u", (-0.5, 0.5), (0.1, 1.0))
-        v2 = cylinder_integral(traj, 1.0, "u", (-0.5, 0.5), (0.2, 1.0))
+        v1 = cylinder_integral(traj, 1.0, 0, (-0.5, 0.5), (0.1, 1.0))
+        v2 = cylinder_integral(traj, 1.0, 0, (-0.5, 0.5), (0.2, 1.0))
         assert v1 - v2 == pytest.approx(math.log(2.0), rel=0.02)
 
     def test_monotone_in_window_and_region(self):
@@ -178,15 +182,15 @@ class TestCylinderIntegral:
         traj = synthetic_trajectory(
             g, times, lambda t: values[next(counter)], None
         )
-        inner = cylinder_integral(traj, 1.5, "u", (-0.3, 0.3), (0.2, 0.6))
-        outer = cylinder_integral(traj, 1.5, "u", (-0.6, 0.6), (0.2, 0.8))
+        inner = cylinder_integral(traj, 1.5, 0, (-0.3, 0.3), (0.2, 0.6))
+        outer = cylinder_integral(traj, 1.5, 0, (-0.6, 0.6), (0.2, 0.8))
         assert inner <= outer
 
     def test_empty_window_rejected(self):
         g = interval_grid(101)
         traj = synthetic_trajectory(g, [0.1, 0.2], lambda t: np.ones(101))
         with pytest.raises(ValueError):
-            cylinder_integral(traj, 1.0, "u", (-0.5, 0.5), (0.3, 0.4))
+            cylinder_integral(traj, 1.0, 0, (-0.5, 0.5), (0.3, 0.4))
 
     def test_mass_in_region(self):
         g = interval_grid(401)
@@ -196,6 +200,12 @@ class TestCylinderIntegral:
         masses = mass_in_region(traj, (-0.5, 0.5), [0.1, 0.2])
         assert masses == pytest.approx([3.0, 3.0], rel=1e-12)
 
+    def test_mass_in_region_needs_a_snapshot_time(self):
+        g = interval_grid(101)
+        traj = synthetic_trajectory(g, [0.1, 0.2], lambda t: np.ones(101))
+        with pytest.raises(ValueError, match="no snapshot at t=0.15"):
+            mass_in_region(traj, (-0.5, 0.5), [0.1, 0.15])
+
     @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1),
                                              (DomainKind.RADIAL_BALL, 3)])
     def test_whole_domain_region_matches_integrate_field(self, kind, dim_n):
@@ -204,7 +214,7 @@ class TestCylinderIntegral:
         u = np.exp(np.sin(3.0 * g.coords))
         traj = synthetic_trajectory(g, [0.1, 0.2], lambda t: u * t)
         masses = mass_in_region(traj, (g.coords[0], g.coords[-1]), [0.1, 0.2])
-        assert masses == [integrate_field(s.u) for s in traj.states]
+        assert masses == [integrate_field(Field(g, w[0])) for w in traj.values]
 
 
 class TestDichotomyClassify:
@@ -267,6 +277,13 @@ class TestUpperEstimateMonitor:
         report = check_upper_estimate(traj, pair, 0.2)
         assert report.sup_u_t_a < 2.0
 
+    def test_one_row_trajectory_rejected(self):
+        pair = derive_exponents(2, 2)
+        g = interval_grid(201)
+        traj = synthetic_trajectory(g, np.geomspace(0.1, 1.0, 8), lambda t: np.ones(201))
+        with pytest.raises(ValueError, match="coupled trajectory"):
+            check_upper_estimate(traj, pair, 0.2)
+
     def test_margin_swallowing_domain_rejected(self):
         pair = derive_exponents(2, 2)
         g = interval_grid(201)
@@ -307,6 +324,12 @@ class TestFSubsolution:
         )
         with pytest.raises(ValueError):
             check_f_subsolution(traj, derive_exponents(2, 2))
+
+    def test_rejects_one_row_trajectory(self):
+        g = interval_grid(11)
+        traj = synthetic_trajectory(g, [0.1, 0.2, 0.3], lambda t: np.zeros(11))
+        with pytest.raises(ValueError, match="coupled trajectory"):
+            check_f_subsolution(traj, derive_exponents(2, 3))
 
     def test_rejects_q_below_p(self):
         with pytest.raises(ValueError):

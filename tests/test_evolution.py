@@ -32,6 +32,8 @@ from absorblab import (
 from absorblab import evolution
 from absorblab.evolution import (
     _FACTOR_CACHE_SIZE,
+    StepRecord,
+    Trajectory,
     _Diffusion,
     _advance,
     _error,
@@ -127,33 +129,33 @@ class TestSolve:
         ic = Field(g, np.full(201, 10.0))
         traj = solve(ic, ic, config(pair, t_start=0.1, t_end=0.5),
                      np.geomspace(0.11, 0.5, 8))
-        for s in traj.states:
-            exact = 1.0 / s.t
-            assert np.max(np.abs(s.u.values - exact)) / exact < 1e-4
+        for t, (u, _) in zip(traj.times, traj.values):
+            exact = 1.0 / t
+            assert np.max(np.abs(u - exact)) / exact < 1e-4
 
     def test_symmetric_data_stays_symmetric(self):
         g = interval_grid(101)
         pair = derive_exponents(2.5, 2.5)
         ic = bump_function(g, 0.0, 0.5)
         traj = solve(ic, ic, config(pair, t_end=0.2), [0.05, 0.1, 0.2])
-        for s in traj.states:
-            assert np.max(np.abs(s.u.values - s.v.values)) <= 1e-12
+        for u, v in traj.values:
+            assert np.max(np.abs(u - v)) <= 1e-12
 
     def test_positivity_everywhere(self):
         g = interval_grid(101)
         pair = derive_exponents(3, 3)
         ic = bump_function(g, 0.0, 0.1)
         traj = solve(ic, ic, config(pair, t_end=0.1, dt_init=1e-6), [0.01, 0.1])
-        for s in traj.states:
-            assert s.u.values.min() >= 0.0
-            assert s.v.values.min() >= 0.0
+        for u, v in traj.values:
+            assert u.min() >= 0.0
+            assert v.min() >= 0.0
 
     def test_mass_monotone_under_neumann(self):
         g = interval_grid(101)
         pair = derive_exponents(2, 3)
         ic = bump_function(g, 0.0, 0.5)
         traj = solve(ic, ic, config(pair, t_end=0.5), np.linspace(0.05, 0.5, 10))
-        masses = [integrate_field(s.u) for s in traj.states]
+        masses = [integrate_field(Field(g, u)) for u, _ in traj.values]
         masses.insert(0, integrate_field(ic))
         for before, after in zip(masses, masses[1:]):
             assert after <= before * (1 + 1e-12)
@@ -168,8 +170,8 @@ class TestSolve:
         kw = dict(t_end=0.3, dt_init=1e-4, tol_step=1e6)
         sys_traj = solve(ic, ic, config(pair, **kw), times)
         heat_traj = heat_solve(ic, config(None, **kw), times)
-        for s_sys, s_heat in zip(sys_traj.states, heat_traj.states):
-            assert np.all(s_sys.u.values <= s_heat.u.values + 1e-8)
+        for (u_sys, _), (u_heat,) in zip(sys_traj.values, heat_traj.values):
+            assert np.all(u_sys <= u_heat + 1e-8)
 
     def test_repeated_runs_bit_identical(self):
         g = interval_grid(101)
@@ -177,9 +179,9 @@ class TestSolve:
         ic = bump_function(g, 0.0, 0.3)
         t1 = solve(ic, ic, config(pair, t_end=0.2), [0.1, 0.2])
         t2 = solve(ic, ic, config(pair, t_end=0.2), [0.1, 0.2])
-        for s1, s2 in zip(t1.states, t2.states):
-            assert np.array_equal(s1.u.values, s2.u.values)
-            assert np.array_equal(s1.v.values, s2.v.values)
+        for (u1, v1), (u2, v2) in zip(t1.values, t2.values):
+            assert np.array_equal(u1, u2)
+            assert np.array_equal(v1, v2)
 
     def test_rejects_negative_initial_data(self):
         g = interval_grid(11)
@@ -222,24 +224,24 @@ class TestHeatSolve:
         ic = Field(g, heat_kernel(g.coords, s0))
         cfg = config(None, t_start=s0, t_end=0.1, dt_init=1e-5, tol_step=1e-7)
         traj = heat_solve(ic, cfg, [0.075, 0.1])
-        for s in traj.states:
-            err = np.max(np.abs(s.u.values - heat_kernel(g.coords, s.t)))
+        for t, (u,) in zip(traj.times, traj.values):
+            err = np.max(np.abs(u - heat_kernel(g.coords, t)))
             assert err < 1e-3
 
     def test_constant_forever_under_neumann(self):
         g = interval_grid(101)
         ic = Field(g, np.full(101, 2.5))
         traj = heat_solve(ic, config(None, t_end=1.0), [0.5, 1.0])
-        for s in traj.states:
-            assert np.allclose(s.u.values, 2.5, rtol=1e-12)
+        for (u,) in traj.values:
+            assert np.allclose(u, 2.5, rtol=1e-12)
 
     def test_total_mass_conserved_under_neumann(self):
         g = interval_grid(201)
         ic = bump_function(g, 0.2, 0.4)
         m0 = integrate_field(ic)
         traj = heat_solve(ic, config(None, t_end=0.5), [0.1, 0.5])
-        for s in traj.states:
-            assert abs(integrate_field(s.u) - m0) <= 1e-8 * m0
+        for (u,) in traj.values:
+            assert abs(integrate_field(Field(g, u)) - m0) <= 1e-8 * m0
 
     def test_dirichlet_eigenfunction_decay_rate(self):
         extent = 1.0
@@ -248,8 +250,8 @@ class TestHeatSolve:
         cfg = config(None, bc=DIR, t_end=0.5, dt_init=1e-5, tol_step=1e-8)
         traj = heat_solve(ic, cfg, np.linspace(0.05, 0.5, 10))
         center = g.nodes // 2
-        values = np.array([s.u.values[center] for s in traj.states])
-        rate = -np.polyfit(traj.times(), np.log(values), 1)[0]
+        values = traj.values[:, 0, center]
+        rate = -np.polyfit(traj.times, np.log(values), 1)[0]
         target = np.pi**2 / (2 * extent) ** 2
         assert rate == pytest.approx(target, rel=0.02)
 
@@ -260,7 +262,7 @@ class TestScalarSolve:
         ic = Field(g, np.full(101, 1e4))
         traj = scalar_solve(ic, 2.0, config(None, t_end=0.1), [0.1])
         bound = scalar_profile(2.0, 0.1)
-        top = traj.states[-1].u.values.max()
+        top = traj.values[-1, 0].max()
         assert top <= bound
         assert top >= 0.95 * bound
 
@@ -268,8 +270,7 @@ class TestScalarSolve:
         g = interval_grid(101)
         ic = Field(g, np.zeros(101))
         traj = scalar_solve(ic, 2.0, config(None, t_end=1.0), [0.5, 1.0])
-        for s in traj.states:
-            assert np.all(s.u.values == 0.0)
+        assert np.all(traj.values == 0.0)
 
     def test_reduction_of_symmetric_system(self):
         g = interval_grid(101)
@@ -278,8 +279,8 @@ class TestScalarSolve:
         pair = derive_exponents(2, 2)
         sys_traj = solve(ic, ic, config(pair, t_end=0.2), times)
         sc_traj = scalar_solve(ic, 2.0, config(None, t_end=0.2), times)
-        for s_sys, s_sc in zip(sys_traj.states, sc_traj.states):
-            assert np.max(np.abs(s_sys.u.values - s_sc.u.values)) <= 1e-10
+        for (u_sys, _), (u_sc,) in zip(sys_traj.values, sc_traj.values):
+            assert np.max(np.abs(u_sys - u_sc)) <= 1e-10
 
 
 class TestResidualOf:
@@ -485,9 +486,77 @@ class TestTheta:
         cfg = config(None, t_start=s0, t_end=0.1, dt_init=1e-4,
                      tol_step=1e-7, theta_scheme=0.5)
         traj = heat_solve(ic, cfg, [0.1])
-        err = np.max(np.abs(traj.states[0].u.values - heat_kernel(g.coords, 0.1)))
+        err = np.max(np.abs(traj.values[0, 0] - heat_kernel(g.coords, 0.1)))
         assert err < 5e-3
-        assert traj.states[0].u.values.min() >= 0.0
+        assert traj.values[0, 0].min() >= 0.0
+
+
+class TestTrajectory:
+    def test_one_row_per_component_at_the_requested_times(self):
+        g = interval_grid(21)
+        ic = bump_function(g, 0.0, 0.5)
+        times = [0.01, 0.02, 0.05]
+        coupled = solve(ic, ic, config(derive_exponents(2, 2), t_end=0.05), times)
+        heat = heat_solve(ic, config(None, t_end=0.05), times)
+        scalar = scalar_solve(ic, 2.0, config(None, t_end=0.05), times)
+        assert coupled.values.shape == (3, 2, 21)
+        assert heat.values.shape == scalar.values.shape == (3, 1, 21)
+        for traj in (coupled, heat, scalar):
+            assert traj.times.tolist() == times
+            assert traj.grid is g
+
+
+def per_node_trajectory_csv(traj, path):
+    """The per-node trajectory writer the array writer replaced, as the reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,node_coordinate,u,v\n")
+        coords = traj.grid.coords
+        for t, snapshot in zip(traj.times, traj.values):
+            u_vals = snapshot[0]
+            v_vals = snapshot[1] if len(snapshot) > 1 else None
+            for i, x in enumerate(coords):
+                v_txt = repr(float(v_vals[i])) if v_vals is not None else ""
+                fh.write(f"{float(t)!r},{float(x)!r},{float(u_vals[i])!r},{v_txt}\n")
+
+
+def per_node_steps_csv(traj, path):
+    """The per-record steps writer the `writelines` writer replaced, as the reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,dt,retries\n")
+        for rec in traj.steps:
+            fh.write(f"{float(rec.t)!r},{float(rec.dt)!r},{rec.retries}\n")
+
+
+# values whose repr needs 17 significant digits, zeros, and the extremes
+AWKWARD = [0.1 + 0.2, 1.0 / 3.0, 0.0, 1e-300, 5e-324, 2.0 / 3.0 * 1e-17,
+           math.pi * 1e12, 1.7976931348623157e308]
+
+
+def awkward_trajectory(rows):
+    g = interval_grid(len(AWKWARD))
+    values = np.array([[np.roll(AWKWARD, i + j) for j in range(rows)] for i in range(3)])
+    steps = [StepRecord(0.1 + 0.2, 1e-300, 0), StepRecord(1.0 / 3.0, 0.1 / 3.0, 2),
+             StepRecord(1.0, 0.0, 1)]
+    return Trajectory(g, np.array([0.1 + 0.2, 1.0 / 3.0, 1.0]), values, steps)
+
+
+def solved_trajectory(rows):
+    g = interval_grid(31)
+    ic = bump_function(g, 0.1, 0.3)
+    cfg = config(derive_exponents(2, 3) if rows == 2 else None, t_end=0.02, dt_init=1e-5)
+    times = np.geomspace(1e-3, 0.02, 5)
+    return solve(ic, ic, cfg, times) if rows == 2 else heat_solve(ic, cfg, times)
+
+
+@pytest.mark.parametrize("make", [awkward_trajectory, solved_trajectory])
+@pytest.mark.parametrize("rows", [2, 1], ids=["coupled", "heat"])
+def test_csv_writers_match_per_node_reference(tmp_path, make, rows):
+    traj = make(rows)
+    for writer, reference in ((trajectory_to_csv, per_node_trajectory_csv),
+                              (steps_to_csv, per_node_steps_csv)):
+        writer(traj, tmp_path / "out.csv")
+        reference(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_trajectory_csv_export(tmp_path):
@@ -503,8 +572,8 @@ def test_trajectory_csv_export(tmp_path):
     assert tlines[0] == "t,node_coordinate,u,v"
     assert len(tlines) == 1 + 2 * 11
     t, x, u, v = tlines[1].split(",")
-    assert float(t) == traj.states[0].t
-    assert float(u) == traj.states[0].u.values[0]
+    assert float(t) == traj.times[0]
+    assert float(u) == traj.values[0, 0, 0]
     slines = spath.read_text().strip().splitlines()
     assert slines[0] == "t,dt,retries"
     assert len(slines) == 1 + len(traj.steps)

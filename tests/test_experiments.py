@@ -90,6 +90,21 @@ BAD_CONFIGS = [
     ("trace_measurement", {"t_min": 0.1}, "t_min must be below t_end"),
     ("flat_validation", {"dt_min": 1e-3}, "dt_min must not exceed dt_init"),
     ("dichotomy_probe", {"windows": [1e-3, 1e-3, 1e-3]}, "windows must hold >= 3 distinct"),
+    # disjoint supports: the runner divided by a zero target and crashed
+    ("trace_measurement", {"psi_center": 0.85, "psi_width": 0.1}, "psi must overlap"),
+    ("trace_measurement", {"psi_center": -0.6, "psi_width": 0.3}, "psi must overlap"),
+    # one node or one snapshot short of the limits in AT_THE_LIMIT (h = 0.05, and
+    # h = 0.1 on mean_value_check's default extent of 2); rho = 0.05 fails the outer
+    # ball too, and at nodes = 401 the outer window
+    ("dichotomy_probe", {"region_lo": 0.0, "region_hi": 0.0499}, "must hold at least 2 grid"),
+    ("mean_value_check", {"rho": 0.05}, "must hold at least 2 grid nodes"),
+    ("mean_value_check", {"center_x": 0.05, "rho": 0.5, "center_t": 0.35,
+                          "epsilons": [0.1, 0.91], "n_snapshots": 120},
+     "must hold at least 2 grid nodes"),
+    ("mean_value_check", {"center_x": 0.05, "rho": 0.5, "center_t": 0.35,
+                          "epsilons": [0.1, 0.9], "n_snapshots": 119},
+     "must hold at least 2 output times"),
+    ("mean_value_check", {"nodes": 401, "rho": 0.05}, "must hold at least 2 output times"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -101,6 +116,14 @@ AT_THE_LIMIT = [
     ("removability_sweep", {"eps_list": [1.0, 0.5], "t_probe": 1e-3}),
     ("mean_value_check", {"center_x": -1.55, "rho": 0.45, "center_t": 0.35}),
     ("flat_validation", {"dt_min": 1e-4, "t_end": 0.2, "n_snapshots": 4}),
+    # psi and the bump overlap on (0.28, 0.3), which holds the node 0.29
+    ("trace_measurement", {"nodes": 201, "psi_center": 0.58, "psi_width": 0.3,
+                           "ic_width": 0.3}),
+    # exactly 2 nodes: the region [0, h], and the innermost ball 0.05 ± 0.05 with
+    # exactly 2 snapshots in its window, 0.35 - 0.05^2 and 0.35
+    ("dichotomy_probe", {"region_lo": 0.0, "region_hi": 0.05, "t_end": 0.01}),
+    ("mean_value_check", {"center_x": 0.05, "rho": 0.5, "center_t": 0.35,
+                          "epsilons": [0.1, 0.9], "n_snapshots": 120}),
 ]
 
 # every config that the defaults, the demos and perfbench run
@@ -239,6 +262,19 @@ class TestRules:
     @pytest.mark.parametrize("name, params", IN_USE)
     def test_configs_in_use_are_accepted(self, name, params):
         parse_config(text_of(name, params))
+
+    def test_empty_epsilons_is_config_error(self):
+        # only a dict holds an empty list; the runner used to end in an IndexError
+        with pytest.raises(ConfigError, match="epsilons must hold >= 1 value"):
+            run_experiment(ExperimentSpec("mean_value_check", {"epsilons": []}))
+
+    def test_overlap_thinner_than_a_cell_is_a_numerical_failure(self):
+        # accepted (0.58 < 0.3 + 0.3), but no node of h = 0.05 lies inside both supports
+        params = with_pair("trace_measurement",
+                           {"psi_center": 0.58, "psi_width": 0.3, "ic_width": 0.3})
+        record = run_experiment(ExperimentSpec("trace_measurement", params))
+        assert record.failed
+        assert record.error.startswith("ValueError: psi and the initial bump overlap on no")
 
     def test_bad_point_is_isolated(self):
         base = ExperimentSpec("mean_value_check", {"nodes": 41})
@@ -477,7 +513,7 @@ class TestCli:
         assert result.returncode == 1
         assert "unknown key 't_end'" in result.stderr
 
-    @pytest.mark.parametrize("index", [0, 9, 15])
+    @pytest.mark.parametrize("index", [0, 9, 15, 17])
     def test_bad_config_exit_one(self, tmp_path, index):
         name, extra, message = BAD_CONFIGS[index]
         cfg = tmp_path / "bad.cfg"

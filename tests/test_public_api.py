@@ -1,17 +1,30 @@
-"""Every name the demos and the README quick start import from absorblab exists.
+"""The demos and the README quick start run against the current API.
 
-The sources are parsed, not executed, so this guard stays fast: an API
-deletion that would break a demo or the quick start fails here.
+The fast demos and the quick start are executed in-process. Every demo and
+the quick start are also parsed, and every name they import from absorblab
+must exist, so the slower demos, which are not run here, still fail on an
+API deletion.
 """
 
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# each runs in under a second; 06 and 07 take seconds and are only parsed
+FAST_DEMOS = [
+    "01_closed_forms_tour.py",
+    "02_flat_solution_tracking.py",
+    "03_convergence_orders.py",
+    "04_backward_estimate_saturation.py",
+    "05_blowup_exponent_fit.py",
+    "08_subsolution_and_mean_value.py",
+]
 
 
 def quick_start() -> str:
@@ -37,6 +50,7 @@ def absorblab_imports(source: str) -> list[tuple[str, str]]:
 
 def test_demos_are_found():
     assert any(source.endswith(".py") for source in SOURCES)
+    assert set(FAST_DEMOS) <= SOURCES.keys()
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -46,3 +60,15 @@ def test_imported_names_exist(source):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+@pytest.mark.parametrize("demo", FAST_DEMOS)
+def test_fast_demo_runs(demo, capsys):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_quick_start_runs(capsys):
+    exec(compile(quick_start(), "README quick start", "exec"), {})
+    # the printed fit recovers -(p+1)/(pq-1) = -0.6 for (p, q) = (2, 3)
+    assert float(capsys.readouterr().out) == pytest.approx(-0.6, abs=0.01)
