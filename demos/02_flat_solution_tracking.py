@@ -28,10 +28,9 @@ def main():
     u0, v0 = eval_flat(pair, t0)
     ic_u = Field(grid, np.full(grid.nodes, u0))
     ic_v = Field(grid, np.full(grid.nodes, v0))
-    config = SolverConfig(pair=pair, bc=BoundaryCondition.NEUMANN_ZERO,
-                          t_start=t0, t_end=1.0, dt_init=1e-4)
+    config = SolverConfig(bc=BoundaryCondition.NEUMANN_ZERO, t_start=t0, dt_init=1e-4)
     times = np.geomspace(0.102, 1.0, 10)
-    traj = solve(ic_u, ic_v, config, times)
+    traj = solve(ic_u, ic_v, pair, config, times)
 
     print("      t      u_numeric     u_exact      rel_error")
     for t, (u, _) in zip(traj.times, traj.values):

@@ -1,8 +1,9 @@
 """Command-line entry point: `absorblab run|sweep <config-path>`.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on numerical
-failure of a single run.  Sweeps isolate per-point failures inside the
-records and exit 0 once the grid has been traversed.
+Exit codes: 0 on success, 1 on configuration errors or outputs that cannot
+be written, 2 on numerical failure of a single run.  Sweeps isolate
+per-point failures inside the records and exit 0 once the grid has been
+traversed.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def main(argv: list[str] | None = None) -> int:
         path = write_records(records, args.out, fmt=args.fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {path}")
     for record in records:

@@ -23,7 +23,7 @@ from .discretization import (
     DomainKind,
     Field,
     Grid,
-    laplacian_apply,
+    LaplacianBands,
     trapezoid_weights,
 )
 from .evolution import Trajectory
@@ -300,6 +300,7 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
     if grid.domain.kind is DomainKind.INTERVAL:
         interior[0] = False
     bound = k**pair.q
+    lap_bands = LaplacianBands(grid, BoundaryCondition.NEUMANN_ZERO)
     worst = 0.0
     f_vals = [(k + u) ** d + v for u, v in traj.values]
     times = traj.times
@@ -311,7 +312,7 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
             + (h_p - h_m) / (h_m * h_p) * f_vals[i]
             + h_m / (h_p * (h_m + h_p)) * f_vals[i + 1]
         )
-        lap = laplacian_apply(Field(grid, f_vals[i]), BoundaryCondition.NEUMANN_ZERO).values
+        lap = lap_bands.apply(f_vals[i])
         u_mid = traj.values[i, 0]
         residual = f_t - lap + c * (k + u_mid) ** (d - 1.0) * f_vals[i] ** pair.p - bound
         worst = max(worst, float(np.max(residual[interior])))

@@ -1,8 +1,8 @@
 """Time integration of the coupled system with positivity preservation.
 
 One step = theta-implicit diffusion (one tridiagonal solve covering all
-components along the 1D/radial line, on LU factors computed once per
-(theta, dt) and cached) followed by a semi-implicit absorption update of
+components along the 1D/radial line, on LU factors computed once per dt
+and cached) followed by a semi-implicit absorption update of
 denominator form,
 
     u_new = u_half / (1 + dt * v_half**p / max(u_half, floor)),
@@ -58,28 +58,26 @@ class StepSizeUnderflow(NumericsError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    pair: PowerPair | None
+    """What every solve reads; a solve runs from t_start to its last output time."""
+
     bc: BoundaryCondition
     t_start: float
-    t_end: float
     dt_init: float = 1e-4
     dt_min: float = 1e-12
     tol_step: float = 1e-6
-    theta_scheme: float = 1.0
+    theta: float = 1.0
 
     def __post_init__(self):
         if self.t_start < 0:
             raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
         if self.dt_init <= 0 or self.dt_min <= 0:
             raise ValueError("time steps must be positive")
         if self.dt_min > self.dt_init:
             raise ValueError("dt_min must not exceed dt_init")
         if self.tol_step <= 0:
             raise ValueError("tol_step must be positive")
-        if not 0.5 <= self.theta_scheme <= 1.0:
-            raise ValueError("theta_scheme must lie in [0.5, 1]")
+        if not 0.5 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0.5, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,32 +101,32 @@ class Trajectory:
     steps: list[StepRecord] = field(default_factory=list)
 
 
-_FACTOR_CACHE_SIZE = 4  # (theta, dt) factorisations one operator keeps, oldest out first
+_FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, oldest out first
 
 
 class _Diffusion(LaplacianBands):
-    """Theta-implicit diffusion step on the shared Laplacian bands."""
+    """Theta-implicit diffusion step on the shared Laplacian bands, for one theta."""
 
-    def __init__(self, grid: Grid, bc: BoundaryCondition):
+    def __init__(self, grid: Grid, bc: BoundaryCondition, theta: float):
         super().__init__(grid, bc)
+        self.theta = theta
         self._pinned_at = np.flatnonzero(self.pinned)
-        self._factors: dict[tuple[float, float], list] = {}
+        self._factors: dict[float, list] = {}
 
-    def _factor(self, theta: float, dt: float) -> list:
+    def _factor(self, dt: float) -> list:
         """LU factors of I - theta dt L, from a small first-in-first-out cache."""
-        key = (theta, dt)
-        factors = self._factors.get(key)
+        factors = self._factors.get(dt)
         if factors is None:
-            c = -theta * dt
+            c = -self.theta * dt
             *factors, info = dgttrf(c * self.sub[1:], 1.0 + c * self.diag, c * self.sup[:-1])
             if info != 0:
                 raise NumericsError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
             if len(self._factors) >= _FACTOR_CACHE_SIZE:
                 del self._factors[next(iter(self._factors))]
-            self._factors[key] = factors
+            self._factors[dt] = factors
         return factors
 
-    def step(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
+    def step(self, w: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
@@ -137,13 +135,13 @@ class _Diffusion(LaplacianBands):
         call, row interchanges included, so the result equals a gtsv solve
         bit for bit.
         """
-        if theta < 1.0:
-            rhs = w + (1.0 - theta) * dt * self.apply(w)
+        if self.theta < 1.0:
+            rhs = w + (1.0 - self.theta) * dt * self.apply(w)
         else:
             rhs = w.copy()
         if self._pinned_at.size:
             rhs[..., self._pinned_at] = 0.0
-        x, _ = dgttrs(*self._factor(theta, dt), rhs.T, overwrite_b=1)
+        x, _ = dgttrs(*self._factor(dt), rhs.T, overwrite_b=1)
         # theta < 1 can undershoot slightly; fractional powers need >= 0
         return np.maximum(x, 0.0, out=x).T
 
@@ -178,14 +176,8 @@ def _scalar_reaction(big_q: float) -> _Reaction:
     return update
 
 
-def _advance(
-    w: np.ndarray,
-    dt: float,
-    op: _Diffusion,
-    theta: float,
-    reaction: _Reaction | None,
-) -> np.ndarray:
-    halves = op.step(w, theta, dt)
+def _advance(w: np.ndarray, dt: float, op: _Diffusion, reaction: _Reaction | None) -> np.ndarray:
+    halves = op.step(w, dt)
     if reaction is None:
         return halves
     return reaction(halves, dt)
@@ -220,13 +212,12 @@ def _integrate(
         raise ValueError("need at least one output time")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("output times must be strictly increasing")
-    if times[0] <= config.t_start or times[-1] > config.t_end * (1 + 1e-12):
-        raise ValueError("output times must lie in (t_start, t_end]")
+    if times[0] <= config.t_start:
+        raise ValueError("output times must lie after t_start")
     state = _stacked(*fields)
 
     grid = fields[0].grid
-    op = _Diffusion(grid, config.bc)
-    theta = config.theta_scheme
+    op = _Diffusion(grid, config.bc, config.theta)
     tol = config.tol_step
     t = config.t_start
     dt_ctrl = config.dt_init
@@ -237,10 +228,10 @@ def _integrate(
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
             dt_try = min(dt_ctrl, t_out - t)
             retries = 0
-            full = _advance(state, dt_try, op, theta, reaction)
+            full = _advance(state, dt_try, op, reaction)
             while True:
-                half = _advance(state, 0.5 * dt_try, op, theta, reaction)
-                two_half = _advance(half, 0.5 * dt_try, op, theta, reaction)
+                half = _advance(state, 0.5 * dt_try, op, reaction)
+                two_half = _advance(half, 0.5 * dt_try, op, reaction)
                 err = _error(full, two_half)
                 # err is nan or inf whenever two_half holds a nan or an inf, so
                 # an accepted state is always finite and needs no check
@@ -270,13 +261,12 @@ def _integrate(
 def solve(
     ic_u: Field,
     ic_v: Field,
+    pair: PowerPair,
     config: SolverConfig,
     output_times: Sequence[float],
 ) -> Trajectory:
-    """Integrate the coupled system from nonnegative initial fields."""
-    if config.pair is None:
-        raise ValueError("config.pair is required for the coupled system")
-    return _integrate([ic_u, ic_v], config, output_times, _system_reaction(config.pair))
+    """Integrate the coupled system with exponents `pair` from nonnegative initial fields."""
+    return _integrate([ic_u, ic_v], config, output_times, _system_reaction(pair))
 
 
 def heat_solve(ic: Field, config: SolverConfig, output_times: Sequence[float]) -> Trajectory:
@@ -297,7 +287,6 @@ def residual_of(
     u_of_t: Callable[[float], Field],
     v_of_t: Callable[[float], Field],
     pair: PowerPair,
-    grid: Grid,
     bc: BoundaryCondition,
     t: float,
     dt_probe: float,
@@ -305,11 +294,12 @@ def residual_of(
     """Discrete residuals of the system on a pair of time-dependent fields.
 
     r_u = (u(t+dt) - u(t-dt)) / (2 dt) - Lap(u(t)) + v(t)**p and the
-    symmetric r_v.  Used to verify exact solutions against the discrete
-    operator: Lap is `laplacian_apply`, the bands the solver steps with.
-    Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows of Lap
-    are zero, because the solver pins those nodes.  Exclude boundary nodes
-    when the probed fields do not satisfy the condition of `bc`.
+    symmetric r_v, each on the grid of its probed field.  Used to verify
+    exact solutions against the discrete operator: Lap is `laplacian_apply`,
+    the bands the solver steps with.  Zero-flux wall rows use the mirrored
+    ghost; Dirichlet wall rows of Lap are zero, because the solver pins
+    those nodes.  Exclude boundary nodes when the probed fields do not
+    satisfy the condition of `bc`.
     """
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
@@ -318,7 +308,7 @@ def residual_of(
     dv = (v_of_t(t + dt_probe).values - v_of_t(t - dt_probe).values) / (2.0 * dt_probe)
     r_u = du - laplacian_apply(u0, bc).values + v0.values**pair.p
     r_v = dv - laplacian_apply(v0, bc).values + u0.values**pair.q
-    return Field(grid, r_u), Field(grid, r_v)
+    return Field(u0.grid, r_u), Field(v0.grid, r_v)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,6 +194,11 @@ def _coerce(key: str, value, param: _Param, at: str):
     def fail(expected):
         raise ConfigError(f"{at}key '{key}': expected {expected}, got {value!r}")
 
+    def finite(x) -> float:
+        if not abs(x) <= sys.float_info.max:  # inf, nan, or an int past the float range
+            fail("a finite number")
+        return float(x)
+
     if param.kind == "int":
         if not isinstance(value, int):
             fail("an integer")
@@ -200,7 +206,7 @@ def _coerce(key: str, value, param: _Param, at: str):
     elif param.kind == "float":
         if not isinstance(value, (int, float)):
             fail("a number")
-        out = float(value)
+        out = finite(value)
     elif param.kind == "str":
         if not isinstance(value, str):
             fail("a name")
@@ -209,7 +215,7 @@ def _coerce(key: str, value, param: _Param, at: str):
         items = value if isinstance(value, list) else [value]
         if not all(isinstance(v, (int, float)) for v in items):
             fail("a comma-separated list of numbers")
-        out = [float(v) for v in items]
+        out = [finite(v) for v in items]
     else:  # pragma: no cover - schema bug
         raise AssertionError(param.kind)
     if param.check is not None and not param.check(out):
@@ -313,16 +319,14 @@ def _bc(params: dict) -> BoundaryCondition:
     return BoundaryCondition(params["bc"])
 
 
-def _solver_config(pair, params: dict, t_start: float, t_end: float) -> SolverConfig:
+def _solver_config(params: dict, t_start: float) -> SolverConfig:
     return SolverConfig(
-        pair=pair,
         bc=_bc(params),
         t_start=t_start,
-        t_end=t_end,
         dt_init=params["dt_init"],
         dt_min=params["dt_min"],
         tol_step=params["tol_step"],
-        theta_scheme=params["theta"],
+        theta=params["theta"],
     )
 
 
@@ -335,8 +339,7 @@ def _flat_tracked(pair, grid: Grid, params: dict) -> Trajectory:
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
     times = np.geomspace(t0 * 1.02, t1, params["n_snapshots"])
-    config = _solver_config(pair, params, t0, t1)
-    return solve(ic_u, ic_v, config, times)
+    return solve(ic_u, ic_v, pair, _solver_config(params, t0), times)
 
 
 def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
@@ -367,7 +370,7 @@ def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     dt_list = params["dt_list"]
     temporal_errs = []
     for dt in dt_list:
-        r_u, r_v = residual_of(flat_u, flat_v, pair, grid, bc, params["t_ref"], dt)
+        r_u, r_v = residual_of(flat_u, flat_v, pair, bc, params["t_ref"], dt)
         temporal_errs.append(
             max(float(np.max(np.abs(r_u.values))), float(np.max(np.abs(r_v.values))))
         )
@@ -381,7 +384,7 @@ def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
         u_vals, v_vals = cf.eval_elliptic(pair, ell, g.coords)
         fu = Field(g, u_vals)
         fv = Field(g, v_vals)
-        r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, g, bc, 1.0, 1e-3)
+        r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, bc, 1.0, 1e-3)
         # half-ulp slack so the node sitting exactly on the cut stays included
         mask = np.abs(g.coords) >= params["mask_radius"] - 1e-9
         mask[0] = mask[-1] = False
@@ -428,8 +431,7 @@ def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Traj
     ic = Field(grid, np.full(grid.nodes, m))
     t_probe = params["t_probe"]
     times = np.geomspace(t_probe / 32.0, t_probe, params["n_snapshots"])
-    config = _solver_config(pair, params, 0.0, t_probe)
-    traj = solve(ic, ic, config, times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
     margin = params["margin_frac"] * params["extent"]
     report = dg.check_upper_estimate(traj, pair, margin)
     consts = cf.flat_constants(pair)
@@ -448,8 +450,7 @@ def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     psi = bump_function(grid, params["psi_center"], params["psi_width"])
     times = np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
-    config = _solver_config(pair, params, 0.0, params["t_end"])
-    traj = solve(ic, ic, config, times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
     trace_u, trace_v = dg.trace_functional(traj, psi).T.tolist()
     target = integrate_field(ic, psi)  # u and v start from the same data
     if target == 0.0:
@@ -472,8 +473,7 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
     windows = sorted(params["windows"], reverse=True)  # shrinking lower edges
     ladder = list(np.geomspace(windows[-1] / 4.0, t_end, 60))
     times = sorted(set(ladder) | set(windows) | {t_end})
-    config = _solver_config(pair, params, 0.0, t_end)
-    traj = solve(ic, ic, config, times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
     region = (params["region_lo"], params["region_hi"])
     uq = [dg.cylinder_integral(traj, pair.q, 0, region, (w, t_end)) for w in windows]
     vp = [dg.cylinder_integral(traj, pair.p, 1, region, (w, t_end)) for w in windows]
@@ -498,13 +498,13 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
 
 def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     t_probe = params["t_probe"]
+    config = _solver_config(params, 0.0)
+    times = [t_probe / 4.0, t_probe / 2.0, t_probe]
     masses = []
     last_traj = None
     for eps in params["eps_list"]:
         ic = bump_function(grid, 0.0, eps)
-        config = _solver_config(pair, params, 0.0, t_probe)
-        times = [t_probe / 4.0, t_probe / 2.0, t_probe]
-        traj = solve(ic, ic, config, times)
+        traj = solve(ic, ic, pair, config, times)
         masses.append(integrate_field(Field(grid, traj.values[-1, 0])))
         last_traj = traj
     last_first = masses[-1] / masses[0]
@@ -531,8 +531,7 @@ def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     t0, t1 = params["t_start"], params["t_end"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
     times = np.linspace(t0 + (t1 - t0) / n, t1, n)
-    config = _solver_config(pair, params, t0, t1)
-    traj = solve(ic_u, ic_v, config, times)
+    traj = solve(ic_u, ic_v, pair, _solver_config(params, t0), times)
     report = dg.check_f_subsolution(traj, pair)
     bound = report.k**pair.q
     outcome = {
@@ -562,8 +561,7 @@ def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Traject
     s0 = params["kernel_time"]
     kernel = np.exp(-grid.coords**2 / (4.0 * s0)) / math.sqrt(4.0 * math.pi * s0)
     ic = Field(grid, kernel)
-    config = _solver_config(None, params, s0, params["t_end"])
-    traj = heat_solve(ic, config, _kernel_times(params))
+    traj = heat_solve(ic, _solver_config(params, s0), _kernel_times(params))
     epsilons = sorted(params["epsilons"])
     ratios = dg.mean_value_check(
         traj, params["s"], (params["center_x"], params["center_t"]),

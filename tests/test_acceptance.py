@@ -66,7 +66,7 @@ def test_01_exact_solution_resubstitution_orders():
     dts = [1e-2, 5e-3, 2.5e-3]
     errs = []
     for dt in dts:
-        r_u, r_v = residual_of(u_of, v_of, pair, grid, NEU, 1.0, dt)
+        r_u, r_v = residual_of(u_of, v_of, pair, NEU, 1.0, dt)
         errs.append(max(np.max(np.abs(r_u.values)), np.max(np.abs(r_v.values))))
     temporal = fit_slope(dts, errs)
 
@@ -76,7 +76,7 @@ def test_01_exact_solution_resubstitution_orders():
         g = interval_grid(nodes)
         u_vals, v_vals = eval_elliptic(pair, ell, g.coords)
         fu, fv = Field(g, u_vals), Field(g, v_vals)
-        r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, g, NEU, 1.0, 1e-3)
+        r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, NEU, 1.0, 1e-3)
         mask = np.abs(g.coords) >= 0.2 - 1e-9
         mask[0] = mask[-1] = False
         errs.append(max(np.max(np.abs(r_u.values[mask])), np.max(np.abs(r_v.values[mask]))))
@@ -93,8 +93,8 @@ def test_02_flat_tracking():
     grid = interval_grid(401)
     ic_u = Field(grid, np.full(401, consts.a_star * 0.1**-pair.a))
     ic_v = Field(grid, np.full(401, consts.b_star * 0.1**-pair.b))
-    config = SolverConfig(pair=pair, bc=NEU, t_start=0.1, t_end=1.0, dt_init=1e-4)
-    traj = solve(ic_u, ic_v, config, np.geomspace(0.102, 1.0, 15))
+    config = SolverConfig(bc=NEU, t_start=0.1, dt_init=1e-4)
+    traj = solve(ic_u, ic_v, pair, config, np.geomspace(0.102, 1.0, 15))
     worst = 0.0
     for t, (u, _) in zip(traj.times, traj.values):
         exact = consts.a_star * t**-pair.a
@@ -106,7 +106,7 @@ def test_02_flat_tracking():
 def test_03_scalar_bound():
     grid = interval_grid(101)
     ic = Field(grid, np.full(101, 1e4))
-    config = SolverConfig(pair=None, bc=NEU, t_start=0.0, t_end=0.1, dt_init=1e-6)
+    config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
     traj = scalar_solve(ic, 2.0, config, [0.1])
     value = float(traj.values[-1, 0].max())
     bound = scalar_profile(2.0, 0.1)

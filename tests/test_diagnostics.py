@@ -123,8 +123,7 @@ class TestTraceFunctional:
         ic = bump_function(g, 0.0, 0.1)
         psi = bump_function(g, 0.0, 0.5)
         times = [0.005, 0.01, 0.02, 0.04]
-        cfg = SolverConfig(pair=None, bc=NEU, t_start=0.0, t_end=0.04,
-                           dt_init=1e-6, tol_step=1e-7)
+        cfg = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6, tol_step=1e-7)
         traj = heat_solve(ic, cfg, times)
         samples = trace_functional(traj, psi)
         w = np.full(g.nodes, g.h)
@@ -340,8 +339,7 @@ class TestMeanValue:
     def _heat_trajectory(self, ic_fn, t_start, t_end, nodes=401, extent=2.0):
         g = interval_grid(nodes, extent=extent)
         ic = Field(g, ic_fn(g.coords))
-        cfg = SolverConfig(pair=None, bc=NEU, t_start=t_start, t_end=t_end,
-                           dt_init=1e-4, tol_step=1e-7)
+        cfg = SolverConfig(bc=NEU, t_start=t_start, dt_init=1e-4, tol_step=1e-7)
         times = np.linspace(t_start + (t_end - t_start) / 60, t_end, 60)
         return heat_solve(ic, cfg, times)
 

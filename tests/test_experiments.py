@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -105,6 +106,15 @@ BAD_CONFIGS = [
                           "epsilons": [0.1, 0.9], "n_snapshots": 119},
      "must hold at least 2 output times"),
     ("mean_value_check", {"nodes": 401, "rho": 0.05}, "must hold at least 2 output times"),
+    # numbers that are not finite: extent = inf ran with status "ok" and wrote nan
+    # node coordinates, the next two ended as exit-2 ValueErrors, and an integer
+    # past the float range in an uncaught OverflowError
+    ("flat_validation", {"extent": math.inf}, "expected a finite number"),
+    ("flat_validation", {"t_end": math.inf}, "expected a finite number"),
+    ("removability_sweep", {"extent": math.inf}, "expected a finite number"),
+    ("flat_validation", {"p": math.nan}, "expected a finite number"),
+    ("convergence_order", {"dt_list": [0.01, math.nan]}, "expected a finite number"),
+    ("flat_validation", {"extent": 10**400}, "expected a finite number"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -513,7 +523,7 @@ class TestCli:
         assert result.returncode == 1
         assert "unknown key 't_end'" in result.stderr
 
-    @pytest.mark.parametrize("index", [0, 9, 15, 17])
+    @pytest.mark.parametrize("index", [0, 9, 15, 17, 24])
     def test_bad_config_exit_one(self, tmp_path, index):
         name, extra, message = BAD_CONFIGS[index]
         cfg = tmp_path / "bad.cfg"
@@ -530,6 +540,20 @@ class TestCli:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 1
         assert f"{line.split(' =')[0]} must" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", CONFIG),  # fails creating --out before the trajectory CSV
+        ("sweep", "experiment = convergence_order\np = 2\nq = 2\n"),  # fails in write_records
+    ], ids=["run", "sweep"])
+    def test_unwritable_out_exit_one(self, tmp_path, command, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = run_cli([command, str(cfg), "--out", str(taken)], tmp_path)
+        assert result.returncode == 1
+        assert "error: cannot write outputs" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_missing_file_exit_one(self, tmp_path):
