@@ -1,7 +1,8 @@
 """Command-line entry point: `absorblab run|sweep <config-path>`.
 
 Exit codes: 0 on success, 1 on configuration errors or outputs that cannot
-be written, 2 on numerical failure of a single run.  Sweeps isolate
+be written, 2 on numerical failure of a single run (a solver failure or an
+arithmetic error such as overflow).  Sweeps isolate
 per-point failures inside the records and exit 0 once the grid has been
 traversed.
 """

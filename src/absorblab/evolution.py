@@ -2,20 +2,23 @@
 
 One step = theta-implicit diffusion (one tridiagonal solve covering all
 components along the 1D/radial line, on LU factors computed once per dt
-and cached) followed by a semi-implicit absorption update of
-denominator form,
+and cached, its result clamped at 0) followed by one semi-implicit
+absorption update of denominator form for every row i,
 
-    u_new = u_half / (1 + dt * v_half**p / max(u_half, floor)),
+    w_i_new = w_i_half / (1 + dt * w_s_half**power / max(w_i_half, floor)),
 
-which keeps components nonnegative without Newton iteration and leaves an
-exactly zero component at zero.  The same machinery integrates the scalar
-equation U_t - Lap(U) + U^Q = 0 and the pure heat equation, which serve as
-oracles for the diagnostics.
+where row i is absorbed by row s = source.  A solve gives its absorption
+as (source, power) per row: ((1, p), (0, q)) for the coupled system,
+((0, Q),) for the scalar equation U_t - Lap(U) + U^Q = 0, and () for the
+pure heat equation; the last two serve as oracles for the diagnostics.
+The update needs no Newton iteration and leaves an exactly zero component
+at zero.  No clamp follows it: from halves >= 0 every intermediate lies in
+[0, inf] or is nan, so the quotient is >= 0, inf or nan already.
 
 Adaptive stepping is plain step doubling: a full step is compared against
 two half steps, the step is rejected and dt halved whenever the scaled gap
 exceeds the local tolerance, and the half-step composition is what gets
-accepted (no extrapolation, so the positivity clamp is never undone).  A
+accepted (no extrapolation, so positivity is never undone).  A
 rejected attempt's half step is the retry's full step, so a retry costs two
 steps, not three.  dt only halves, doubles or is clipped to an output time,
 so a few cached factorisations serve almost every step.
@@ -142,45 +145,28 @@ class _Diffusion(LaplacianBands):
         if self._pinned_at.size:
             rhs[..., self._pinned_at] = 0.0
         x, _ = dgttrs(*self._factor(dt), rhs.T, overwrite_b=1)
-        # theta < 1 can undershoot slightly; fractional powers need >= 0
+        # theta < 1, a row-swapping Dirichlet factorisation and radial N >= 4 can
+        # undershoot slightly; fractional powers and the unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
 
 
-_Reaction = Callable[[np.ndarray, float], np.ndarray]
+# (source row, power) per row: row i is absorbed at the rate halves[source] ** power
+_Absorption = tuple[tuple[int, float], ...]
 _ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
 
-def _absorb(halves: np.ndarray, rate: np.ndarray, dt: float) -> np.ndarray:
-    """halves / (1 + dt * rate / max(halves, floor)), clamped at 0, computed in rate."""
+def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption) -> np.ndarray:
+    """Diffusion, then halves / (1 + dt * rate / max(halves, floor)), computed in rate."""
+    halves = op.step(w, dt)
+    if not absorption:
+        return halves
+    rate = np.empty_like(halves)
+    for row, (source, power) in enumerate(absorption):
+        np.power(halves[source], power, out=rate[row])
     rate *= dt
     rate /= np.maximum(halves, _ABSORPTION_FLOOR)
     rate += 1.0
-    np.divide(halves, rate, out=rate)
-    return np.maximum(rate, 0.0, out=rate)
-
-
-def _system_reaction(pair: PowerPair) -> _Reaction:
-    def update(halves, dt):
-        rate = np.empty_like(halves)
-        np.power(halves[1], pair.p, out=rate[0])  # v**p absorbs u
-        np.power(halves[0], pair.q, out=rate[1])  # u**q absorbs v
-        return _absorb(halves, rate, dt)
-
-    return update
-
-
-def _scalar_reaction(big_q: float) -> _Reaction:
-    def update(halves, dt):
-        return _absorb(halves, np.power(halves, big_q), dt)
-
-    return update
-
-
-def _advance(w: np.ndarray, dt: float, op: _Diffusion, reaction: _Reaction | None) -> np.ndarray:
-    halves = op.step(w, dt)
-    if reaction is None:
-        return halves
-    return reaction(halves, dt)
+    return np.divide(halves, rate, out=rate)
 
 
 def _stacked(*fields: Field) -> np.ndarray:
@@ -205,7 +191,7 @@ def _integrate(
     fields: Sequence[Field],
     config: SolverConfig,
     output_times: Sequence[float],
-    reaction: _Reaction | None,
+    absorption: _Absorption,
 ) -> Trajectory:
     times = [float(t) for t in output_times]
     if not times:
@@ -228,10 +214,10 @@ def _integrate(
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
             dt_try = min(dt_ctrl, t_out - t)
             retries = 0
-            full = _advance(state, dt_try, op, reaction)
+            full = _advance(state, dt_try, op, absorption)
             while True:
-                half = _advance(state, 0.5 * dt_try, op, reaction)
-                two_half = _advance(half, 0.5 * dt_try, op, reaction)
+                half = _advance(state, 0.5 * dt_try, op, absorption)
+                two_half = _advance(half, 0.5 * dt_try, op, absorption)
                 err = _error(full, two_half)
                 # err is nan or inf whenever two_half holds a nan or an inf, so
                 # an accepted state is always finite and needs no check
@@ -266,12 +252,12 @@ def solve(
     output_times: Sequence[float],
 ) -> Trajectory:
     """Integrate the coupled system with exponents `pair` from nonnegative initial fields."""
-    return _integrate([ic_u, ic_v], config, output_times, _system_reaction(pair))
+    return _integrate([ic_u, ic_v], config, output_times, ((1, pair.p), (0, pair.q)))
 
 
 def heat_solve(ic: Field, config: SolverConfig, output_times: Sequence[float]) -> Trajectory:
     """Integrate the pure heat equation (absorption removed)."""
-    return _integrate([ic], config, output_times, None)
+    return _integrate([ic], config, output_times, ())
 
 
 def scalar_solve(
@@ -280,7 +266,7 @@ def scalar_solve(
     """Integrate the scalar equation U_t - Lap(U) + U^Q = 0."""
     if big_q <= 0:
         raise ValueError(f"Q must be positive, got {big_q}")
-    return _integrate([ic], config, output_times, _scalar_reaction(big_q))
+    return _integrate([ic], config, output_times, ((0, big_q),))
 
 
 def residual_of(

@@ -17,6 +17,7 @@ trajectories and step logs go to dedicated CSV files next to the record.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -86,8 +87,8 @@ def _positive(x) -> bool:
     return x > 0
 
 
-def _positives(count: int) -> Callable[[list], bool]:
-    return lambda xs: len(xs) >= count and min(xs) > 0
+def _distinct_positives(count: int) -> Callable[[list], bool]:
+    return lambda xs: len(set(xs)) == len(xs) >= count and min(xs) > 0
 
 
 _BC_NAMES = ("neumann_zero", "dirichlet_zero")
@@ -603,11 +604,12 @@ _RECIPES: dict[str, _Recipe] = {
         "p", "q", "nodes", "extent", "bc",
         nodes=201,
         t_ref=_Param("float", 1.0, _positive, "t_ref must be > 0"),
-        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3], _positives(2),
-                       "dt_list must hold >= 2 values, each > 0"),
+        dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3], _distinct_positives(2),
+                       "dt_list must hold >= 2 distinct values, each > 0"),
         node_list=_Param("float_list", [101, 201, 401],
-                         lambda ns: len(ns) >= 2 and all(n.is_integer() and n >= 3 for n in ns),
-                         "node_list must hold >= 2 integers, each >= 3"),
+                         lambda ns: len(set(ns)) == len(ns) >= 2
+                         and all(n.is_integer() and n >= 3 for n in ns),
+                         "node_list must hold >= 2 distinct integers, each >= 3"),
         mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
     ), (_SUPERLINEAR,)),
     "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_COUPLED, "t_start", "t_end",
@@ -644,7 +646,7 @@ _RECIPES: dict[str, _Recipe] = {
         ic_width=_Param("float", 0.4, _positive, "ic_width must be > 0"),
         ic_mass=_Param("float", 1.0, _positive, "ic_mass must be > 0"),
         windows=_Param("float_list", [1e-3, 2.5e-4, 6.25e-5, 1.5625e-5],
-                       lambda ws: len(set(ws)) == len(ws) >= 3 and min(ws) > 0,
+                       _distinct_positives(3),
                        "windows must hold >= 3 distinct values, each > 0"),
         region_lo=_Param("float", -0.5),
         region_hi=_Param("float", 0.5),
@@ -662,8 +664,8 @@ _RECIPES: dict[str, _Recipe] = {
     )),
     "removability_sweep": _Recipe(_run_removability_sweep, _schema(*_COUPLED,
         nodes=801,
-        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025], _positives(2),
-                        "eps_list must hold >= 2 values, each > 0"),
+        eps_list=_Param("float_list", [0.2, 0.1, 0.05, 0.025], _distinct_positives(2),
+                        "eps_list must hold >= 2 distinct values, each > 0"),
         t_probe=_Param("float", 0.05, _positive, "t_probe must be > 0"),
         collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
         converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
@@ -718,7 +720,7 @@ def run_experiment(
     out_dir: str | Path | None = None,
     runid: str | None = None,
 ) -> RunRecord:
-    """Execute one recipe; solver failures are recorded, config errors raised.
+    """Execute one recipe; solver and arithmetic failures are recorded, config errors raised.
 
     `seed` only labels the run: no recipe draws random numbers.
     """
@@ -729,7 +731,7 @@ def run_experiment(
     try:
         pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
         outcome, traj = _RECIPES[spec.name].run(params, pair, _grid(params))
-    except (NumericsError, ValueError, FloatingPointError) as exc:
+    except (NumericsError, ValueError, ArithmeticError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     record = RunRecord(
         name=spec.name, runid=runid, seed=spec.seed, params=params, outcome=outcome,
@@ -814,19 +816,9 @@ def write_records(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv
         raise ConfigError(f"unknown output format '{fmt}'")
     path = out / "record.csv"
     rows = [_flatten(r) for r in records]
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for key in header:
-                value = row.get(key, "")
-                if isinstance(value, float):
-                    value = repr(value)
-                cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, header, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return path

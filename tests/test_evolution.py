@@ -38,7 +38,6 @@ from absorblab.evolution import (
     _Diffusion,
     _advance,
     _error,
-    _system_reaction,
 )
 
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -60,7 +59,7 @@ def heat_kernel(x, t):
 def one_step(u, v, pair, dt=1e-3):
     """One coupled step as `solve` takes it: implicit diffusion, then absorption."""
     w = np.stack([u.values, v.values])
-    return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), _system_reaction(pair))
+    return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), ((1, pair.p), (0, pair.q)))
 
 
 class TestOneStep:
@@ -414,11 +413,11 @@ class TestSharedOperator:
         g = grid_of(kind, dim_n, nodes=41)
         pair = derive_exponents(2, 3)
         op = _Diffusion(g, bc, theta)
-        reaction = _system_reaction(pair)
+        absorption = ((1, pair.p), (0, pair.q))
         w = two_rows(g)
         ref = list(w)
         for dt in DT_SEQUENCE:
-            w = _advance(w, dt, op, reaction)
+            w = _advance(w, dt, op, absorption)
             ref = list_based_advance(ref, dt, op, theta, pair)
             assert np.array_equal(w, np.stack(ref))
 
@@ -437,6 +436,93 @@ class TestSharedOperator:
             assert len(op._factors) <= _FACTOR_CACHE_SIZE
         assert len(op._factors) == _FACTOR_CACHE_SIZE
         assert DT_SEQUENCE[-1] in op._factors
+
+
+def clamped_absorb(halves, rate, dt):
+    """The absorption update as it was, with np.maximum(., 0) after the division."""
+    rate *= dt
+    rate /= np.maximum(halves, 1e-300)
+    rate += 1.0
+    np.divide(halves, rate, out=rate)
+    return np.maximum(rate, 0.0, out=rate)
+
+
+def clamped_system_reaction(pair):
+    def update(halves, dt):
+        rate = np.empty_like(halves)
+        np.power(halves[1], pair.p, out=rate[0])
+        np.power(halves[0], pair.q, out=rate[1])
+        return clamped_absorb(halves, rate, dt)
+
+    return update
+
+
+def clamped_scalar_reaction(big_q):
+    def update(halves, dt):
+        return clamped_absorb(halves, np.power(halves, big_q), dt)
+
+    return update
+
+
+PAIR_23 = derive_exponents(2, 3)
+# (absorption, the clamped reaction it replaces, number of rows)
+ABSORPTIONS = {
+    "coupled": (((1, PAIR_23.p), (0, PAIR_23.q)), clamped_system_reaction(PAIR_23), 2),
+    "scalar": (((0, 2.5),), clamped_scalar_reaction(2.5), 1),
+}
+EXTREMES = [0.0, 5e-324, 1e-300, 1e308, math.inf]
+
+
+def same_bits(a, b):
+    # array_equal would let -0.0 match 0.0 and fail on nan
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class ClampOnlyDiffusion:
+    """A diffusion step that only clamps at 0, as `_Diffusion.step` ends, so the
+    update sees chosen halves."""
+
+    def step(self, w, dt):
+        return np.maximum(w, 0.0)
+
+
+class TestUnclampedAbsorption:
+    """`_advance` without the final clamp equals the clamped update bit for bit."""
+
+    @pytest.mark.parametrize("rows", ["coupled", "scalar"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    def test_equals_clamped_update(self, bc, theta, rows):
+        absorption, reaction, k = ABSORPTIONS[rows]
+        g = interval_grid(41)
+        op = _Diffusion(g, bc, theta)
+        w = two_rows(g)[:k]
+        # an inf turns the whole line nan, so the finite extremes also go alone
+        finite = np.stack([np.resize(EXTREMES[:-1], 41), np.resize(EXTREMES[-2::-1], 41)])[:k]
+        with_inf = finite.copy()
+        with_inf[0, 20] = math.inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for dt in DT_SEQUENCE:
+                for data in (finite, with_inf):
+                    assert same_bits(_advance(data, dt, op, absorption),
+                                     reaction(op.step(data, dt), dt))
+                ref = reaction(op.step(w, dt), dt)
+                w = _advance(w, dt, op, absorption)
+                assert same_bits(w, ref)
+
+    @pytest.mark.parametrize("rows", ["coupled", "scalar"])
+    def test_equals_clamped_update_on_extreme_halves(self, rows):
+        # every pair of (own, source) values; -0.0, an undershoot and nan are
+        # what the diffusion step's clamp receives before it hands on halves
+        absorption, reaction, k = ABSORPTIONS[rows]
+        values = [*EXTREMES, -0.0, -1e-300, math.nan]
+        w = np.array([np.repeat(values, len(values)), np.tile(values, len(values))])[:k]
+        op = ClampOnlyDiffusion()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for dt in (1e-3, 1.0, 1e300):
+                out = _advance(w, dt, op, absorption)
+                assert same_bits(out, reaction(op.step(w, dt), dt))
+                assert not np.any(out < 0)
 
 
 def test_rejection_reuses_the_half_step(monkeypatch):

@@ -1,5 +1,6 @@
 """Config parsing, recipes, sweeps, record serialization, and the CLI."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -115,6 +116,11 @@ BAD_CONFIGS = [
     ("flat_validation", {"p": math.nan}, "expected a finite number"),
     ("convergence_order", {"dt_list": [0.01, math.nan]}, "expected a finite number"),
     ("flat_validation", {"extent": 10**400}, "expected a finite number"),
+    # repeated ladder values: a RankWarning and an order fitted through one point,
+    # a negative spatial order, and a "converging" verdict from two identical runs
+    ("convergence_order", {"dt_list": [0.01, 0.01]}, "dt_list must hold >= 2 distinct values"),
+    ("convergence_order", {"node_list": [101, 101]}, "node_list must hold >= 2 distinct integers"),
+    ("removability_sweep", {"eps_list": [0.5, 0.5]}, "eps_list must hold >= 2 distinct values"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -436,6 +442,13 @@ class TestSweep:
         assert records[1].error.startswith("ConfigError")
         assert "pq > 1" in records[1].error
 
+    def test_arithmetic_failure_is_isolated(self):
+        # just above pq = 1 the flat amplitudes overflow in closed_forms
+        base = ExperimentSpec("flat_validation", {**FAST["flat_validation"], "q": 1.0})
+        records = sweep(base, {"p": [2.0, 1.0001]})
+        assert [r.failed for r in records] == [False, True]
+        assert records[1].error == "OverflowError: math range error"
+
     def test_subsolution_order_error_is_isolated(self):
         base = ExperimentSpec("subsolution_check",
                               {"p": 2, "q": 3, "nodes": 51, "n_snapshots": 5, "t_end": 0.2})
@@ -456,6 +469,16 @@ class TestRecords:
         assert len(lines) == 2
         header = lines[0].split(",")
         assert "runid" in header and "param.p" in header and "out.max_rel_err_u" in header
+
+    def test_csv_cell_with_commas_stays_one_cell(self, tmp_path):
+        records = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
+                        {"theta": [1.0, 0.4]})
+        assert "," in records[1].error
+        path = write_records(records, tmp_path, fmt="csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert rows[1][header.index("error")] == records[1].error
 
     def test_json_round_trip(self, tmp_path):
         record = run_experiment(
@@ -523,7 +546,7 @@ class TestCli:
         assert result.returncode == 1
         assert "unknown key 't_end'" in result.stderr
 
-    @pytest.mark.parametrize("index", [0, 9, 15, 17, 24])
+    @pytest.mark.parametrize("index", [0, 9, 15, 17, 24, 30])
     def test_bad_config_exit_one(self, tmp_path, index):
         name, extra, message = BAD_CONFIGS[index]
         cfg = tmp_path / "bad.cfg"
@@ -568,6 +591,14 @@ class TestCli:
         )
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2
+
+    def test_arithmetic_overflow_exit_two(self, tmp_path):
+        cfg = tmp_path / "near_pq_one.cfg"
+        cfg.write_text("experiment = flat_validation\np = 1.0001\nq = 1\nnodes = 41\n")
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 2
+        assert "numerical failure: OverflowError" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_sweep_and_json_format(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -7,7 +7,8 @@ Usage, from the repository root:
 Each case runs through `absorblab.experiments.run_experiment` with the
 `absorblab` that is first on the path, and writes into OUT_DIR/<case>/:
 
-- record.json, the run record with `wall_time_s` set to 0;
+- record.json and record.csv, the run record with `wall_time_s` set to 0,
+  through both formats of `write_records`;
 - trajectory_<case>.csv and steps_<case>.csv, when the run produced a
   trajectory;
 - config_error.txt in place of all three, when the recipe raised ConfigError.
@@ -70,7 +71,8 @@ def main(argv: list[str]) -> int:
             (out / "config_error.txt").write_text(f"{exc}\n", encoding="utf-8")
             print(f"{case}: ConfigError: {exc}")
             continue
-        write_records([replace(record, wall_time_s=0.0)], out, fmt="json")
+        for fmt in ("json", "csv"):
+            write_records([replace(record, wall_time_s=0.0)], out, fmt=fmt)
         print(f"{case}: {'failed: ' + record.error if record.failed else 'ok'}")
     return 0
 
