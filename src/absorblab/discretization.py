@@ -52,8 +52,8 @@ class SpatialDomain:
     dim_n: int = 1
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.dim_n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim_n}")
         if self.kind is DomainKind.INTERVAL and self.dim_n != 1:

@@ -27,6 +27,7 @@ so a few cached factorisations serve almost every step.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -71,14 +72,15 @@ class SolverConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.t_start < 0:
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-        if self.dt_init <= 0 or self.dt_min <= 0:
-            raise ValueError("time steps must be positive")
+        # every check is written so that nan fails it
+        if not 0 <= self.t_start < math.inf:
+            raise ValueError(f"t_start must be finite and >= 0, got {self.t_start}")
+        if not (0 < self.dt_init < math.inf and 0 < self.dt_min < math.inf):
+            raise ValueError("time steps must be positive and finite")
         if self.dt_min > self.dt_init:
             raise ValueError("dt_min must not exceed dt_init")
-        if self.tol_step <= 0:
-            raise ValueError("tol_step must be positive")
+        if not 0 < self.tol_step < math.inf:
+            raise ValueError("tol_step must be positive and finite")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0.5, 1]")
 
@@ -196,6 +198,8 @@ def _integrate(
     times = [float(t) for t in output_times]
     if not times:
         raise ValueError("need at least one output time")
+    if not all(map(math.isfinite, times)):
+        raise ValueError("output times must be finite")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("output times must be strictly increasing")
     if times[0] <= config.t_start:

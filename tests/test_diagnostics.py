@@ -9,6 +9,7 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
+    LaplacianBands,
     SolverConfig,
     SpatialDomain,
     Trajectory,
@@ -26,8 +27,10 @@ from absorblab import (
     integrate_field,
     mass_in_region,
     mean_value_check,
+    solve,
     subsolution_constants,
     trace_functional,
+    trapezoid_weights,
 )
 
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -226,7 +229,7 @@ class TestDichotomyClassify:
         doubling = [2.0**k for k in range(6)]
         verdict = dichotomy_classify(doubling, doubling, doubling)
         assert verdict.kind == "singular"
-        assert verdict.evidence.mass_trend == pytest.approx(32.0)
+        assert verdict.mass_trend == pytest.approx(32.0)
 
     def test_growth_without_mass_growth_is_inconclusive(self):
         doubling = [2.0**k for k in range(6)]
@@ -282,6 +285,24 @@ class TestUpperEstimateMonitor:
         traj = synthetic_trajectory(g, np.geomspace(0.1, 1.0, 8), lambda t: np.ones(201))
         with pytest.raises(ValueError, match="coupled trajectory"):
             check_upper_estimate(traj, pair, 0.2)
+
+    def test_mirror_edge_nodes_weigh_alike(self):
+        # on 21 nodes over [-0.5, 0.5] the right edge node at margin 0.05 sits at
+        # 0.45000000000000007, one ulp past 0.45; it counts as its mirror -0.45 does
+        pair = derive_exponents(2, 2)
+        g = interval_grid(21, extent=0.5)
+        times = np.geomspace(0.1, 1.0, 6)
+        sups = []
+        for node in (1, 19):
+            def spiked(t, node=node):
+                vals = np.ones(21)
+                vals[node] = 50.0
+                return vals
+            traj = synthetic_trajectory(g, times, spiked, spiked)
+            report = check_upper_estimate(traj, pair, 0.05)
+            sups.append((report.sup_u_t_a, report.sup_v_t_b))
+        assert sups[0] == sups[1]
+        assert sups[0][0] == 50.0  # the spike at t = 1
 
     def test_margin_swallowing_domain_rejected(self):
         pair = derive_exponents(2, 2)
@@ -365,3 +386,146 @@ class TestMeanValue:
         traj = self._heat_trajectory(lambda x: np.ones(x.size), 0.0, 0.4)
         with pytest.raises(ValueError):
             mean_value_check(traj, 1.0, (0.0, 0.35), 0.5, [1.5])
+
+
+# Per-snapshot versions of four diagnostics, as written before they reduced the
+# stacked (T, k, n) array in one pass; the stacked versions must equal them bit
+# for bit.  Validation is left out: only the arithmetic is compared.
+
+def _nodes_in(x, lo, hi):
+    return np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0]
+
+
+def per_snapshot_cylinder_integral(traj, power, row, region, t_window):
+    idx = _nodes_in(traj.grid.coords, *region)
+    weights = trapezoid_weights(traj.grid, idx)
+    snaps = _nodes_in(traj.times, *t_window)
+    vals = [float(weights @ traj.values[i, row, idx] ** power) for i in snaps]
+    return float(np.trapezoid(np.array(vals), traj.times[snaps]))
+
+
+def per_snapshot_upper_estimate(traj, pair, margin):
+    x, ext = traj.grid.coords, traj.grid.domain.extent
+    if traj.grid.domain.kind is DomainKind.INTERVAL:
+        mask = (x >= -ext + margin) & (x <= ext - margin)
+    else:
+        mask = x <= ext - margin
+    sup_u = sup_v = 0.0
+    for t, (u, v) in zip(traj.times.tolist(), traj.values):
+        sup_u = max(sup_u, float(np.max(u[mask])) * t**pair.a)
+        sup_v = max(sup_v, float(np.max(v[mask])) * t**pair.b)
+    return sup_u, sup_v
+
+
+def per_snapshot_f_subsolution(traj, pair):
+    d, c, k = subsolution_constants(pair)
+    interior = np.ones(traj.grid.nodes, dtype=bool)
+    interior[-1] = False
+    if traj.grid.domain.kind is DomainKind.INTERVAL:
+        interior[0] = False
+    lap_bands = LaplacianBands(traj.grid, NEU)
+    worst = 0.0
+    f_vals = [(k + u) ** d + v for u, v in traj.values]
+    times = traj.times
+    for i in range(1, len(f_vals) - 1):
+        h_m = times[i] - times[i - 1]
+        h_p = times[i + 1] - times[i]
+        f_t = (
+            -h_p / (h_m * (h_m + h_p)) * f_vals[i - 1]
+            + (h_p - h_m) / (h_m * h_p) * f_vals[i]
+            + h_m / (h_p * (h_m + h_p)) * f_vals[i + 1]
+        )
+        lap = lap_bands.apply(f_vals[i])
+        u_mid = traj.values[i, 0]
+        residual = f_t - lap + c * (k + u_mid) ** (d - 1.0) * f_vals[i] ** pair.p - k**pair.q
+        worst = max(worst, float(np.max(residual[interior])))
+    return max(worst, 0.0)
+
+
+def per_snapshot_mean_value(caloric, power_s, center, rho, epsilons):
+    x0, t0 = center
+    grid = caloric.grid
+
+    def ball(radius):
+        if grid.domain.kind is DomainKind.RADIAL_BALL:
+            return (0.0, radius)
+        return (x0 - radius, x0 + radius)
+
+    w = caloric.values[:, 0]
+    idx = _nodes_in(grid.coords, *ball(rho))
+    weights = trapezoid_weights(grid, idx)
+    snaps = _nodes_in(caloric.times, t0 - rho**2, t0)
+    times = caloric.times[snaps]
+    powers = np.array([float(weights @ w[i, idx] ** power_s) for i in snaps])
+    volumes = np.full(len(snaps), float(weights @ np.ones(weights.size)))
+    avg = float(np.trapezoid(powers, times)) / float(np.trapezoid(volumes, times))
+    denom = avg ** (1.0 / power_s)
+    out = []
+    for eps in epsilons:
+        r_in = rho * (1.0 - eps)
+        idx_in = _nodes_in(grid.coords, *ball(r_in))
+        snaps_in = _nodes_in(caloric.times, t0 - r_in**2, t0)
+        sup = max(float(np.max(w[i, idx_in])) for i in snaps_in)
+        out.append((float(eps), sup / denom))
+    return out
+
+
+def same_bytes(a, b):
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+GEOMETRIES = [(DomainKind.INTERVAL, 1), (DomainKind.RADIAL_BALL, 3)]
+
+
+class TestStackedReductionsMatchPerSnapshot:
+    PAIR = derive_exponents(2, 3)
+    TIMES = np.geomspace(2e-3, 0.05, 20)  # nonuniform snapshot spacing
+
+    @pytest.fixture(scope="class", params=[(kind, dim_n, bc) for kind, dim_n in GEOMETRIES
+                                           for bc in BoundaryCondition],
+                    ids=lambda p: f"{p[0].value}-N{p[1]}-{p[2].value}")
+    def traj(self, request):
+        kind, dim_n, bc = request.param
+        g = build_grid(SpatialDomain(kind, 1.0, dim_n), 41)
+        ic = bump_function(g, 0.0, 0.5)
+        return solve(ic, ic, self.PAIR, SolverConfig(bc=bc, t_start=0.0), self.TIMES)
+
+    def test_f_subsolution(self, traj):
+        report = check_f_subsolution(traj, self.PAIR)
+        assert same_bytes(report.max_violation, per_snapshot_f_subsolution(traj, self.PAIR))
+
+    def test_f_subsolution_positive_violation(self, traj):
+        # u + 2000 makes the absorption term outweigh k^q: compare a positive maximum
+        shifted = Trajectory(traj.grid, traj.times, traj.values + [[2000.0], [0.0]])
+        report = check_f_subsolution(shifted, self.PAIR)
+        assert report.max_violation > 0.0
+        assert same_bytes(report.max_violation, per_snapshot_f_subsolution(shifted, self.PAIR))
+
+    @pytest.mark.parametrize("margin", [0.2, 0.35])
+    def test_upper_estimate(self, traj, margin):
+        report = check_upper_estimate(traj, self.PAIR, margin)
+        assert same_bytes((report.sup_u_t_a, report.sup_v_t_b),
+                          per_snapshot_upper_estimate(traj, self.PAIR, margin))
+
+    def test_upper_estimate_time_weights(self):
+        # the sup picks one product per row: let each snapshot win once, so every
+        # time weight t**a, t**b reaches the report
+        g = interval_grid(11)
+        times = np.geomspace(1e-3, 1.0, 64)
+        for j in range(times.size):
+            values = np.ones((times.size, 2, 11))
+            values[j] = 1e6
+            traj = Trajectory(g, times, values)
+            report = check_upper_estimate(traj, self.PAIR, 0.2)
+            assert same_bytes((report.sup_u_t_a, report.sup_v_t_b),
+                              per_snapshot_upper_estimate(traj, self.PAIR, 0.2))
+
+    def test_mean_value(self, traj):
+        args = (1.5, (0.0, 0.05), 0.15, [0.1, 0.2, 0.4])
+        assert same_bytes(mean_value_check(traj, *args), per_snapshot_mean_value(traj, *args))
+
+    @pytest.mark.parametrize("power, row", [(3.0, 0), (2.0, 1), (0.7, 0)])
+    def test_cylinder_integral(self, traj, power, row):
+        args = (power, row, (0.0, 0.5), (5e-3, 0.04))
+        assert same_bytes(cylinder_integral(traj, *args),
+                          per_snapshot_cylinder_integral(traj, *args))

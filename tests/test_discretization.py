@@ -48,6 +48,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             SpatialDomain(DomainKind.INTERVAL, 1.0, 3)
 
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0])
+    def test_rejects_extent_that_is_not_positive_and_finite(self, extent):
+        # a nan extent used to build a grid of nan coordinates
+        with pytest.raises(ValueError, match="extent"):
+            SpatialDomain(DomainKind.INTERVAL, extent, 1)
+
 
 class TestLaplacian:
     def test_constant_neumann_is_exactly_zero(self):

@@ -673,6 +673,25 @@ def test_config_validation():
         SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6, dt_min=1e-3)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_start", math.nan), ("t_start", math.inf), ("dt_init", math.nan),
+    ("dt_init", math.inf), ("dt_min", math.nan), ("tol_step", math.nan),
+    ("tol_step", math.inf), ("theta", math.nan),
+])
+def test_config_rejects_non_finite_values(key, value):
+    # dt_init = nan used to make a solve loop forever; that solve is not run here
+    with pytest.raises(ValueError):
+        SolverConfig(**{"bc": NEU, "t_start": 0.0, key: value})
+
+
+@pytest.mark.parametrize("t_out", [math.nan, math.inf])
+def test_non_finite_output_time_rejected(t_out):
+    # used to return the initial data after 0 steps, labelled as t_out
+    ic = Field(interval_grid(11), np.ones(11))
+    with pytest.raises(ValueError, match="output times must be finite"):
+        heat_solve(ic, config(), [t_out])
+
+
 def test_solver_config_holds_only_what_every_solve_reads():
     names = [f.name for f in dataclasses.fields(SolverConfig)]
     assert names == ["bc", "t_start", "dt_init", "dt_min", "tol_step", "theta"]

@@ -612,6 +612,18 @@ class TestCli:
         data = json.loads((out / "record.json").read_text())
         assert len(data) == 2
 
+    def test_sweep_checks_each_value_at_its_point(self, tmp_path):
+        # theta = 0.4 fails its own point; it used to abort the sweep at parse time
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG + "sweep.theta = 1.0, 0.4\n")
+        out = tmp_path / "out"
+        result = run_cli(["sweep", str(cfg), "--out", str(out), "--format", "json"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        first, second = json.loads((out / "record.json").read_text())
+        assert not first["failed"]
+        assert second["failed"]
+        assert second["error"] == "ConfigError: key 'theta': theta must lie in [0.5, 1]"
+
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG + "seed = 4\n")
