@@ -140,6 +140,21 @@ def _holds_two(x: np.ndarray, lo: float, hi: float) -> bool:
     return dg._within(x, lo, hi).size >= 2
 
 
+def _bumps_fit(c: dict, *supports: tuple[float, float]) -> bool:
+    """`bump_function` accepts a bump of each (center, width) on the recipe's grid.
+
+    Each recipe's rules keep the supports inside [-extent, extent] before this
+    one runs, so a refusal means a support holds no node where the bump is nonzero.
+    """
+    grid = _grid(c)
+    try:
+        for center, width in supports:
+            bump_function(grid, center, width)
+    except ValueError:
+        return False
+    return True
+
+
 def _schema(*shared: str, **own) -> dict[str, _Param]:
     """The named shared keys, then `own`: a `_Param` there declares a recipe's own key,
     a plain value takes the shared key of that name with that default."""
@@ -338,19 +353,22 @@ def _flat_fields(grid: Grid, pair, t: float) -> tuple[Field, Field]:
     return Field(grid, np.full(grid.nodes, u)), Field(grid, np.full(grid.nodes, v))
 
 
-def _flat_tracked(pair, grid: Grid, params: dict, times=None) -> Trajectory:
-    """The coupled solve from the flat solution at t_start, by default to
-    n_snapshots geometrically spaced output times."""
+def _flat_times(params: dict) -> np.ndarray:
+    """flat_validation's and blowup_fit's output times: n_snapshots geometrically
+    spaced from 1.02 t_start to t_end."""
+    return np.geomspace(params["t_start"] * 1.02, params["t_end"], params["n_snapshots"])
+
+
+def _flat_tracked(pair, grid: Grid, params: dict, times) -> Trajectory:
+    """The coupled solve from the flat solution at t_start to the output times."""
     t0 = params["t_start"]
     ic_u, ic_v = _flat_fields(grid, pair, t0)
-    if times is None:
-        times = np.geomspace(t0 * 1.02, params["t_end"], params["n_snapshots"])
     return solve(ic_u, ic_v, pair, _solver_config(params, t0), times)
 
 
 def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     consts = cf.flat_constants(pair)
-    traj = _flat_tracked(pair, grid, params)
+    traj = _flat_tracked(pair, grid, params, _flat_times(params))
     exact = np.array([cf.eval_flat(pair, t) for t in traj.times.tolist()])
     err = (np.abs(traj.values - exact[:, :, None]).max(axis=2) / exact).max(axis=0)
     outcome = {
@@ -360,6 +378,20 @@ def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
         "b_star": consts.b_star,
     }
     return outcome, traj
+
+
+def _spatial_grids(params: dict) -> list[Grid]:
+    """convergence_order's spatial ladder: one grid per node_list entry."""
+    return [_grid({**params, "nodes": int(n)}) for n in params["node_list"]]
+
+
+def _far_interior(grid: Grid, radius: float) -> np.ndarray:
+    """The interior nodes with |x| >= radius, where convergence_order measures the
+    spatial residual away from the singularity at 0."""
+    # half-ulp slack so the node sitting exactly on the cut stays included
+    mask = np.abs(grid.coords) >= radius - 1e-9
+    mask[0] = mask[-1] = False
+    return mask
 
 
 def _fit_slope(xs, errs) -> float:
@@ -381,17 +413,14 @@ def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     temporal_order = _fit_slope(dt_list, temporal_errs)
 
     ell = cf.elliptic_constants(pair, 1)
-    node_list = [int(n) for n in params["node_list"]]
+    grids = _spatial_grids(params)
     hs, spatial_errs = [], []
-    for n in node_list:
-        g = _grid({**params, "nodes": n})
+    for g in grids:
         u_vals, v_vals = cf.eval_elliptic(pair, ell, g.coords)
         fu = Field(g, u_vals)
         fv = Field(g, v_vals)
         r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, bc, 1.0, 1e-3)
-        # half-ulp slack so the node sitting exactly on the cut stays included
-        mask = np.abs(g.coords) >= params["mask_radius"] - 1e-9
-        mask[0] = mask[-1] = False
+        mask = _far_interior(g, params["mask_radius"])
         spatial_errs.append(
             max(float(np.max(np.abs(r_u.values[mask]))), float(np.max(np.abs(r_v.values[mask]))))
         )
@@ -403,14 +432,14 @@ def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
         "spatial_order": spatial_order,
         "dt_list": list(dt_list),
         "temporal_residuals": temporal_errs,
-        "node_list": node_list,
+        "node_list": [g.nodes for g in grids],
         "spatial_residuals": spatial_errs,
     }
     return outcome, None
 
 
 def _run_blowup_fit(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    traj = _flat_tracked(pair, grid, params)
+    traj = _flat_tracked(pair, grid, params, _flat_times(params))
     center = int(np.argmin(np.abs(grid.coords)))
     window = (params["t_start"], params["t_end"])
     fit_u, fit_v = (dg.fit_power_law(zip(traj.times, traj.values[:, row, center]), window)
@@ -595,12 +624,14 @@ class _Recipe:
 
 _SUPERLINEAR: _Rule = (lambda c: c["p"] * c["q"] > 1.0, "this recipe requires pq > 1")
 _IC_INSIDE: _Rule = (lambda c: c["ic_width"] <= c["extent"], "ic_width must not exceed extent")
+_FLAT_TIMES_RISE: _Rule = (lambda c: bool(np.all(np.diff(_flat_times(c)) > 0)),
+                           "t_end must exceed 1.02 t_start, the first output time")
 
 
 _RECIPES: dict[str, _Recipe] = {
     "flat_validation": _Recipe(_run_flat_validation, _schema(*_COUPLED, "t_start", "t_end",
         n_snapshots=_Param("int", 16, lambda x: x >= 2, "n_snapshots must be >= 2"),
-    )),
+    ), (_FLAT_TIMES_RISE,)),
     "convergence_order": _Recipe(_run_convergence_order, _schema(
         "p", "q", "nodes", "extent", "bc",
         nodes=201,
@@ -612,11 +643,18 @@ _RECIPES: dict[str, _Recipe] = {
                          and all(n.is_integer() and n >= 3 for n in ns),
                          "node_list must hold >= 2 distinct integers, each >= 3"),
         mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
-    ), (_SUPERLINEAR,)),
+    ), (
+        _SUPERLINEAR,
+        # the temporal probe evaluates the flat solution at t_ref - dt
+        (lambda c: max(c["dt_list"]) < c["t_ref"], "dt_list values must be below t_ref"),
+        (lambda c: all(_far_interior(g, c["mask_radius"]).any() for g in _spatial_grids(c)),
+         "mask_radius must leave an interior node with |x| >= mask_radius on every "
+         "node_list grid"),
+    )),
     "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_COUPLED, "t_start", "t_end",
         nodes=201,
         n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
-    ), (_SUPERLINEAR,)),
+    ), (_SUPERLINEAR, _FLAT_TIMES_RISE)),
     "estimate_saturation": _Recipe(_run_estimate_saturation, _schema(*_COUPLED,
         m=_Param("float", 1e4, _positive, "m must be > 0"),
         nodes=101,
@@ -637,6 +675,9 @@ _RECIPES: dict[str, _Recipe] = {
         _IC_INSIDE,
         (lambda c: _inside(c, c["psi_center"] - c["psi_width"], c["psi_center"] + c["psi_width"]),
          "psi_center ± psi_width must lie inside [-extent, extent]"),
+        (lambda c: _bumps_fit(c, (0.0, c["ic_width"]), (c["psi_center"], c["psi_width"])),
+         "the initial bump on ±ic_width and psi on psi_center ± psi_width must each hold "
+         "a grid node"),
         (lambda c: abs(c["psi_center"]) < c["ic_width"] + c["psi_width"],
          "psi must overlap the initial bump: |psi_center| < ic_width + psi_width"),
         (lambda c: c["t_min"] < c["t_end"], "t_min must be below t_end"),
@@ -656,6 +697,8 @@ _RECIPES: dict[str, _Recipe] = {
         dt_init=1e-6,
     ), (
         _IC_INSIDE,
+        (lambda c: _bumps_fit(c, (0.0, c["ic_width"])),
+         "the initial bump on ±ic_width must hold a grid node"),
         (lambda c: max(c["windows"]) < c["t_end"], "windows must lie strictly inside (0, t_end)"),
         (lambda c: c["region_lo"] < c["region_hi"], "region_lo must be below region_hi"),
         (lambda c: _inside(c, c["region_lo"], c["region_hi"]),
@@ -673,6 +716,8 @@ _RECIPES: dict[str, _Recipe] = {
         dt_init=1e-6,
     ), (
         (lambda c: max(c["eps_list"]) <= c["extent"], "eps_list values must not exceed extent"),
+        (lambda c: _bumps_fit(c, *((0.0, eps) for eps in c["eps_list"])),
+         "every eps_list bump on ±eps must hold a grid node"),
     )),
     "subsolution_check": _Recipe(_run_subsolution_check, _schema(*_COUPLED, "t_start", "t_end",
         nodes=201,

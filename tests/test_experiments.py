@@ -13,21 +13,47 @@ from pathlib import Path
 import pytest
 
 from absorblab import ConfigError, ExperimentSpec, parse_config, run_experiment, sweep, write_records
-from absorblab import experiments
+from absorblab import cli, experiments
 from absorblab.experiments import _RECIPES, _SHARED, RECIPE_NAMES
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(args, cwd):
+def _cli_runner(cwd, call):
+    """`run(args, config=None)`: write `config`, if given, to cwd/exp.cfg, then run
+    the CLI on `args` from cwd through `call`."""
+    def run(args, config=None):
+        if config is not None:
+            (cwd / "exp.cfg").write_text(config)
+        return call(args)
+    return run
+
+
+@pytest.fixture
+def run_cli(tmp_path, monkeypatch, capsys):
+    """The CLI run in-process: `cli.main(args)`, which `python -m absorblab.cli`
+    runs, from tmp_path, with its exit code and output as a CompletedProcess.
+    An uncaught exception fails the test."""
+    monkeypatch.chdir(tmp_path)
+
+    def call(args):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return _cli_runner(tmp_path, call)
+
+
+@pytest.fixture
+def run_module(tmp_path):
+    """As `run_cli`, but through `python -m absorblab.cli` in a child interpreter."""
     # an absolute src path first, so the package resolves from any cwd
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, inherited])))
-    return subprocess.run(
+    return _cli_runner(tmp_path, lambda args: subprocess.run(
         [sys.executable, "-m", "absorblab.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    ))
 
 
 def strip_wall_time_csv(text):
@@ -60,7 +86,8 @@ BAD_LISTS = [
 GOOD_LISTS = [
     ("removability_sweep", "eps_list = 0.1, 0.05"),
     ("convergence_order", "dt_list = 0.01, 0.005"),
-    ("convergence_order", "node_list = 3, 101.0"),
+    # 4 nodes is the smallest grid with an interior node outside the default mask_radius
+    ("convergence_order", "node_list = 4, 101.0"),
     ("dichotomy_probe", "windows = 1e-3, 1e-4, 1e-5"),
     ("mean_value_check", "epsilons = 0.5"),
 ]
@@ -121,6 +148,26 @@ BAD_CONFIGS = [
     ("convergence_order", {"dt_list": [0.01, 0.01]}, "dt_list must hold >= 2 distinct values"),
     ("convergence_order", {"node_list": [101, 101]}, "node_list must hold >= 2 distinct integers"),
     ("removability_sweep", {"eps_list": [0.5, 0.5]}, "eps_list must hold >= 2 distinct values"),
+    # a bump whose support holds no grid node (h = 2/39 at nodes = 40, no node at 0):
+    # bump_function refused it in the runner
+    ("removability_sweep", {"nodes": 40, "eps_list": [0.2, 0.01]},
+     "every eps_list bump on ±eps must hold a grid node"),
+    ("trace_measurement", {"nodes": 41, "psi_center": 0.025, "psi_width": 0.02},
+     "and psi on psi_center ± psi_width must each hold a grid node"),
+    ("dichotomy_probe", {"nodes": 40, "ic_width": 0.02},
+     "the initial bump on ±ic_width must hold a grid node"),
+    ("trace_measurement", {"nodes": 40, "ic_width": 0.02},
+     "the initial bump on ±ic_width and psi"),
+    # the temporal probe evaluated the flat solution at t_ref - dt <= 0
+    ("convergence_order", {"t_ref": 0.01}, "dt_list values must be below t_ref"),
+    # a mask that keeps no interior node: a max over a zero-size array, on every
+    # grid at mask_radius = 1.5, and at the default 0.2 on a 3-node grid, whose one
+    # interior node is 0
+    ("convergence_order", {"mask_radius": 1.5}, "mask_radius must leave an interior node"),
+    ("convergence_order", {"node_list": [3, 101]}, "mask_radius must leave an interior node"),
+    # geomspace(1.02 t_start, t_end) falls: output times not strictly increasing
+    ("flat_validation", {"t_end": 0.102}, "t_end must exceed 1.02 t_start"),
+    ("blowup_fit", {"t_end": 0.1015}, "t_end must exceed 1.02 t_start"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -140,6 +187,17 @@ AT_THE_LIMIT = [
     ("dichotomy_probe", {"region_lo": 0.0, "region_hi": 0.05, "t_end": 0.01}),
     ("mean_value_check", {"center_x": 0.05, "rho": 0.5, "center_t": 0.35,
                           "epsilons": [0.1, 0.9], "n_snapshots": 120}),
+    # one node inside a bump, at nodes = 41 (h = 0.05): the node 0 for the centered
+    # bumps of width 0.01 and 0.02, and 0.05 for psi on 0.03 ± 0.021
+    ("removability_sweep", {"eps_list": [0.2, 0.01], "t_probe": 1e-3}),
+    ("dichotomy_probe", {"ic_width": 0.02, "t_end": 0.01}),
+    ("trace_measurement", {"ic_width": 0.02}),
+    ("trace_measurement", {"psi_center": 0.03, "psi_width": 0.021}),
+    # the largest dt just below t_ref, and a mask that keeps only x = ±0.98 on the
+    # coarsest grid of node_list (101, h = 0.02)
+    ("convergence_order", {"t_ref": 0.0101, "mask_radius": 0.98}),
+    ("flat_validation", {"t_end": 0.1021, "n_snapshots": 4}),
+    ("blowup_fit", {"t_end": 0.1021}),
 ]
 
 # every config that the defaults, the demos and perfbench run
@@ -511,56 +569,49 @@ class TestRecords:
 class TestCli:
     CONFIG = "experiment = flat_validation\np = 2\nq = 2\nnodes = 101\nn_snapshots = 4\nt_end = 0.2\n"
 
-    def test_run_success(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(self.CONFIG)
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    # the exit-0, exit-1 and exit-2 tests run `python -m absorblab.cli` in a child
+    # interpreter; the others call `cli.main` in-process
+    def test_run_success(self, tmp_path, run_module):
+        result = run_module(["run", "exp.cfg", "--out", str(tmp_path / "out")], self.CONFIG)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "record.csv").exists()
 
-    def test_config_error_exit_one(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("experiment = frobnicate\n")
-        result = run_cli(["run", str(cfg)], tmp_path)
+    def test_config_error_exit_one(self, run_module):
+        result = run_module(["run", "exp.cfg"], "experiment = frobnicate\n")
         assert result.returncode == 1
         assert "frobnicate" in result.stderr
 
-    def test_recipe_config_error_exit_one(self, tmp_path):
-        cfg = tmp_path / "sublinear.cfg"
-        cfg.write_text("experiment = convergence_order\np = 0.5\nq = 1\n")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_recipe_config_error_exit_one(self, tmp_path, run_cli):
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         "experiment = convergence_order\np = 0.5\nq = 1\n")
         assert result.returncode == 1
         assert "pq > 1" in result.stderr
 
-    def test_subsolution_order_error_exit_one(self, tmp_path):
-        cfg = tmp_path / "equal.cfg"
-        cfg.write_text("experiment = subsolution_check\np = 2\nq = 2\n")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_subsolution_order_error_exit_one(self, tmp_path, run_cli):
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         "experiment = subsolution_check\np = 2\nq = 2\n")
         assert result.returncode == 1
         assert "q > p > 1" in result.stderr
 
-    def test_deleted_key_exit_one(self, tmp_path):
-        cfg = tmp_path / "removability.cfg"
-        cfg.write_text("experiment = removability_sweep\np = 2\nq = 3\nt_end = 0.1\n")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_deleted_key_exit_one(self, tmp_path, run_cli):
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         "experiment = removability_sweep\np = 2\nq = 3\nt_end = 0.1\n")
         assert result.returncode == 1
         assert "unknown key 't_end'" in result.stderr
 
     @pytest.mark.parametrize("index", [0, 9, 15, 17, 24, 30])
-    def test_bad_config_exit_one(self, tmp_path, index):
+    def test_bad_config_exit_one(self, tmp_path, run_cli, index):
         name, extra, message = BAD_CONFIGS[index]
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text_of(name, with_pair(name, extra)))
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         text_of(name, with_pair(name, extra)))
         assert result.returncode == 1
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("recipe, line", BAD_LISTS[:5])
-    def test_bad_list_exit_one(self, tmp_path, recipe, line):
-        cfg = tmp_path / "list.cfg"
-        cfg.write_text(config_text(recipe, line))
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_bad_list_exit_one(self, tmp_path, run_cli, recipe, line):
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         config_text(recipe, line))
         assert result.returncode == 1
         assert f"{line.split(' =')[0]} must" in result.stderr
         assert "Traceback" not in result.stderr
@@ -569,68 +620,64 @@ class TestCli:
         ("run", CONFIG),  # fails creating --out before the trajectory CSV
         ("sweep", "experiment = convergence_order\np = 2\nq = 2\n"),  # fails in write_records
     ], ids=["run", "sweep"])
-    def test_unwritable_out_exit_one(self, tmp_path, command, text):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(text)
+    def test_unwritable_out_exit_one(self, tmp_path, run_cli, command, text):
         taken = tmp_path / "taken"
         taken.write_text("")
-        result = run_cli([command, str(cfg), "--out", str(taken)], tmp_path)
+        result = run_cli([command, "exp.cfg", "--out", str(taken)], text)
         assert result.returncode == 1
         assert "error: cannot write outputs" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_missing_file_exit_one(self, tmp_path):
-        result = run_cli(["run", str(tmp_path / "nope.cfg")], tmp_path)
+    def test_missing_file_exit_one(self, tmp_path, run_cli):
+        result = run_cli(["run", str(tmp_path / "nope.cfg")])
         assert result.returncode == 1
 
-    def test_numerical_failure_exit_two(self, tmp_path):
-        cfg = tmp_path / "stiff.cfg"
-        cfg.write_text(
-            "experiment = flat_validation\np = 2\nq = 3\n"
-            "dt_init = 1e-4\ndt_min = 9e-5\ntol_step = 1e-18\n"
-        )
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_undecodable_file_exit_one(self, tmp_path, run_cli):
+        # read_text raised an uncaught UnicodeDecodeError, a ValueError and not an OSError
+        (tmp_path / "exp.cfg").write_bytes(b"experiment = flat_validation\n\xff\n")
+        result = run_cli(["run", "exp.cfg"])
+        assert result.returncode == 1
+        assert "error: cannot read config: 'utf-8' codec can't decode" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_numerical_failure_exit_two(self, tmp_path, run_module):
+        result = run_module(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                            "experiment = flat_validation\np = 2\nq = 3\n"
+                            "dt_init = 1e-4\ndt_min = 9e-5\ntol_step = 1e-18\n")
         assert result.returncode == 2
 
-    def test_arithmetic_overflow_exit_two(self, tmp_path):
-        cfg = tmp_path / "near_pq_one.cfg"
-        cfg.write_text("experiment = flat_validation\np = 1.0001\nq = 1\nnodes = 41\n")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_arithmetic_overflow_exit_two(self, tmp_path, run_cli):
+        result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
+                         "experiment = flat_validation\np = 1.0001\nq = 1\nnodes = 41\n")
         assert result.returncode == 2
         assert "numerical failure: OverflowError" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_sweep_and_json_format(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "experiment = estimate_saturation\np = 2\nq = 2\nnodes = 51\n"
-            "n_snapshots = 4\nsweep.m = 10, 100\n"
-        )
+    def test_sweep_and_json_format(self, tmp_path, run_cli):
         out = tmp_path / "out"
-        result = run_cli(["sweep", str(cfg), "--out", str(out), "--format", "json"], tmp_path)
+        result = run_cli(["sweep", "exp.cfg", "--out", str(out), "--format", "json"],
+                         "experiment = estimate_saturation\np = 2\nq = 2\nnodes = 51\n"
+                         "n_snapshots = 4\nsweep.m = 10, 100\n")
         assert result.returncode == 0, result.stderr
         data = json.loads((out / "record.json").read_text())
         assert len(data) == 2
 
-    def test_sweep_checks_each_value_at_its_point(self, tmp_path):
+    def test_sweep_checks_each_value_at_its_point(self, tmp_path, run_cli):
         # theta = 0.4 fails its own point; it used to abort the sweep at parse time
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.CONFIG + "sweep.theta = 1.0, 0.4\n")
         out = tmp_path / "out"
-        result = run_cli(["sweep", str(cfg), "--out", str(out), "--format", "json"], tmp_path)
+        result = run_cli(["sweep", "exp.cfg", "--out", str(out), "--format", "json"],
+                         self.CONFIG + "sweep.theta = 1.0, 0.4\n")
         assert result.returncode == 0, result.stderr
         first, second = json.loads((out / "record.json").read_text())
         assert not first["failed"]
         assert second["failed"]
         assert second["error"] == "ConfigError: key 'theta': theta must lie in [0.5, 1]"
 
-    def test_seed_override(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(self.CONFIG + "seed = 4\n")
+    def test_seed_override(self, tmp_path, run_cli):
         out = tmp_path / "out"
         result = run_cli(
-            ["run", str(cfg), "--out", str(out), "--seed", "9", "--format", "json"],
-            tmp_path,
+            ["run", "exp.cfg", "--out", str(out), "--seed", "9", "--format", "json"],
+            self.CONFIG + "seed = 4\n",
         )
         assert result.returncode == 0, result.stderr
         data = json.loads((out / "record.json").read_text())
