@@ -168,6 +168,14 @@ BAD_CONFIGS = [
     # geomspace(1.02 t_start, t_end) falls: output times not strictly increasing
     ("flat_validation", {"t_end": 0.102}, "t_end must exceed 1.02 t_start"),
     ("blowup_fit", {"t_end": 0.1015}, "t_end must exceed 1.02 t_start"),
+    # a mask that keeps the node x = 0 of an odd grid, or a neighbour whose stencil
+    # reads its floored profile: status ok with residuals of 3.6e49 and order 8e-15,
+    # 1.5e28 on every grid and order -2.0, and 1.5e28 on the 101-node grid and order 34.5
+    ("convergence_order", {"mask_radius": 1e-10}, "keep x = 0 and its neighbours out"),
+    ("convergence_order", {"mask_radius": 0.004}, "keep x = 0 and its neighbours out"),
+    ("convergence_order", {"mask_radius": 0.02}, "keep x = 0 and its neighbours out"),
+    # the flat solution exists only for pq > 1: a ValueError in the runner, exit 2
+    ("flat_validation", {"q": 0.25}, "this recipe requires pq > 1"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -196,6 +204,8 @@ AT_THE_LIMIT = [
     # the largest dt just below t_ref, and a mask that keeps only x = ±0.98 on the
     # coarsest grid of node_list (101, h = 0.02)
     ("convergence_order", {"t_ref": 0.0101, "mask_radius": 0.98}),
+    # the mask just past the neighbours of x = 0 on the coarsest grid (h = 0.02)
+    ("convergence_order", {"mask_radius": 0.0201}),
     ("flat_validation", {"t_end": 0.1021, "n_snapshots": 4}),
     ("blowup_fit", {"t_end": 0.1021}),
 ]
