@@ -46,7 +46,6 @@ from .discretization import (
     build_grid,
     bump_function,
     integrate_field,
-    laplacian_apply,
     trapezoid_weights,
     unit_sphere_area,
 )

@@ -25,7 +25,6 @@ __all__ = [
     "Field",
     "build_grid",
     "LaplacianBands",
-    "laplacian_apply",
     "trapezoid_weights",
     "integrate_field",
     "bump_function",
@@ -174,14 +173,6 @@ class LaplacianBands:
         out[..., :-1] += self.sup[:-1] * w[..., 1:]
         out[..., 1:] += self.sub[1:] * w[..., :-1]
         return out
-
-
-def laplacian_apply(field: Field, bc: BoundaryCondition) -> Field:
-    """Discrete Laplacian of a field: the solver's bands applied to its values.
-
-    Rows follow `LaplacianBands`; in particular Dirichlet wall rows are 0.
-    """
-    return Field(field.grid, LaplacianBands(field.grid, bc).apply(field.values))
 
 
 def integrate_field(field: Field, weight: Field | None = None) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .closed_forms import PowerPair
-from .discretization import BoundaryCondition, Field, Grid, LaplacianBands, laplacian_apply
+from .discretization import BoundaryCondition, Field, Grid, LaplacianBands
 
 __all__ = [
     "SolverConfig",
@@ -157,6 +157,11 @@ _Absorption = tuple[tuple[int, float], ...]
 _ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
 
+def _coupled(pair: PowerPair) -> _Absorption:
+    """The coupled system's absorption: u by v**p, v by u**q."""
+    return ((1, pair.p), (0, pair.q))
+
+
 def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption) -> np.ndarray:
     """Diffusion, then halves / (1 + dt * rate / max(halves, floor)), computed in rate."""
     halves = op.step(w, dt)
@@ -256,7 +261,7 @@ def solve(
     output_times: Sequence[float],
 ) -> Trajectory:
     """Integrate the coupled system with exponents `pair` from nonnegative initial fields."""
-    return _integrate([ic_u, ic_v], config, output_times, ((1, pair.p), (0, pair.q)))
+    return _integrate([ic_u, ic_v], config, output_times, _coupled(pair))
 
 
 def heat_solve(ic: Field, config: SolverConfig, output_times: Sequence[float]) -> Trajectory:
@@ -274,31 +279,34 @@ def scalar_solve(
 
 
 def residual_of(
-    u_of_t: Callable[[float], Field],
-    v_of_t: Callable[[float], Field],
+    state_of_t: Callable[[float], np.ndarray],
+    grid: Grid,
     pair: PowerPair,
     bc: BoundaryCondition,
     t: float,
     dt_probe: float,
-) -> tuple[Field, Field]:
-    """Discrete residuals of the system on a pair of time-dependent fields.
+) -> np.ndarray:
+    """Discrete residual of the system on a time-dependent (2, n) state.
 
-    r_u = (u(t+dt) - u(t-dt)) / (2 dt) - Lap(u(t)) + v(t)**p and the
-    symmetric r_v, each on the grid of its probed field.  Used to verify
-    exact solutions against the discrete operator: Lap is `laplacian_apply`,
-    the bands the solver steps with.  Zero-flux wall rows use the mirrored
-    ghost; Dirichlet wall rows of Lap are zero, because the solver pins
-    those nodes.  Exclude boundary nodes when the probed fields do not
-    satisfy the condition of `bc`.
+    Row i is (w_i(t+dt) - w_i(t-dt)) / (2 dt) - L w_i(t) + w_s(t)**power,
+    with (s, power) the row's absorption as `solve` steps it: r_u carries
+    v**p, r_v carries u**q.  Used to verify exact solutions against the
+    discrete operator: L is `LaplacianBands(grid, bc)`, the bands the solver
+    steps with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall
+    rows of L are zero, because the solver pins those nodes.  Exclude
+    boundary nodes when the probed state does not satisfy the condition of
+    `bc`.
     """
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
-    u0, v0 = u_of_t(t), v_of_t(t)
-    du = (u_of_t(t + dt_probe).values - u_of_t(t - dt_probe).values) / (2.0 * dt_probe)
-    dv = (v_of_t(t + dt_probe).values - v_of_t(t - dt_probe).values) / (2.0 * dt_probe)
-    r_u = du - laplacian_apply(u0, bc).values + v0.values**pair.p
-    r_v = dv - laplacian_apply(v0, bc).values + u0.values**pair.q
-    return Field(u0.grid, r_u), Field(v0.grid, r_v)
+    w = state_of_t(t)
+    if w.shape != (2, grid.nodes):
+        raise ValueError(f"state of shape {w.shape} is not (2, {grid.nodes})")
+    r = (state_of_t(t + dt_probe) - state_of_t(t - dt_probe)) / (2.0 * dt_probe)
+    r -= LaplacianBands(grid, bc).apply(w)
+    for row, (source, power) in enumerate(_coupled(pair)):
+        r[row] += w[source] ** power
+    return r
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -351,9 +351,9 @@ def _solver_config(params: dict, t_start: float) -> SolverConfig:
     )
 
 
-def _flat_fields(grid: Grid, pair, t: float) -> tuple[Field, Field]:
-    u, v = cf.eval_flat(pair, t)
-    return Field(grid, np.full(grid.nodes, u)), Field(grid, np.full(grid.nodes, v))
+def _flat_state(grid: Grid, pair, t: float) -> np.ndarray:
+    """The flat solution at t as a (2, n) state."""
+    return np.full((2, grid.nodes), np.array(cf.eval_flat(pair, t))[:, None])
 
 
 def _flat_times(params: dict) -> np.ndarray:
@@ -365,7 +365,7 @@ def _flat_times(params: dict) -> np.ndarray:
 def _flat_tracked(pair, grid: Grid, params: dict, times) -> Trajectory:
     """The coupled solve from the flat solution at t_start to the output times."""
     t0 = params["t_start"]
-    ic_u, ic_v = _flat_fields(grid, pair, t0)
+    ic_u, ic_v = (Field(grid, row) for row in _flat_state(grid, pair, t0))
     return solve(ic_u, ic_v, pair, _solver_config(params, t0), times)
 
 
@@ -410,29 +410,19 @@ def _fit_slope(xs, errs) -> float:
 
 def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     bc = _bc(params)
-    flat_u = lambda t: _flat_fields(grid, pair, t)[0]
-    flat_v = lambda t: _flat_fields(grid, pair, t)[1]
     dt_list = params["dt_list"]
-    temporal_errs = []
-    for dt in dt_list:
-        r_u, r_v = residual_of(flat_u, flat_v, pair, bc, params["t_ref"], dt)
-        temporal_errs.append(
-            max(float(np.max(np.abs(r_u.values))), float(np.max(np.abs(r_v.values))))
-        )
+    flat = lambda t: _flat_state(grid, pair, t)
+    temporal_errs = [float(np.abs(residual_of(flat, grid, pair, bc, params["t_ref"], dt)).max())
+                     for dt in dt_list]
     temporal_order = _fit_slope(dt_list, temporal_errs)
 
     ell = cf.elliptic_constants(pair, 1)
     grids = _spatial_grids(params)
     hs, spatial_errs = [], []
     for g in grids:
-        u_vals, v_vals = cf.eval_elliptic(pair, ell, g.coords)
-        fu = Field(g, u_vals)
-        fv = Field(g, v_vals)
-        r_u, r_v = residual_of(lambda t: fu, lambda t: fv, pair, bc, 1.0, 1e-3)
-        far = _far_interior(g, params["mask_radius"])
-        spatial_errs.append(
-            max(float(np.max(np.abs(r_u.values[far]))), float(np.max(np.abs(r_v.values[far]))))
-        )
+        w = np.stack(cf.eval_elliptic(pair, ell, g.coords))
+        r = residual_of(lambda t: w, g, pair, bc, 1.0, 1e-3)
+        spatial_errs.append(float(np.abs(r[:, _far_interior(g, params["mask_radius"])]).max()))
         hs.append(g.h)
     spatial_order = _fit_slope(hs, spatial_errs)
 

@@ -264,3 +264,13 @@ class TestWellposedness:
         # p/lam - 1/theta small but existence already fails
         verdict = wellposedness(derive_exponents(2, 2), 3, 1.0, 1.0)
         assert not verdict.uniqueness
+
+
+@pytest.mark.parametrize("call", [
+    lambda: elliptic_constants(derive_exponents(2, 2), 0),
+    lambda: classify_regime(derive_exponents(2, 2), 0),
+    lambda: wellposedness(derive_exponents(2, 2), 0, 1.0, 1.0),
+], ids=["elliptic_constants", "classify_regime", "wellposedness"])
+def test_dimension_below_one_raises(call):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        call()

@@ -388,6 +388,50 @@ class TestMeanValue:
             mean_value_check(traj, 1.0, (0.0, 0.35), 0.5, [1.5])
 
 
+def _ones_trajectory(times=(0.1, 0.2, 0.3), kind=DomainKind.INTERVAL):
+    g = build_grid(SpatialDomain(kind, 1.0, 1), 11)
+    return synthetic_trajectory(g, times, lambda t: np.ones(11), lambda t: np.ones(11))
+
+
+def _cylinder_of_ones(power=1.0, region=(-0.5, 0.5), t_window=(0.1, 0.3)):
+    return cylinder_integral(_ones_trajectory(), power, 0, region, t_window)
+
+
+# on the 11-node interval (h = 0.2) every check below fails before any arithmetic
+INPUT_CHECKS = {
+    "fit-empty-window": (lambda: fit_power_law([(0.1, 1.0)], (0.2, 0.1)), "empty fit window"),
+    "trace-psi-other-grid": (lambda: trace_functional(_ones_trajectory(),
+                                                      Field(interval_grid(21), np.zeros(21))),
+                             "different grid"),
+    "empty-region": (lambda: _cylinder_of_ones(region=(0.5, -0.5)), "empty region"),
+    "one-node-region": (lambda: _cylinder_of_ones(region=(-0.1, 0.1)), "fewer than 2 grid nodes"),
+    "empty-time-window": (lambda: _cylinder_of_ones(t_window=(0.3, 0.1)), "empty time window"),
+    "cylinder-power-zero": (lambda: _cylinder_of_ones(power=0.0), "power must be positive"),
+    "cylinder-power-negative": (lambda: _cylinder_of_ones(power=-1.0), "power must be positive"),
+    "monitor-pq-below-one": (lambda: check_upper_estimate(_ones_trajectory(),
+                                                          derive_exponents(0.5, 0.5), 0.1),
+                             "requires pq > 1"),
+    "subsolution-two-snapshots": (lambda: check_f_subsolution(_ones_trajectory((0.1, 0.2)),
+                                                              derive_exponents(2, 3)),
+                                  "at least 3 snapshots"),
+    "mean-value-s-zero": (lambda: mean_value_check(_ones_trajectory(), 0.0, (0.0, 0.3), 0.2, [0.1]),
+                          "averaging power must be positive"),
+    "mean-value-rho-zero": (lambda: mean_value_check(_ones_trajectory(), 1.0, (0.0, 0.3), 0.0,
+                                                     [0.1]),
+                            "cylinder radius must be positive"),
+    "mean-value-radial-off-origin": (
+        lambda: mean_value_check(_ones_trajectory(kind=DomainKind.RADIAL_BALL), 1.0, (0.4, 0.3),
+                                 0.2, [0.1]),
+        "centered at the origin"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # Per-snapshot versions of four diagnostics, as written before they reduced the
 # stacked (T, k, n) array in one pass; the stacked versions must equal them bit
 # for bit.  Validation is left out: only the arithmetic is compared.

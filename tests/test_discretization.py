@@ -9,11 +9,11 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
+    LaplacianBands,
     SpatialDomain,
     build_grid,
     bump_function,
     integrate_field,
-    laplacian_apply,
     unit_sphere_area,
 )
 
@@ -58,22 +58,22 @@ class TestBuildGrid:
 class TestLaplacian:
     def test_constant_neumann_is_exactly_zero(self):
         g = interval_grid(101)
-        lap = laplacian_apply(Field(g, np.full(101, 3.7)), NEU)
-        assert np.all(lap.values == 0.0)
+        lap = LaplacianBands(g, NEU).apply(np.full(101, 3.7))
+        assert np.all(lap == 0.0)
 
     def test_quadratic_interior(self):
         g = interval_grid(101)
-        lap = laplacian_apply(Field(g, g.coords**2), NEU)
-        assert np.allclose(lap.values[1:-1], 2.0, atol=1e-8)
+        lap = LaplacianBands(g, NEU).apply(g.coords**2)
+        assert np.allclose(lap[1:-1], 2.0, atol=1e-8)
 
     def test_sine_eigenfunction_convergence(self):
         errors, hs = [], []
         for nodes in (101, 201, 401):
             g = interval_grid(nodes)
             w = np.sin(np.pi * g.coords)
-            lap = laplacian_apply(Field(g, w), DIR)
+            lap = LaplacianBands(g, DIR).apply(w)
             exact = -np.pi**2 * w
-            errors.append(np.max(np.abs(lap.values[1:-1] - exact[1:-1])))
+            errors.append(np.max(np.abs(lap[1:-1] - exact[1:-1])))
             hs.append(g.h)
         slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
         assert slope == pytest.approx(2.0, abs=0.1)
@@ -85,8 +85,8 @@ class TestLaplacian:
             x = g.coords
             w = np.exp(np.sin(3 * x))
             exact = (9 * np.cos(3 * x) ** 2 - 9 * np.sin(3 * x)) * w
-            lap = laplacian_apply(Field(g, w), NEU)
-            errors.append(np.max(np.abs(lap.values[1:-1] - exact[1:-1])))
+            lap = LaplacianBands(g, NEU).apply(w)
+            errors.append(np.max(np.abs(lap[1:-1] - exact[1:-1])))
             hs.append(g.h)
         slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
         assert slope == pytest.approx(2.0, abs=0.2)
@@ -94,8 +94,8 @@ class TestLaplacian:
     @pytest.mark.parametrize("dim_n", [1, 2, 3, 5])
     def test_radial_origin_regularity(self, dim_n):
         g = radial_grid(51, dim_n)
-        lap = laplacian_apply(Field(g, g.coords**2), NEU)
-        assert lap.values[0] == 2.0 * dim_n
+        lap = LaplacianBands(g, NEU).apply(g.coords**2)
+        assert lap[0] == 2.0 * dim_n
 
     def test_radial_convergence_dim_three(self):
         c = np.pi / 2
@@ -104,11 +104,11 @@ class TestLaplacian:
             g = radial_grid(nodes, 3)
             r = g.coords
             w = np.cos(c * r)
-            lap = laplacian_apply(Field(g, w), NEU)
+            lap = LaplacianBands(g, NEU).apply(w)
             exact = -(c**2) * np.cos(c * r)
             exact[1:] -= 2.0 / r[1:] * c * np.sin(c * r[1:])
             exact[0] = -3.0 * c**2
-            errors.append(np.max(np.abs(lap.values[:-1] - exact[:-1])))
+            errors.append(np.max(np.abs(lap[:-1] - exact[:-1])))
             hs.append(g.h)
         slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
         assert slope == pytest.approx(2.0, abs=0.2)
@@ -119,7 +119,7 @@ class TestLaplacian:
         g = interval_grid(257)
         for _ in range(10):
             w = rng.normal(size=257)
-            total = integrate_field(laplacian_apply(Field(g, w), NEU))
+            total = integrate_field(Field(g, LaplacianBands(g, NEU).apply(w)))
             assert abs(total) <= 1e-10 * np.max(np.abs(w))
 
 

@@ -12,6 +12,7 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
+    LaplacianBands,
     SolverConfig,
     SpatialDomain,
     StepSizeUnderflow,
@@ -22,7 +23,6 @@ from absorblab import (
     flat_constants,
     heat_solve,
     integrate_field,
-    laplacian_apply,
     residual_of,
     scalar_profile,
     scalar_solve,
@@ -35,6 +35,7 @@ from absorblab.evolution import (
     _FACTOR_CACHE_SIZE,
     StepRecord,
     Trajectory,
+    _coupled,
     _Diffusion,
     _advance,
     _error,
@@ -59,7 +60,7 @@ def heat_kernel(x, t):
 def one_step(u, v, pair, dt=1e-3):
     """One coupled step as `solve` takes it: implicit diffusion, then absorption."""
     w = np.stack([u.values, v.values])
-    return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), ((1, pair.p), (0, pair.q)))
+    return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), _coupled(pair))
 
 
 class TestOneStep:
@@ -72,9 +73,8 @@ class TestOneStep:
         out = one_step(u0, zero, pair, dt)
         # independent reference: dense solve of (I - dt L) x = u0
         basis = np.eye(101)
-        lap_cols = np.column_stack(
-            [laplacian_apply(Field(g, basis[:, j]), NEU).values for j in range(101)]
-        )
+        bands = LaplacianBands(g, NEU)
+        lap_cols = np.column_stack([bands.apply(basis[:, j]) for j in range(101)])
         x = np.linalg.solve(np.eye(101) - dt * lap_cols, u0.values)
         assert np.allclose(out[0], x, atol=1e-11)
         assert np.all(out[1] == 0.0)
@@ -285,26 +285,30 @@ class TestResidualOf:
     def test_zero_fields_give_zero_residual(self):
         g = interval_grid(101)
         pair = derive_exponents(2, 2)
-        zero = Field(g, np.zeros(101))
-        r_u, r_v = residual_of(lambda t: zero, lambda t: zero, pair, NEU, 1.0, 1e-3)
-        assert r_u.grid is g and r_v.grid is g
-        assert np.all(r_u.values == 0.0)
-        assert np.all(r_v.values == 0.0)
+        zero = np.zeros((2, 101))
+        r = residual_of(lambda t: zero, g, pair, NEU, 1.0, 1e-3)
+        assert r.shape == (2, 101)
+        assert np.all(r == 0.0)
+
+    def test_rows_absorb_as_solve_couples_them(self):
+        # a steady constant state under zero flux: L w = 0, so r_u = v**p and r_v = u**q
+        g = interval_grid(11)
+        state = np.stack([np.full(11, 2.0), np.full(11, 3.0)])
+        r = residual_of(lambda t: state, g, derive_exponents(2, 3), NEU, 1.0, 1e-3)
+        assert np.all(r[0] == 9.0)
+        assert np.all(r[1] == 8.0)
 
     def test_flat_solution_temporal_order_two(self):
         g = interval_grid(51)
         pair = derive_exponents(2, 2)
 
-        def u_of(t):
-            return Field(g, np.full(51, eval_flat(pair, t)[0]))
-
-        def v_of(t):
-            return Field(g, np.full(51, eval_flat(pair, t)[1]))
+        def state_of(t):
+            return np.full((2, 51), np.array(eval_flat(pair, t))[:, None])
 
         errs, dts = [], [1e-2, 5e-3, 2.5e-3]
         for dt in dts:
-            r_u, _ = residual_of(u_of, v_of, pair, NEU, 1.0, dt)
-            errs.append(np.max(np.abs(r_u.values)))
+            r = residual_of(state_of, g, pair, NEU, 1.0, dt)
+            errs.append(np.max(np.abs(r[0])))
         slope, _ = np.polyfit(np.log(dts), np.log(errs), 1)
         assert slope == pytest.approx(2.0, abs=0.2)
 
@@ -361,14 +365,16 @@ DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1
 
 
 class TestSharedOperator:
-    """The probe operator `laplacian_apply` is the operator the solver steps with."""
+    """The probe `residual_of` applies the operator the solver steps with."""
 
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_probe_equals_solver_bands(self, kind, dim_n, bc):
+        # a steady state (w, 0): row 0 of the residual is -L w plus 0**p
         g = grid_of(kind, dim_n, nodes=41)
         w = smooth_positive(g)
-        probe = laplacian_apply(Field(g, w), bc).values
+        state = np.stack([w, np.zeros_like(w)])
+        probe = -residual_of(lambda t: state, g, derive_exponents(2, 3), bc, 1.0, 1e-3)[0]
         assert np.array_equal(probe, _Diffusion(g, bc, 1.0).apply(w))
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -379,9 +385,8 @@ class TestSharedOperator:
         n, dt = g.nodes, 1e-3
         w = smooth_positive(g)
         basis = np.eye(n)
-        lap = np.column_stack(
-            [laplacian_apply(Field(g, basis[:, j]), bc).values for j in range(n)]
-        )
+        bands = LaplacianBands(g, bc)
+        lap = np.column_stack([bands.apply(basis[:, j]) for j in range(n)])
         wall = np.zeros(n, dtype=bool)
         if bc is DIR:
             wall[-1] = True
@@ -413,7 +418,7 @@ class TestSharedOperator:
         g = grid_of(kind, dim_n, nodes=41)
         pair = derive_exponents(2, 3)
         op = _Diffusion(g, bc, theta)
-        absorption = ((1, pair.p), (0, pair.q))
+        absorption = _coupled(pair)
         w = two_rows(g)
         ref = list(w)
         for dt in DT_SEQUENCE:
@@ -690,6 +695,38 @@ def test_non_finite_output_time_rejected(t_out):
     ic = Field(interval_grid(11), np.ones(11))
     with pytest.raises(ValueError, match="output times must be finite"):
         heat_solve(ic, config(), [t_out])
+
+
+def _unit_field():
+    return Field(interval_grid(11), np.ones(11))
+
+
+def _probe(shape, dt_probe):
+    return residual_of(lambda t: np.ones(shape), interval_grid(11), derive_exponents(2, 2),
+                       NEU, 1.0, dt_probe)
+
+
+INPUT_CHECKS = {
+    "no-output-times": (lambda: heat_solve(_unit_field(), config(), []),
+                        "need at least one output time"),
+    "falling-output-times": (lambda: solve(_unit_field(), _unit_field(), derive_exponents(2, 2),
+                                           config(), [0.2, 0.1]),
+                             "strictly increasing"),
+    "scalar-q-zero": (lambda: scalar_solve(_unit_field(), 0.0, config(), [0.1]),
+                      "Q must be positive"),
+    "scalar-q-negative": (lambda: scalar_solve(_unit_field(), -1.0, config(), [0.1]),
+                          "Q must be positive"),
+    "dt-probe-zero": (lambda: _probe((2, 11), 0.0), "dt_probe must be positive"),
+    "dt-probe-negative": (lambda: _probe((2, 11), -1e-3), "dt_probe must be positive"),
+    "probe-one-row": (lambda: _probe((1, 11), 1e-3), r"not \(2, 11\)"),
+    "probe-other-grid": (lambda: _probe((2, 12), 1e-3), r"not \(2, 11\)"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_solver_config_holds_only_what_every_solve_reads():

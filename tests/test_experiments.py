@@ -92,6 +92,18 @@ GOOD_LISTS = [
     ("mean_value_check", "epsilons = 0.5"),
 ]
 
+# text the parser or its value check rejects, each with its message
+BAD_TEXT = [
+    ("experiment = flat_validation\np 2\n", "line 2: expected 'key = value'"),
+    ("experiment = flat_validation\n= 2\n", "line 2: empty key"),
+    ("p = 2\nq = 2\n", "missing required key 'experiment'"),
+    ("experiment = flat_validation\np = 2\nq = 2\nt_end = soon\n",
+     "line 4: key 't_end': expected a number"),
+    ("experiment = flat_validation\np = 2\nq = 2\nbc = 3\n", "line 4: key 'bc': expected a name"),
+    ("experiment = convergence_order\np = 2\nq = 2\ndt_list = small, smaller\n",
+     "line 4: key 'dt_list': expected a comma-separated list of numbers"),
+]
+
 
 def config_text(recipe, *lines):
     pair = ["p = 2", "q = 2"] if "p" in _RECIPES[recipe].schema else []
@@ -310,6 +322,11 @@ class TestParseConfig:
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("experiment = flat_validation\np = 2\nq = 2\nseed = 1.5\n")
+
+    @pytest.mark.parametrize("text, message", BAD_TEXT)
+    def test_bad_text_is_config_error(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
     @pytest.mark.parametrize("recipe, line", BAD_LISTS)
     def test_bad_list_rejected_at_parse_time(self, recipe, line):
@@ -547,6 +564,14 @@ class TestRecords:
             header, *rows = csv.reader(fh)
         assert [len(row) for row in rows] == [len(header)] * 2
         assert rows[1][header.index("error")] == records[1].error
+
+    def test_list_cell_joins_reprs_with_semicolons(self, tmp_path):
+        record = run_experiment(ExperimentSpec("convergence_order", {"p": 2, "q": 2}))
+        path = write_records([record], tmp_path, fmt="csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, row = csv.reader(fh)
+        assert row[header.index("out.dt_list")] == "0.01;0.005;0.0025"
+        assert row[header.index("param.node_list")] == "101;201;401"
 
     def test_json_round_trip(self, tmp_path):
         record = run_experiment(

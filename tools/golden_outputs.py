@@ -38,7 +38,7 @@ VARIANT = {"bc": "dirichlet_zero", "theta": 0.5}
 
 
 def cases() -> list[tuple[str, str, dict]]:
-    """(case name, recipe, parameters); 24 cases."""
+    """(case name, recipe, parameters); 25 cases."""
     out = []
     for name in RECIPE_NAMES:
         if name == "mean_value_check":  # no (p, q): one run at its defaults
@@ -50,6 +50,9 @@ def cases() -> list[tuple[str, str, dict]]:
         for p, q in PAIRS:
             out.append((f"{name}-p{p}q{q}-dirichlet-cn", name, {"p": p, "q": q, **VARIANT}))
     out.append(("mean_value_check-dirichlet-cn", "mean_value_check", dict(VARIANT)))
+    # convergence_order rejects theta, so its Dirichlet case carries bc alone
+    out.append(("convergence_order-p2q3-dirichlet", "convergence_order",
+                {"p": 2, "q": 3, "bc": "dirichlet_zero"}))
     for m in (10.0, 1e4):
         out.append((f"estimate_saturation-p2q3-m{m:g}", "estimate_saturation",
                     {"p": 2, "q": 3, "m": m}))
