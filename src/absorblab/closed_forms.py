@@ -11,6 +11,7 @@ solver tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,10 +100,20 @@ def derive_exponents(p: float, q: float) -> PowerPair:
     return PowerPair(p, q)
 
 
-def _positive_root(rhs: float, exponent: float) -> float:
-    # x = rhs**(1/exponent) via exp(log(rhs)/exponent); robust for
-    # large/small intermediate magnitudes.
-    return math.exp(math.log(rhs) / exponent)
+def _positive_root(coef: float, base: float, power: float, exponent: float) -> float:
+    """The positive x with x**exponent = coef * base**power, all four positive.
+
+    x = exp(log(rhs) / exponent).  When rhs = coef * base**power is not a
+    positive normal float (base**power underflows at a large power) its
+    logarithm is taken as log(coef) + power * log(base) instead; a normal
+    rhs keeps the direct product, and with it every bit of x.
+    """
+    rhs = coef * base**power
+    if sys.float_info.min <= rhs < math.inf:
+        log_rhs = math.log(rhs)
+    else:
+        log_rhs = math.log(coef) + power * math.log(base)
+    return math.exp(log_rhs / exponent)
 
 
 def flat_constants(pair: PowerPair) -> FlatSolutionConstants:
@@ -115,8 +126,8 @@ def flat_constants(pair: PowerPair) -> FlatSolutionConstants:
     if not pair.superlinear:
         raise ValueError("flat solution requires pq > 1")
     a, b = pair.a, pair.b
-    a_star = _positive_root(a * b**pair.p, pair.p * pair.q - 1.0)
-    b_star = _positive_root(b * a**pair.q, pair.p * pair.q - 1.0)
+    a_star = _positive_root(a, b, pair.p, pair.p * pair.q - 1.0)
+    b_star = _positive_root(b, a, pair.q, pair.p * pair.q - 1.0)
     return FlatSolutionConstants(a_star, b_star)
 
 
@@ -150,8 +161,8 @@ def elliptic_constants(pair: PowerPair, dim_n: int) -> EllipticSolutionConstants
     lap_u = two_a * (two_a + 2.0 - dim_n)
     lap_v = two_b * (two_b + 2.0 - dim_n)
     exponent = pair.p * pair.q - 1.0
-    a_sub = _positive_root(lap_u * lap_v**pair.p, exponent)
-    b_sub = _positive_root(lap_v * lap_u**pair.q, exponent)
+    a_sub = _positive_root(lap_u, lap_v, pair.p, exponent)
+    b_sub = _positive_root(lap_v, lap_u, pair.q, exponent)
     return EllipticSolutionConstants(a_sub, b_sub, dim_n)
 
 

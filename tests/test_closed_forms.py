@@ -184,6 +184,51 @@ class TestEllipticConstants:
         assert u[0] == pytest.approx(6.0 / 0.25, rel=1e-12)
 
 
+class TestLargeExponentConstants:
+    """b**p underflows at large p; the amplitudes come from logarithms there."""
+
+    @pytest.mark.parametrize("p", [200.0, 300.0])
+    def test_flat_amplitudes_in_log_form(self, p):
+        pair = derive_exponents(p, 2)
+        c = flat_constants(pair)
+        assert 0 < c.a_star < math.inf and 0 < c.b_star < math.inf
+        # a A = B**p and b B = A**q
+        log_a, log_b = math.log(c.a_star), math.log(c.b_star)
+        assert math.log(pair.a) + log_a == pytest.approx(p * log_b, rel=1e-12)
+        assert math.log(pair.b) + log_b == pytest.approx(2 * log_a, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [200.0, 300.0])
+    def test_elliptic_amplitudes_in_log_form(self, p):
+        pair = derive_exponents(p, 2)
+        c = elliptic_constants(pair, 1)
+        assert 0 < c.a_sub < math.inf and 0 < c.b_sub < math.inf
+        # A L(2a) = B**p and B L(2b) = A**q, with L(g) = g (g + 2 - N)
+        lap_u = 2 * pair.a * (2 * pair.a + 1)
+        lap_v = 2 * pair.b * (2 * pair.b + 1)
+        log_a, log_b = math.log(c.a_sub), math.log(c.b_sub)
+        assert math.log(lap_u) + log_a == pytest.approx(p * log_b, rel=1e-12)
+        assert math.log(lap_v) + log_b == pytest.approx(2 * log_a, rel=1e-12)
+
+    # (p, q): flat (A*, B*), elliptic N = 1 (A, B), as float.hex before the
+    # log-space fallback; a normal product keeps the direct expression
+    BITS = {
+        (2, 2): ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                 "0x1.8000000000001p+2", "0x1.8000000000001p+2"),
+        (2, 3): ("0x1.a6cd1b1920480p-1", "0x1.68651c15414f7p-1",
+                 "0x1.12e5526ef24cbp+1", "0x1.30c87e4b7b72ap+1"),
+        (1.5, 1.5): ("0x1.0000000000000p+2", "0x1.0000000000000p+2",
+                     "0x1.9000000000004p+8", "0x1.9000000000004p+8"),
+    }
+
+    @pytest.mark.parametrize("p, q", BITS)
+    def test_normal_products_keep_their_bits(self, p, q):
+        pair = derive_exponents(p, q)
+        flat = flat_constants(pair)
+        elliptic = elliptic_constants(pair, 1)
+        got = (flat.a_star, flat.b_star, elliptic.a_sub, elliptic.b_sub)
+        assert tuple(x.hex() for x in got) == self.BITS[(p, q)]
+
+
 class TestScalarProfile:
     def test_values(self):
         assert scalar_profile(2, 1.0) == pytest.approx(1.0, abs=1e-15)

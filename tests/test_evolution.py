@@ -39,6 +39,7 @@ from absorblab.evolution import (
     _Diffusion,
     _advance,
     _error,
+    _power_into,
 )
 
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -567,6 +568,152 @@ def test_error_is_nan_when_any_row_is_nan():
         bad = a.copy()
         bad[row, 2] = np.nan
         assert np.isnan(_error(bad, b))
+
+
+SHORTCUT_POWERS = [1.5, 2.0, 2.5, 3.0, 7.0]
+TINY = 1e-250  # below the cut 2**(-1100/power) of every power from 1.5 up
+
+
+def power_of_row(x, power):
+    out = np.full_like(x, np.nan)  # a node the shortcut forgets stays nan
+    _power_into(out, x, power)
+    return out
+
+
+def ulps_around(value, count):
+    """`value` and its `count` neighbours on each side, in increasing order."""
+    below = [value]
+    above = [value]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def tailed_row(lo, tail, nodes=64, body=0.3, tiny=TINY):
+    """`lo` tiny nodes, then body values, then `tail` tiny nodes."""
+    x = np.full(nodes, body)
+    x[:lo] = tiny
+    x[nodes - tail:] = tiny
+    return x
+
+
+def parent_advance(w, dt, op, absorption):
+    """`_advance` with a plain np.power on every row, as it was before the shortcut."""
+    halves = op.step(w, dt)
+    if not absorption:
+        return halves
+    rate = np.empty_like(halves)
+    for row, (source, power) in enumerate(absorption):
+        np.power(halves[source], power, out=rate[row])
+    rate *= dt
+    rate /= np.maximum(halves, 1e-300)
+    rate += 1.0
+    return np.divide(halves, rate, out=rate)
+
+
+class TestPowerShortcut:
+    """`_power_into` equals a plain np.power on the whole row, bit for bit."""
+
+    @pytest.mark.parametrize("power", SHORTCUT_POWERS)
+    def test_values_around_the_cut(self, power):
+        cut = 2.0 ** (-1100.0 / power)
+        near = ulps_around(cut, 4)
+        # the cut's neighbours at both ends, and at one end; then the values
+        # whose power is the least subnormal, inside the span
+        for x in (np.concatenate([near, [0.5], near[::-1]]),
+                  np.concatenate([near, [0.5, 0.25]]),
+                  np.concatenate([[0.5], near[::-1]]),
+                  np.concatenate([near, ulps_around(2.0 ** (-1074.0 / power), 4), near])):
+            assert same_bits(power_of_row(x, power), np.power(x, power))
+
+    @pytest.mark.parametrize("power", SHORTCUT_POWERS)
+    def test_span_offsets(self, power):
+        # every end-run length from 0 to 17 at both ends moves the span's
+        # start and length across the SIMD lanes
+        assert TINY < 2.0 ** (-1100.0 / power) or power == 2.0
+        for lo in range(18):
+            for tail in range(18):
+                x = tailed_row(lo, tail)
+                assert same_bits(power_of_row(x, power), np.power(x, power))
+
+    @pytest.mark.parametrize("power", SHORTCUT_POWERS)
+    def test_tails_pockets_and_pinned_ends(self, power):
+        rows = {
+            "left tail": tailed_row(20, 0),
+            "right tail": tailed_row(0, 20),
+            "both tails": tailed_row(20, 20),
+            # ends not tiny: the runs are not looked for, np.power takes all
+            "pocket": np.full(64, 0.3),
+            "all tiny": np.full(64, TINY),
+            "all zero": np.zeros(64),
+            # a Dirichlet solve pins both walls at 0.0: runs of one node
+            "pinned ends": np.concatenate([[0.0], np.linspace(1e-120, 0.5, 62), [0.0]]),
+            "one-node runs": tailed_row(1, 1),
+            # the second nodes are tiny, the end nodes are not: the span is the row
+            "runs behind the ends": tailed_row(20, 20),
+        }
+        rows["pocket"][20:44] = TINY
+        rows["runs behind the ends"][[0, -1]] = 0.3
+        for name, x in rows.items():
+            assert same_bits(power_of_row(x, power), np.power(x, power)), name
+
+    @pytest.mark.parametrize("power", SHORTCUT_POWERS)
+    def test_special_values(self, power):
+        specials = [0.0, -0.0, 5e-324, math.nan, math.inf]
+        with np.errstate(invalid="ignore"):
+            for value in specials:
+                for at in (0, 1, 20, 38, 39):
+                    for x in (tailed_row(10, 10, nodes=40), np.full(40, TINY)):
+                        x[at] = value
+                        assert same_bits(power_of_row(x, power), np.power(x, power)), (value, at)
+            # negatives go to np.power too: nan for a fractional power, -0.0 for an odd one
+            x = np.concatenate([[-TINY, -0.0], np.full(8, TINY), [-1e-300]])
+            assert same_bits(power_of_row(x, power), np.power(x, power))
+
+    @pytest.mark.parametrize("power", [0.5, 1.0, -1.0, math.nan])
+    def test_powers_without_a_shortcut(self, power):
+        x = tailed_row(10, 10)
+        with np.errstate(divide="ignore"):
+            assert same_bits(power_of_row(x, power), np.power(x, power))
+
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("absorption", [
+        ((1, 2.0), (0, 3.0)), ((1, 3.0), (0, 2.0)), ((1, 1.5), (0, 1.5)),
+        ((0, 2.5),), ((0, 3.0),), (),
+    ], ids=["coupled-p2q3", "coupled-p3q2", "coupled-p1.5q1.5", "scalar-2.5", "scalar-3", "heat"])
+    def test_advance_equals_plain_power(self, bc, absorption):
+        # a narrow bump on 201 nodes: its tails underflow in every power
+        g = interval_grid(201)
+        bump = bump_function(g, 0.0, 0.05).values
+        w = np.stack([bump, 0.5 * bump])[:max(len(absorption), 1)]
+        op = _Diffusion(g, bc, 1.0)
+        halves = op.step(w, 1e-7)
+        assert all(halves[s, 1] < 2.0 ** (-1100.0 / power) for s, power in absorption)
+        for dt in (1e-7, 1e-6, 1e-5, 1e-4):
+            ref = parent_advance(w, dt, op, absorption)
+            w = _advance(w, dt, op, absorption)
+            assert same_bits(w, ref)
+
+    def test_solve_equals_plain_power(self, monkeypatch):
+        g = interval_grid(201)
+        ic = bump_function(g, 0.0, 0.05)
+        args = (ic, ic, derive_exponents(2, 3), config(dt_init=1e-6), [1e-3, 4e-3])
+        fast = solve(*args)
+        monkeypatch.setattr(evolution, "_power_into",
+                            lambda out, x, power: np.power(x, power, out=out))
+        plain = solve(*args)
+        assert same_bits(fast.values, plain.values)
+        assert fast.steps == plain.steps
+
+
+def test_error_keeps_the_three_temporary_value():
+    # one buffer for |a - b| and |b|, same operations in the same order
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a, b = rng.random((2, 2, 51)) * rng.choice([1e-300, 1.0, 1e300])
+        expected = float((np.abs(a - b).max(axis=-1) / (1.0 + np.abs(b).max(axis=-1))).max())
+        assert _error(a, b).hex() == expected.hex()
 
 
 class TestTheta:

@@ -220,6 +220,8 @@ AT_THE_LIMIT = [
     ("convergence_order", {"mask_radius": 0.0201}),
     ("flat_validation", {"t_end": 0.1021, "n_snapshots": 4}),
     ("blowup_fit", {"t_end": 0.1021}),
+    # b**p underflows in the flat and elliptic amplitudes
+    ("blowup_fit", {"p": 1e6, "q": 2}),
 ]
 
 # every config that the defaults, the demos and perfbench run

@@ -38,7 +38,7 @@ VARIANT = {"bc": "dirichlet_zero", "theta": 0.5}
 
 
 def cases() -> list[tuple[str, str, dict]]:
-    """(case name, recipe, parameters); 25 cases."""
+    """(case name, recipe, parameters); 27 cases."""
     out = []
     for name in RECIPE_NAMES:
         if name == "mean_value_check":  # no (p, q): one run at its defaults
@@ -53,6 +53,10 @@ def cases() -> list[tuple[str, str, dict]]:
     # convergence_order rejects theta, so its Dirichlet case carries bc alone
     out.append(("convergence_order-p2q3-dirichlet", "convergence_order",
                 {"p": 2, "q": 3, "bc": "dirichlet_zero"}))
+    # shortcut spans (`evolution._power_into`) at a fractional power, and with
+    # the cube on row 0's source
+    for p, q in ((1.5, 1.5), (3, 2)):
+        out.append((f"removability_sweep-p{p:g}q{q:g}", "removability_sweep", {"p": p, "q": q}))
     for m in (10.0, 1e4):
         out.append((f"estimate_saturation-p2q3-m{m:g}", "estimate_saturation",
                     {"p": 2, "q": 3, "m": m}))
