@@ -1,8 +1,9 @@
 """Command-line entry point: `absorblab run|sweep <config-path>`.
 
-Exit codes: 0 on success, 1 on configuration errors or outputs that cannot
-be written, 2 on numerical failure of a single run (a solver failure or an
-arithmetic error such as overflow).  Sweeps isolate
+Exit codes: 0 on success (and after `--help`), 1 on command-line usage
+errors, configuration errors, a config file that cannot be read or outputs
+that cannot be written, 2 on numerical failure of a single run (a solver
+failure or an arithmetic error such as overflow).  Sweeps isolate
 per-point failures inside the records and exit 0 once the grid has been
 traversed.
 """
@@ -39,7 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

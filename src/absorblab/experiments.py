@@ -111,9 +111,11 @@ _SHARED: dict[str, _Param] = {
     "ic_width": _Param("float", 0.3, _positive, "ic_width must be > 0"),
     "ic_mass": _Param("float", 1.0, _positive, "ic_mass must be > 0"),
 }
-_SOLVER = ("bc", "dt_init", "dt_min", "tol_step", "theta")  # read by `_solver_config`
+_SOLVER = ("dt_init", "dt_min", "tol_step", "theta")  # read by `_solver_config`, with bc if set
 # `run_experiment` reads p, q, nodes and extent; a schema with p runs the coupled system
-_COUPLED = ("p", "q", "nodes", "extent", *_SOLVER)
+_COUPLED = ("p", "q", "nodes", "extent", "bc", *_SOLVER)
+# the flat solution is exact only between zero-flux walls: its recipes run neumann_zero
+_FLAT = ("p", "q", "nodes", "extent", *_SOLVER, "t_start", "t_end")
 
 # A rule is a check across keys of the resolved config, with the message of
 # the ConfigError its failure raises.
@@ -336,13 +338,9 @@ def _resolve(name, params: dict, lines: dict[str, int] | None = None) -> dict:
 # recipe implementations
 
 
-def _bc(params: dict) -> BoundaryCondition:
-    return BoundaryCondition(params["bc"])
-
-
 def _solver_config(params: dict, t_start: float) -> SolverConfig:
     return SolverConfig(
-        bc=_bc(params),
+        bc=BoundaryCondition(params["bc"] if "bc" in params else "neumann_zero"),
         t_start=t_start,
         dt_init=params["dt_init"],
         dt_min=params["dt_min"],
@@ -385,7 +383,7 @@ def _run_flat_validation(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
 
 def _spatial_grids(params: dict) -> list[Grid]:
     """convergence_order's spatial ladder: one grid per node_list entry."""
-    return [_grid({**params, "nodes": int(n)}) for n in params["node_list"]]
+    return [_grid({"extent": params["extent"], "nodes": int(n)}) for n in params["node_list"]]
 
 
 def _far_interior(grid: Grid, radius: float) -> np.ndarray:
@@ -408,16 +406,18 @@ def _fit_slope(xs, errs) -> float:
     return float(slope)
 
 
-def _run_convergence_order(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    bc = _bc(params)
+def _run_convergence_order(params: dict, pair, grid: None) -> tuple[dict, Trajectory | None]:
+    # L of a flat state is 0 on any grid under either wall; the mask keeps interior rows only
+    bc = BoundaryCondition.NEUMANN_ZERO
+    grids = _spatial_grids(params)
+    coarse = min(grids, key=lambda g: g.nodes)
     dt_list = params["dt_list"]
-    flat = lambda t: _flat_state(grid, pair, t)
-    temporal_errs = [float(np.abs(residual_of(flat, grid, pair, bc, params["t_ref"], dt)).max())
+    flat = lambda t: _flat_state(coarse, pair, t)
+    temporal_errs = [float(np.abs(residual_of(flat, coarse, pair, bc, params["t_ref"], dt)).max())
                      for dt in dt_list]
     temporal_order = _fit_slope(dt_list, temporal_errs)
 
     ell = cf.elliptic_constants(pair, 1)
-    grids = _spatial_grids(params)
     hs, spatial_errs = [], []
     for g in grids:
         w = np.stack(cf.eval_elliptic(pair, ell, g.coords))
@@ -616,7 +616,7 @@ def _run_mean_value_check(params: dict, pair, grid: Grid) -> tuple[dict, Traject
 class _Recipe:
     """A recipe as data: its runner, its config schema, and its own rules."""
 
-    run: Callable[[dict, cf.PowerPair | None, Grid], tuple[dict, Trajectory | None]]
+    run: Callable[[dict, cf.PowerPair | None, Grid | None], tuple[dict, Trajectory | None]]
     schema: dict[str, _Param]
     rules: tuple[_Rule, ...] = ()
 
@@ -628,12 +628,10 @@ _FLAT_TIMES_RISE: _Rule = (lambda c: bool(np.all(np.diff(_flat_times(c)) > 0)),
 
 
 _RECIPES: dict[str, _Recipe] = {
-    "flat_validation": _Recipe(_run_flat_validation, _schema(*_COUPLED, "t_start", "t_end",
+    "flat_validation": _Recipe(_run_flat_validation, _schema(*_FLAT,
         n_snapshots=_Param("int", 16, lambda x: x >= 2, "n_snapshots must be >= 2"),
     ), (_SUPERLINEAR, _FLAT_TIMES_RISE)),
-    "convergence_order": _Recipe(_run_convergence_order, _schema(
-        "p", "q", "nodes", "extent", "bc",
-        nodes=201,
+    "convergence_order": _Recipe(_run_convergence_order, _schema("p", "q", "extent",
         t_ref=_Param("float", 1.0, _positive, "t_ref must be > 0"),
         dt_list=_Param("float_list", [1e-2, 5e-3, 2.5e-3], _distinct_positives(2),
                        "dt_list must hold >= 2 distinct values, each > 0"),
@@ -653,7 +651,7 @@ _RECIPES: dict[str, _Recipe] = {
          "mask_radius must keep x = 0 and its neighbours out of the mask on every "
          "node_list grid with a node at 0, where the elliptic profile is singular"),
     )),
-    "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_COUPLED, "t_start", "t_end",
+    "blowup_fit": _Recipe(_run_blowup_fit, _schema(*_FLAT,
         nodes=201,
         n_snapshots=_Param("int", 24, lambda x: x >= 5, "n_snapshots must be >= 5"),
     ), (_SUPERLINEAR, _FLAT_TIMES_RISE)),
@@ -727,7 +725,7 @@ _RECIPES: dict[str, _Recipe] = {
     ), (
         (lambda c: c["q"] > c["p"] > 1, "composite subsolution needs q > p > 1"),
     )),
-    "mean_value_check": _Recipe(_run_mean_value_check, _schema("nodes", "extent", *_SOLVER,
+    "mean_value_check": _Recipe(_run_mean_value_check, _schema("nodes", "extent", "bc", *_SOLVER,
         extent=2.0,
         kernel_time=_Param("float", 0.05, _positive, "kernel_time must be > 0"),
         t_end=0.35,
@@ -778,7 +776,8 @@ def run_experiment(
     outcome, traj, error = {}, None, None
     try:
         pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
-        outcome, traj = _RECIPES[spec.name].run(params, pair, _grid(params))
+        grid = _grid(params) if "nodes" in params else None
+        outcome, traj = _RECIPES[spec.name].run(params, pair, grid)
     except (NumericsError, ValueError, ArithmeticError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     record = RunRecord(

@@ -291,11 +291,15 @@ class TestResidualOf:
         assert r.shape == (2, 101)
         assert np.all(r == 0.0)
 
-    def test_rows_absorb_as_solve_couples_them(self):
-        # a steady constant state under zero flux: L w = 0, so r_u = v**p and r_v = u**q
-        g = interval_grid(11)
-        state = np.stack([np.full(11, 2.0), np.full(11, 3.0)])
-        r = residual_of(lambda t: state, g, derive_exponents(2, 3), NEU, 1.0, 1e-3)
+    @pytest.mark.parametrize("nodes", [3, 4, 11, 201])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    def test_rows_absorb_as_solve_couples_them(self, bc, nodes):
+        # a steady constant state: L w = 0 at every node under either wall and on any
+        # grid, so r_u = v**p and r_v = u**q exactly; convergence_order's temporal
+        # probe, on a flat state, therefore takes neither `bc` nor `nodes`
+        g = interval_grid(nodes)
+        state = np.stack([np.full(nodes, 2.0), np.full(nodes, 3.0)])
+        r = residual_of(lambda t: state, g, derive_exponents(2, 3), bc, 1.0, 1e-3)
         assert np.all(r[0] == 9.0)
         assert np.all(r[1] == 8.0)
 

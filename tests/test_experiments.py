@@ -99,7 +99,7 @@ BAD_TEXT = [
     ("p = 2\nq = 2\n", "missing required key 'experiment'"),
     ("experiment = flat_validation\np = 2\nq = 2\nt_end = soon\n",
      "line 4: key 't_end': expected a number"),
-    ("experiment = flat_validation\np = 2\nq = 2\nbc = 3\n", "line 4: key 'bc': expected a name"),
+    ("experiment = trace_measurement\np = 2\nq = 2\nbc = 3\n", "line 4: key 'bc': expected a name"),
     ("experiment = convergence_order\np = 2\nq = 2\ndt_list = small, smaller\n",
      "line 4: key 'dt_list': expected a comma-separated list of numbers"),
 ]
@@ -242,8 +242,10 @@ IN_USE = [
 
 
 def with_pair(name, params):
-    pair = {"p": 2.0, "q": 2.0} if "p" in _RECIPES[name].schema else {}
-    return {**pair, "nodes": 41, **params}
+    schema = _RECIPES[name].schema
+    pair = {"p": 2.0, "q": 2.0} if "p" in schema else {}
+    grid = {"nodes": 41} if "nodes" in schema else {}
+    return {**pair, **grid, **params}
 
 
 def text_of(name, params):
@@ -390,7 +392,7 @@ class TestRules:
 # small overrides that keep one run of each recipe fast
 FAST = {
     "flat_validation": {"p": 2, "q": 2, "nodes": 41, "t_end": 0.2, "n_snapshots": 4},
-    "convergence_order": {"p": 2, "q": 2, "nodes": 41},
+    "convergence_order": {"p": 2, "q": 2},
     "blowup_fit": {"p": 2, "q": 2, "nodes": 41},
     "estimate_saturation": {"p": 2, "q": 2, "nodes": 41, "t_probe": 1e-3},
     "trace_measurement": {"p": 2, "q": 2, "nodes": 41},
@@ -400,7 +402,9 @@ FAST = {
     "mean_value_check": {"nodes": 41},
 }
 
-# keys each recipe accepted, echoed and never read before they were deleted
+# keys each recipe accepted and echoed before they were deleted: the first 15
+# were never read; `nodes` and `bc` of convergence_order changed no output bit,
+# and `bc = dirichlet_zero` voided the flat reference of the last two
 DELETED = [
     ("convergence_order", key)
     for key in ("t_start", "t_end", "dt_init", "dt_min", "tol_step", "theta")
@@ -409,6 +413,8 @@ DELETED = [
     ("removability_sweep", "t_start"), ("removability_sweep", "t_end"),
     ("trace_measurement", "t_start"), ("dichotomy_probe", "t_start"),
     ("mean_value_check", "p"), ("mean_value_check", "q"), ("mean_value_check", "t_start"),
+    ("convergence_order", "nodes"), ("convergence_order", "bc"),
+    ("flat_validation", "bc"), ("blowup_fit", "bc"),
 ]
 
 
@@ -440,7 +446,7 @@ class TestSchema:
         assert recorders[0].read == set(_RECIPES[name].schema)
 
     def test_settable_key_count(self):
-        assert sum(len(r.schema) for r in _RECIPES.values()) == 119
+        assert sum(len(r.schema) for r in _RECIPES.values()) == 115
 
     @pytest.mark.parametrize("name", RECIPE_NAMES)
     def test_shared_keys_differ_only_in_default(self, name):
@@ -454,6 +460,21 @@ class TestSchema:
             parse_config(config_text(name, f"{key} = 0.5"))
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             run_experiment(ExperimentSpec(name, {**FAST[name], key: 0.5}))
+        with pytest.raises(ConfigError, match=f"unknown sweep axis '{key}'"):
+            parse_config(config_text(name, f"sweep.{key} = 0.5, 1"))
+        [record] = sweep(ExperimentSpec(name, FAST[name]), {key: [0.5]})
+        assert record.error == f"ConfigError: unknown key '{key}' for recipe {name}"
+
+    @pytest.mark.parametrize("name", [n for n in RECIPE_NAMES if "bc" in _RECIPES[n].schema])
+    def test_bc_changes_the_outputs(self, name, tmp_path):
+        # a key that is read but changes no output is as dead as one never read
+        def outputs(bc):
+            record = run_experiment(ExperimentSpec(name, {**FAST[name], "bc": bc}),
+                                    out_dir=tmp_path / bc, runid="r")
+            assert not record.failed, record.error
+            trajectory = tmp_path / bc / "trajectory_r.csv"
+            return record.outcome, trajectory.read_bytes() if trajectory.exists() else None
+        assert outputs("neumann_zero") != outputs("dirichlet_zero")
 
     def test_t_start_is_positive_where_read(self):
         with pytest.raises(ConfigError, match="t_start must be > 0"):
@@ -488,7 +509,7 @@ class TestRunExperiment:
             ExperimentSpec("flat_validation", {"p": 2, "q": 2, "nodes": 101,
                                                "n_snapshots": 4, "t_end": 0.2})
         )
-        for key in ("p", "q", "nodes", "extent", "bc", "t_start", "t_end",
+        for key in ("p", "q", "nodes", "extent", "t_start", "t_end",
                     "dt_init", "dt_min", "tol_step", "theta", "n_snapshots"):
             assert key in record.params
 
@@ -630,11 +651,31 @@ class TestCli:
         assert result.returncode == 1
         assert "q > p > 1" in result.stderr
 
-    def test_deleted_key_exit_one(self, tmp_path, run_cli):
+    @pytest.mark.parametrize("recipe, line", [
+        ("removability_sweep", "t_end = 0.1"),
+        ("blowup_fit", "bc = dirichlet_zero"),
+    ])
+    def test_deleted_key_exit_one(self, tmp_path, run_cli, recipe, line):
         result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
-                         "experiment = removability_sweep\np = 2\nq = 3\nt_end = 0.1\n")
+                         f"experiment = {recipe}\np = 2\nq = 3\n{line}\n")
         assert result.returncode == 1
-        assert "unknown key 't_end'" in result.stderr
+        assert f"unknown key '{line.split(' =')[0]}'" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        [], ["run"], ["run", "exp.cfg", "--format", "xml"], ["run", "exp.cfg", "--seed", "abc"],
+        ["frobnicate", "exp.cfg"],
+    ], ids=["no-args", "no-config", "format-xml", "seed-abc", "unknown-command"])
+    def test_usage_error_exit_one(self, run_cli, args):
+        # argparse exits 2, the code reserved for a numerical failure
+        result = run_cli(args, self.CONFIG)
+        assert result.returncode == 1
+        assert "usage: absorblab" in result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]], ids=["help", "run-help"])
+    def test_help_exit_zero(self, run_cli, args):
+        result = run_cli(args)
+        assert result.returncode == 0
+        assert "usage: absorblab" in result.stdout
 
     @pytest.mark.parametrize("index", [0, 9, 15, 17, 24, 30])
     def test_bad_config_exit_one(self, tmp_path, run_cli, index):

@@ -38,7 +38,7 @@ VARIANT = {"bc": "dirichlet_zero", "theta": 0.5}
 
 
 def cases() -> list[tuple[str, str, dict]]:
-    """(case name, recipe, parameters); 27 cases."""
+    """(case name, recipe, parameters); 26 cases."""
     out = []
     for name in RECIPE_NAMES:
         if name == "mean_value_check":  # no (p, q): one run at its defaults
@@ -46,13 +46,13 @@ def cases() -> list[tuple[str, str, dict]]:
             continue
         for p, q in PAIRS:
             out.append((f"{name}-p{p}q{q}", name, {"p": p, "q": q}))
-    for name in ("flat_validation", "trace_measurement"):
-        for p, q in PAIRS:
-            out.append((f"{name}-p{p}q{q}-dirichlet-cn", name, {"p": p, "q": q, **VARIANT}))
+    # the flat solution holds only between zero-flux walls, so flat_validation takes no bc
+    for p, q in PAIRS:
+        out.append((f"flat_validation-p{p}q{q}-cn", "flat_validation",
+                    {"p": p, "q": q, "theta": 0.5}))
+        out.append((f"trace_measurement-p{p}q{q}-dirichlet-cn", "trace_measurement",
+                    {"p": p, "q": q, **VARIANT}))
     out.append(("mean_value_check-dirichlet-cn", "mean_value_check", dict(VARIANT)))
-    # convergence_order rejects theta, so its Dirichlet case carries bc alone
-    out.append(("convergence_order-p2q3-dirichlet", "convergence_order",
-                {"p": 2, "q": 3, "bc": "dirichlet_zero"}))
     # shortcut spans (`evolution._power_into`) at a fractional power, and with
     # the cube on row 0's source
     for p, q in ((1.5, 1.5), (3, 2)):
