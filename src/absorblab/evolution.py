@@ -27,17 +27,28 @@ accepted (no extrapolation, so positivity is never undone).  A
 rejected attempt's half step is the retry's full step, so a retry costs two
 steps, not three.  dt only halves, doubles or is clipped to an output time,
 so a few cached factorisations serve almost every step.
+
+The factorisation and the solve are LAPACK's dgttrf and dgttrs, the only
+part of scipy in use.  They are loaded from scipy's Fortran extension,
+scipy.linalg._flapack, by its file, which skips scipy.linalg's package init
+(about 0.3 s and 22 MiB per interpreter); a later `import scipy.linalg`
+reuses that module, so they are scipy.linalg.lapack's own functions.  If
+the file is not there, scipy.linalg.lapack supplies them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+import scipy
 
 from .closed_forms import PowerPair
 from .discretization import BoundaryCondition, Field, Grid, LaplacianBands
@@ -55,6 +66,32 @@ __all__ = [
     "trajectory_to_csv",
     "steps_to_csv",
 ]
+
+
+def _gttr() -> tuple[Callable, Callable]:
+    """LAPACK's dgttrf and dgttrs from scipy's Fortran extension, loaded from its file
+    without running `scipy.linalg`'s package init.  The module goes into sys.modules
+    under its own name, so a later `import scipy.linalg` reuses it and its lapack
+    functions are these very objects.  With no file found, scipy.linalg supplies them."""
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                flapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+                sys.modules[name] = flapack
+                break
+        else:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+
+            return dgttrf, dgttrs
+    return flapack.dgttrf, flapack.dgttrs
+
+
+dgttrf, dgttrs = _gttr()
 
 
 class NumericsError(RuntimeError):

@@ -401,7 +401,11 @@ def _clear_of_origin(grid: Grid, radius: float) -> bool:
         np.all(np.abs(_far_interior(grid, radius) - grid.nodes // 2) > 1))
 
 
-def _fit_slope(xs, errs) -> float:
+def _fit_slope(xs, errs, name: str) -> float:
+    """Slope of log(errs) against log(xs).  A residual that is 0.0, as when all of
+    them underflow, or that is not finite has no logarithm: that is a failed run."""
+    if not all(0.0 < e < math.inf for e in errs):
+        raise ValueError(f"{name} {list(errs)} must all be finite and > 0 to fit an order")
     slope, _ = np.polyfit(np.log(xs), np.log(errs), 1)
     return float(slope)
 
@@ -415,7 +419,7 @@ def _run_convergence_order(params: dict, pair, grid: None) -> tuple[dict, Trajec
     flat = lambda t: _flat_state(coarse, pair, t)
     temporal_errs = [float(np.abs(residual_of(flat, coarse, pair, bc, params["t_ref"], dt)).max())
                      for dt in dt_list]
-    temporal_order = _fit_slope(dt_list, temporal_errs)
+    temporal_order = _fit_slope(dt_list, temporal_errs, "temporal_residuals")
 
     ell = cf.elliptic_constants(pair, 1)
     hs, spatial_errs = [], []
@@ -424,7 +428,7 @@ def _run_convergence_order(params: dict, pair, grid: None) -> tuple[dict, Trajec
         r = residual_of(lambda t: w, g, pair, bc, 1.0, 1e-3)
         spatial_errs.append(float(np.abs(r[:, _far_interior(g, params["mask_radius"])]).max()))
         hs.append(g.h)
-    spatial_order = _fit_slope(hs, spatial_errs)
+    spatial_order = _fit_slope(hs, spatial_errs, "spatial_residuals")
 
     outcome = {
         "temporal_order": temporal_order,

@@ -10,7 +10,10 @@ exponents sit exactly on the removability border 1 + 2/N, where the collapse
 of unit-mass width-eps data is logarithmic in eps; the pinned eps ladder
 cannot reach a last/first mass ratio below 0.2.  See notes/decisions.md at
 the repository root for the measured evidence; the criterion is asserted as
-stated rather than weakened.
+stated rather than weakened.  Away from the border the contrast shows: at
+N = 3, where the border is 5/3, p = q = 3 collapses and p = q = 1.5
+converges (`test_07_removability_contrast_radial`, library-only, since no
+recipe runs a radial grid).
 """
 
 import numpy as np
@@ -24,9 +27,14 @@ from absorblab import (
     SolverConfig,
     SpatialDomain,
     build_grid,
+    bump_function,
+    classify_regime,
+    derive_exponents,
+    integrate_field,
     run_experiment,
     scalar_profile,
     scalar_solve,
+    solve,
     sweep,
     write_records,
 )
@@ -122,6 +130,28 @@ def test_07_removability_contrast():
         "removability border 1+2/N where the collapse is logarithmic in eps "
         "(see notes/decisions.md)"
     )
+
+
+@pytest.mark.parametrize("p, removable", [(3.0, True), (1.5, False)])
+def test_07_removability_contrast_radial(p, removable):
+    # removability_sweep's ladder and verdict thresholds, on the ball in N = 3;
+    # 201 nodes give the verdicts of 401 in 3.7 s instead of 5.2 s (notes/decisions.md)
+    grid = build_grid(SpatialDomain(DomainKind.RADIAL_BALL, 1.0, 3), 201)
+    config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
+    pair = derive_exponents(p, p)
+    masses = []
+    for eps in (0.2, 0.1, 0.05):
+        ic = bump_function(grid, 0.0, eps)
+        traj = solve(ic, ic, pair, config, [0.0125, 0.025, 0.05])
+        masses.append(integrate_field(Field(grid, traj.values[-1, 0])))
+    ratio = masses[-1] / masses[0]
+    gap = abs(masses[-1] - masses[-2]) / masses[-2]
+    # collapsing when removable, converging when not, as classify_regime predicts
+    ok = (classify_regime(pair, 3).removable_supercritical == removable
+          and (ratio < 0.2, gap <= 0.1) == (removable, not removable))
+    report(f"7 (N = 3, p = q = {p})", ok,
+           f"masses {[f'{m:.4f}' for m in masses]}, last/first {ratio:.3f} (< 0.2 iff "
+           f"removable), last-two gap {gap:.4f} (<= 0.1 iff not), removable {removable}")
 
 
 def test_08_f_subsolution_bound():

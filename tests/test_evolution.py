@@ -1,10 +1,17 @@
 """Time integration: the IMEX step, adaptive solves, and the oracles."""
 
 import dataclasses
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
@@ -44,6 +51,7 @@ from absorblab.evolution import (
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 DIR = BoundaryCondition.DIRICHLET_ZERO
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def interval_grid(nodes, extent=1.0):
@@ -62,6 +70,37 @@ def one_step(u, v, pair, dt=1e-3):
     """One coupled step as `solve` takes it: implicit diffusion, then absorption."""
     w = np.stack([u.values, v.values])
     return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), _coupled(pair))
+
+
+class TestLapackLoader:
+    FLAPACK = "scipy.linalg._flapack"
+
+    def test_import_skips_scipy_linalg(self):
+        # a child interpreter, because this process imports scipy.linalg for its oracles
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, inherited])))
+        code = ("import sys, absorblab, absorblab.cli; "
+                "print(*sorted(k for k in sys.modules if k.startswith('scipy.linalg')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.split() == [self.FLAPACK]
+
+    def test_routines_are_scipy_lapack_ones(self):
+        assert evolution.dgttrf is scipy.linalg.lapack.dgttrf
+        assert evolution.dgttrs is scipy.linalg.lapack.dgttrs
+
+    def test_loaded_module_is_reused(self, monkeypatch):
+        stand_in = types.SimpleNamespace(dgttrf=object(), dgttrs=object())
+        monkeypatch.setitem(sys.modules, self.FLAPACK, stand_in)
+        dgttrf, dgttrs = evolution._gttr()
+        assert dgttrf is stand_in.dgttrf and dgttrs is stand_in.dgttrs
+
+    def test_no_extension_file_falls_back_to_scipy_linalg(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        monkeypatch.delitem(sys.modules, self.FLAPACK)
+        dgttrf, dgttrs = evolution._gttr()
+        assert dgttrf is scipy.linalg.lapack.dgttrf and dgttrs is scipy.linalg.lapack.dgttrs
+        assert self.FLAPACK not in sys.modules  # nothing was loaded from a file
 
 
 class TestOneStep:

@@ -504,6 +504,13 @@ class TestRunExperiment:
         assert record.failed
         assert "StepSizeUnderflow" in record.error
 
+    def test_underflowed_residuals_are_recorded_failure(self):
+        # at t_ref = 1e300 every temporal residual is 0.0, whose log gave order nan, status ok
+        record = run_experiment(ExperimentSpec("convergence_order", {"p": 2, "q": 2, "t_ref": 1e300}))
+        assert record.failed
+        assert record.error == ("ValueError: temporal_residuals [0.0, 0.0, 0.0] "
+                                "must all be finite and > 0 to fit an order")
+
     def test_echo_contains_every_numeric_parameter(self):
         record = run_experiment(
             ExperimentSpec("flat_validation", {"p": 2, "q": 2, "nodes": 101,
@@ -730,6 +737,17 @@ class TestCli:
         assert result.returncode == 2
         assert "numerical failure: OverflowError" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_underflowed_residuals_exit_two(self, tmp_path, run_cli):
+        out = tmp_path / "out"
+        result = run_cli(["run", "exp.cfg", "--out", str(out), "--format", "json"],
+                         "experiment = convergence_order\np = 2\nq = 2\nt_ref = 1e300\n")
+        assert result.returncode == 2
+        assert "numerical failure: ValueError: temporal_residuals" in result.stderr
+        text = (out / "record.json").read_text()
+        assert "NaN" not in text  # the bare token the record used to hold; strict parsers reject it
+        record = json.loads(text)
+        assert record["failed"] and record["outcome"] == {}
 
     def test_sweep_and_json_format(self, tmp_path, run_cli):
         out = tmp_path / "out"
