@@ -1,19 +1,29 @@
 """Time integration of the coupled system with positivity preservation.
 
-One step = theta-implicit diffusion (one tridiagonal solve covering all
-components along the 1D/radial line, on LU factors computed once per dt
-and cached, its result clamped at 0) followed by one semi-implicit
-absorption update of denominator form for every row i,
+One step of size dt is a Strang splitting, A(dt/2) -> D(dt) -> A(dt/2),
+second order in dt.  D is theta-implicit diffusion, Crank-Nicolson at the
+default theta = 0.5 (theta = 1 is first order): one tridiagonal solve
+covering all components along the 1D/radial line, on LU factors computed
+once per dt and cached, its result clamped at 0.  A(h) is a positive
+second-order Patankar update of the absorption (MPRK22 with a geometric
+mean of the rates) for every row i absorbed by row s = source:
 
-    w_i_new = w_i_half / (1 + dt * w_s_half**power / max(w_i_half, floor)),
+    d0  = w_s**power                              (the rate at w)
+    w1  = w_i / (1 + h * d0 / max(w_i, floor))
+    d1  = w1_s**power                             (the rate at w1)
+    new = w_i / (1 + h * sqrt(d0) * sqrt(d1) / max(w1_i, floor)).
 
-where row i is absorbed by row s = source.  A solve gives its absorption
-as (source, power) per row: ((1, p), (0, q)) for the coupled system,
-((0, Q),) for the scalar equation U_t - Lap(U) + U^Q = 0, and () for the
-pure heat equation; the last two serve as oracles for the diagnostics.
-The update needs no Newton iteration and leaves an exactly zero component
-at zero.  No clamp follows it: from halves >= 0 every intermediate lies in
-[0, inf] or is nan, so the quotient is >= 0, inf or nan already.
+The geometric mean makes the effective rate k = sqrt(d0 d1) / w1 equal
+k0 + h (k0' + k0**2) / 2 + O(h**2), the second-order condition of
+1 / (1 + h k), and makes A exact for u' = -u**2 (flat p = q = 2 data);
+taken as sqrt(d0) * sqrt(d1), it stays finite whenever both rates are.
+A solve gives its absorption as (source, power) per row: ((1, p), (0, q))
+for the coupled system, ((0, Q),) for the scalar equation
+U_t - Lap(U) + U^Q = 0, and () for the pure heat equation, whose step is
+D alone; the last two serve as oracles for the diagnostics.  The update
+needs no Newton iteration and leaves an exactly zero component at zero.
+No clamp follows it: from values >= 0 every intermediate lies in [0, inf]
+or is nan, so the quotient is >= 0, inf or nan already.
 The powers skip np.power on the runs of end nodes below 2**(-1100/power),
 as on the tails of a narrow bump, where pow takes its slow path: such a
 node's exact power lies under 2**-1100, 25 binades below half the least
@@ -111,7 +121,7 @@ class SolverConfig:
     dt_init: float = 1e-4
     dt_min: float = 1e-12
     tol_step: float = 1e-6
-    theta: float = 1.0
+    theta: float = 0.5
 
     def __post_init__(self):
         # every check is written so that nan fails it
@@ -194,7 +204,7 @@ class _Diffusion(LaplacianBands):
         return np.maximum(x, 0.0, out=x).T
 
 
-# (source row, power) per row: row i is absorbed at the rate halves[source] ** power
+# (source row, power) per row: row i is absorbed at the rate w[source] ** power
 _Absorption = tuple[tuple[int, float], ...]
 _ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
@@ -231,18 +241,34 @@ def _power_into(out: np.ndarray, x: np.ndarray, power: float) -> None:
     np.power(x, power, out=out)
 
 
-def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption) -> np.ndarray:
-    """Diffusion, then halves / (1 + dt * rate / max(halves, floor)), computed in rate."""
-    halves = op.step(w, dt)
-    if not absorption:
-        return halves
-    rate = np.empty_like(halves)
+def _absorb(w: np.ndarray, h: float, absorption: _Absorption) -> np.ndarray:
+    """A(h): the geometric-mean Patankar update of every row over h, into new buffers."""
+    d0 = np.empty_like(w)
     for row, (source, power) in enumerate(absorption):
-        _power_into(rate[row], halves[source], power)
-    rate *= dt
-    rate /= np.maximum(halves, _ABSORPTION_FLOOR)
-    rate += 1.0
-    return np.divide(halves, rate, out=rate)
+        _power_into(d0[row], w[source], power)
+    floor = np.maximum(w, _ABSORPTION_FLOOR)
+    w1 = np.multiply(d0, h)
+    w1 /= floor
+    w1 += 1.0
+    np.divide(w, w1, out=w1)
+    d1 = floor  # the floor of w is spent: it takes the rate at w1
+    for row, (source, power) in enumerate(absorption):
+        _power_into(d1[row], w1[source], power)
+    np.sqrt(d0, out=d0)
+    d0 *= h
+    np.sqrt(d1, out=d1)
+    d0 *= d1
+    d0 /= np.maximum(w1, _ABSORPTION_FLOOR, out=w1)
+    d0 += 1.0
+    return np.divide(w, d0, out=d0)
+
+
+def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption) -> np.ndarray:
+    """One Strang step A(dt/2) -> diffusion over dt -> A(dt/2); without absorption, diffusion."""
+    if not absorption:
+        return op.step(w, dt)
+    half = 0.5 * dt
+    return _absorb(op.step(_absorb(w, half, absorption), dt), half, absorption)
 
 
 def _stacked(*fields: Field) -> np.ndarray:

@@ -106,7 +106,7 @@ _SHARED: dict[str, _Param] = {
     "dt_init": _Param("float", 1e-4, _positive, "dt_init must be > 0"),
     "dt_min": _Param("float", 1e-12, _positive, "dt_min must be > 0"),
     "tol_step": _Param("float", 1e-6, _positive, "tol_step must be > 0"),
-    "theta": _Param("float", 1.0, lambda x: 0.5 <= x <= 1.0, "theta must lie in [0.5, 1]"),
+    "theta": _Param("float", 0.5, lambda x: 0.5 <= x <= 1.0, "theta must lie in [0.5, 1]"),
     "t_probe": _Param("float", 0.1, _positive, "t_probe must be > 0"),
     "ic_width": _Param("float", 0.3, _positive, "ic_width must be > 0"),
     "ic_mass": _Param("float", 1.0, _positive, "ic_mass must be > 0"),

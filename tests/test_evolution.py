@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from absorblab import (
     trajectory_to_csv,
 )
 from absorblab import evolution
+from absorblab.experiments import ExperimentSpec, run_experiment
 from absorblab.evolution import (
     _FACTOR_CACHE_SIZE,
     StepRecord,
@@ -67,7 +69,7 @@ def heat_kernel(x, t):
 
 
 def one_step(u, v, pair, dt=1e-3):
-    """One coupled step as `solve` takes it: implicit diffusion, then absorption."""
+    """One coupled Strang step as `solve` takes it, with implicit (theta = 1) diffusion."""
     w = np.stack([u.values, v.values])
     return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), _coupled(pair))
 
@@ -374,10 +376,20 @@ def two_rows(g):
     return np.stack([w, 0.5 * w[::-1] + 0.1])
 
 
+def list_based_absorb(components, h, pair):
+    """Reference: the geometric-mean absorption update A(h), one field at a time."""
+    u, v = components
+    u1 = u / (1.0 + h * v**pair.p / np.maximum(u, 1e-300))
+    v1 = v / (1.0 + h * u**pair.q / np.maximum(v, 1e-300))
+    u_new = u / (1.0 + h * np.sqrt(v**pair.p) * np.sqrt(v1**pair.p) / np.maximum(u1, 1e-300))
+    v_new = v / (1.0 + h * np.sqrt(u**pair.q) * np.sqrt(u1**pair.q) / np.maximum(v1, 1e-300))
+    return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
+
+
 def list_based_advance(components, dt, bands, theta, pair):
-    """Reference: the per-component step, one solve_banded call per field."""
+    """Reference: the per-component Strang step, one solve_banded call per field."""
     halves = []
-    for w in components:
+    for w in list_based_absorb(components, 0.5 * dt, pair):
         rhs = w + (1.0 - theta) * dt * bands.apply(w) if theta < 1.0 else w.copy()
         rhs[bands.pinned] = 0.0
         ab = np.zeros((3, w.size))
@@ -385,10 +397,7 @@ def list_based_advance(components, dt, bands, theta, pair):
         ab[1, :] = 1.0 - theta * dt * bands.diag
         ab[2, :-1] = -theta * dt * bands.sub[1:]
         halves.append(np.maximum(solve_banded((1, 1), ab, rhs), 0.0))
-    u, v = halves
-    u_new = u / (1.0 + dt * v**pair.p / np.maximum(u, 1e-300))
-    v_new = v / (1.0 + dt * u**pair.q / np.maximum(v, 1e-300))
-    return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
+    return list_based_absorb(halves, 0.5 * dt, pair)
 
 
 def gtsv_step(bands, w, theta, dt):
@@ -487,30 +496,37 @@ class TestSharedOperator:
         assert DT_SEQUENCE[-1] in op._factors
 
 
-def clamped_absorb(halves, rate, dt):
-    """The absorption update as it was, with np.maximum(., 0) after the division."""
-    rate *= dt
-    rate /= np.maximum(halves, 1e-300)
-    rate += 1.0
-    np.divide(halves, rate, out=rate)
-    return np.maximum(rate, 0.0, out=rate)
+def reference_absorb(w, rates, h):
+    """The absorption update A(h) in plain numpy; rates(x) is the (k, n) array of
+    absorption rates at x."""
+    d0 = rates(w)
+    w1 = w / (1.0 + h * d0 / np.maximum(w, 1e-300))
+    return w / (1.0 + h * np.sqrt(d0) * np.sqrt(rates(w1)) / np.maximum(w1, 1e-300))
+
+
+def clamped_absorb(w, rates, h):
+    """`reference_absorb` with np.maximum(., 0) after its last division."""
+    return np.maximum(reference_absorb(w, rates, h), 0.0)
 
 
 def clamped_system_reaction(pair):
-    def update(halves, dt):
-        rate = np.empty_like(halves)
-        np.power(halves[1], pair.p, out=rate[0])
-        np.power(halves[0], pair.q, out=rate[1])
-        return clamped_absorb(halves, rate, dt)
+    def update(w, h):
+        return clamped_absorb(w, lambda x: np.stack([np.power(x[1], pair.p),
+                                                     np.power(x[0], pair.q)]), h)
 
     return update
 
 
 def clamped_scalar_reaction(big_q):
-    def update(halves, dt):
-        return clamped_absorb(halves, np.power(halves, big_q), dt)
+    def update(w, h):
+        return clamped_absorb(w, lambda x: np.power(x, big_q), h)
 
     return update
+
+
+def strang(reaction, op, w, dt):
+    """Reference: reaction(., dt/2), then op.step(., dt), then reaction(., dt/2)."""
+    return reaction(op.step(reaction(w, 0.5 * dt), dt), 0.5 * dt)
 
 
 PAIR_23 = derive_exponents(2, 3)
@@ -529,14 +545,15 @@ def same_bits(a, b):
 
 class ClampOnlyDiffusion:
     """A diffusion step that only clamps at 0, as `_Diffusion.step` ends, so the
-    update sees chosen halves."""
+    updates see chosen values."""
 
     def step(self, w, dt):
         return np.maximum(w, 0.0)
 
 
 class TestUnclampedAbsorption:
-    """`_advance` without the final clamp equals the clamped update bit for bit."""
+    """`_advance`, with no clamp after either absorption update, equals the Strang
+    step with clamped updates bit for bit."""
 
     @pytest.mark.parametrize("rows", ["coupled", "scalar"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -554,15 +571,15 @@ class TestUnclampedAbsorption:
             for dt in DT_SEQUENCE:
                 for data in (finite, with_inf):
                     assert same_bits(_advance(data, dt, op, absorption),
-                                     reaction(op.step(data, dt), dt))
-                ref = reaction(op.step(w, dt), dt)
+                                     strang(reaction, op, data, dt))
+                ref = strang(reaction, op, w, dt)
                 w = _advance(w, dt, op, absorption)
                 assert same_bits(w, ref)
 
     @pytest.mark.parametrize("rows", ["coupled", "scalar"])
     def test_equals_clamped_update_on_extreme_halves(self, rows):
         # every pair of (own, source) values; -0.0, an undershoot and nan are
-        # what the diffusion step's clamp receives before it hands on halves
+        # what the diffusion step's clamp receives before it hands on its result
         absorption, reaction, k = ABSORPTIONS[rows]
         values = [*EXTREMES, -0.0, -1e-300, math.nan]
         w = np.array([np.repeat(values, len(values)), np.tile(values, len(values))])[:k]
@@ -570,7 +587,7 @@ class TestUnclampedAbsorption:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for dt in (1e-3, 1.0, 1e300):
                 out = _advance(w, dt, op, absorption)
-                assert same_bits(out, reaction(op.step(w, dt), dt))
+                assert same_bits(out, strang(reaction, op, w, dt))
                 assert not np.any(out < 0)
 
 
@@ -641,18 +658,12 @@ def tailed_row(lo, tail, nodes=64, body=0.3, tiny=TINY):
     return x
 
 
-def parent_advance(w, dt, op, absorption):
-    """`_advance` with a plain np.power on every row, as it was before the shortcut."""
-    halves = op.step(w, dt)
+def plain_power_advance(w, dt, op, absorption):
+    """`_advance` with a plain np.power on every row: the Strang step without the shortcut."""
     if not absorption:
-        return halves
-    rate = np.empty_like(halves)
-    for row, (source, power) in enumerate(absorption):
-        np.power(halves[source], power, out=rate[row])
-    rate *= dt
-    rate /= np.maximum(halves, 1e-300)
-    rate += 1.0
-    return np.divide(halves, rate, out=rate)
+        return op.step(w, dt)
+    rates = lambda x: np.stack([np.power(x[source], power) for source, power in absorption])
+    return strang(lambda x, h: reference_absorb(x, rates, h), op, w, dt)
 
 
 class TestPowerShortcut:
@@ -734,7 +745,7 @@ class TestPowerShortcut:
         halves = op.step(w, 1e-7)
         assert all(halves[s, 1] < 2.0 ** (-1100.0 / power) for s, power in absorption)
         for dt in (1e-7, 1e-6, 1e-5, 1e-4):
-            ref = parent_advance(w, dt, op, absorption)
+            ref = plain_power_advance(w, dt, op, absorption)
             w = _advance(w, dt, op, absorption)
             assert same_bits(w, ref)
 
@@ -769,6 +780,75 @@ class TestTheta:
         err = np.max(np.abs(traj.values[0, 0] - heat_kernel(g.coords, 0.1)))
         assert err < 5e-3
         assert traj.values[0, 0].min() >= 0.0
+
+    def test_crank_nicolson_is_the_default(self):
+        assert config().theta == 0.5
+
+
+class TestAbsorptionSubstep:
+    """`_absorb`, the geometric-mean Patankar update A(h) of the Strang step."""
+
+    FLAT_22 = ((1, 2.0), (0, 2.0))
+
+    def test_exact_for_flat_p2_q2(self):
+        # u' = -u**2 from w: w / (1 + h w), here within 2 ulps of its rounding
+        w = np.array([[1e-3, 0.7, 1.0, 3.0, 1e3, 1e6], [1e-3, 0.7, 1.0, 3.0, 1e3, 1e6]])
+        for h in (1e-6, 1e-3, 0.05, 1.0):
+            out = evolution._absorb(w, h, self.FLAT_22)
+            for x, got in zip(w[0].tolist(), out[0].tolist()):
+                exact = float(Fraction(x) / (1 + Fraction(h) * Fraction(x)))
+                assert abs(got - exact) <= 2 * np.spacing(exact), (x, h)
+            assert same_bits(out[0], out[1])
+
+    @pytest.mark.parametrize("absorption", [((1, 1.0), (0, 1.0)), ((0, 1.0),)],
+                             ids=["coupled", "scalar"])
+    def test_rates_near_1e200_stay_finite(self, absorption):
+        # rates 1e200 at w and at w1: their product overflows, their geometric
+        # mean does not, so the update is w / (1 + h sqrt(1 + h)), not w / inf = 0
+        w = np.full((len(absorption), 11), 1e200)
+        h = 1e-3
+        out = evolution._absorb(w, h, absorption)
+        assert np.allclose(out, 1e200 / (1.0 + h * math.sqrt(1.0 + h)), rtol=1e-14, atol=0.0)
+
+    def test_flat_validation_keeps_its_step_count(self, tmp_path):
+        # A is exact on u' = -u**2, so the flat p = q = 2 run takes the steps it
+        # took under the first-order update: 24 accepted, none rejected
+        run_experiment(ExperimentSpec("flat_validation", {"p": 2, "q": 2}),
+                       out_dir=tmp_path, runid="flat")
+        rows = (tmp_path / "steps_flat.csv").read_text().splitlines()[1:]
+        assert len(rows) == 24
+        assert all(row.endswith(",0") for row in rows)
+
+
+def test_adaptive_solve_is_second_order():
+    # self-convergence on a bump: the error against a tol = 1e-11 solve falls
+    # like (accepted steps)**-2; the first-order Lie splitting read 1.00 here.
+    # A PI step controller (ROADMAP item 3) must keep this bound.
+    g = interval_grid(201)
+    ic = bump_function(g, 0.0, 0.5)
+    run = lambda tol: solve(ic, ic, derive_exponents(2, 3), config(tol_step=tol), [0.02])
+    ref = run(1e-11).values[-1]
+    steps, errs = [], []
+    for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        traj = run(tol)
+        steps.append(len(traj.steps))
+        errs.append(np.abs(traj.values[-1] - ref).max())
+    slope, _ = np.polyfit(np.log(steps), np.log(errs), 1)
+    assert -slope >= 1.8
+
+
+def test_first_integral_holds_on_the_separatrix():
+    # flat data on H = u**(q+1)/(q+1) - v**(p+1)/(p+1) = 0 at p = 2, q = 3, m = 10;
+    # the flat solution keeps H = 0, and the step's drift, relative to
+    # m**(q+1)/(q+1), stays below 2e-5 at t = 0.1 (the Lie splitting gave 1.5e-4)
+    g = interval_grid(101)
+    pair = derive_exponents(2, 3)
+    p, q, m = pair.p, pair.q, 10.0
+    v0 = ((p + 1) / (q + 1) * m ** (q + 1)) ** (1 / (p + 1))
+    traj = solve(Field(g, np.full(101, m)), Field(g, np.full(101, v0)), pair, config(), [0.1])
+    u, v = traj.values[-1]
+    drift = np.abs(u ** (q + 1) / (q + 1) - v ** (p + 1) / (p + 1)) * (q + 1) / m ** (q + 1)
+    assert drift.max() < 2e-5
 
 
 class TestTrajectory:

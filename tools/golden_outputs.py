@@ -34,7 +34,7 @@ from absorblab.experiments import (
 )
 
 PAIRS = [(2, 2), (2, 3)]
-VARIANT = {"bc": "dirichlet_zero", "theta": 0.5}
+VARIANT = {"bc": "dirichlet_zero", "theta": 1.0}  # theta = 1: the non-default diffusion
 
 
 def cases() -> list[tuple[str, str, dict]]:
@@ -48,11 +48,11 @@ def cases() -> list[tuple[str, str, dict]]:
             out.append((f"{name}-p{p}q{q}", name, {"p": p, "q": q}))
     # the flat solution holds only between zero-flux walls, so flat_validation takes no bc
     for p, q in PAIRS:
-        out.append((f"flat_validation-p{p}q{q}-cn", "flat_validation",
-                    {"p": p, "q": q, "theta": 0.5}))
-        out.append((f"trace_measurement-p{p}q{q}-dirichlet-cn", "trace_measurement",
+        out.append((f"flat_validation-p{p}q{q}-theta1", "flat_validation",
+                    {"p": p, "q": q, "theta": 1.0}))
+        out.append((f"trace_measurement-p{p}q{q}-dirichlet-theta1", "trace_measurement",
                     {"p": p, "q": q, **VARIANT}))
-    out.append(("mean_value_check-dirichlet-cn", "mean_value_check", dict(VARIANT)))
+    out.append(("mean_value_check-dirichlet-theta1", "mean_value_check", dict(VARIANT)))
     # shortcut spans (`evolution._power_into`) at a fractional power, and with
     # the cube on row 0's source
     for p, q in ((1.5, 1.5), (3, 2)):
