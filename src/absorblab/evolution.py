@@ -35,8 +35,15 @@ two half steps, the step is rejected and dt halved whenever the scaled gap
 exceeds the local tolerance, and the half-step composition is what gets
 accepted (no extrapolation, so positivity is never undone).  A
 rejected attempt's half step is the retry's full step, so a retry costs two
-steps, not three.  dt only halves, doubles or is clipped to an output time,
-so a few cached factorisations serve almost every step.
+steps, not three.  dt lives on the quarter-octave ladder dt_init * 2**(j/4),
+integer j, one float per rung, so a few cached factorisations serve almost
+every step.  Only a step clipped to an output time leaves the ladder.  Let
+j0 be the highest rung at or below the accepted dt (its own rung, unless the
+step was clipped).  After a retry, dt takes rung j0.  After a step accepted
+with no retry, it takes rung max(j, j0 + k), with
+k = min(4, floor(4/3 log2(tol/err))), the most rungs with
+(2**(k/4))**3 err <= tol for the step's third-order local error, and k = 4
+at err = 0: it never shrinks on an accepted step.
 
 The factorisation and the solve are LAPACK's dgttrf and dgttrs, the only
 part of scipy in use.  They are loaded from scipy's Fortran extension,
@@ -291,6 +298,14 @@ def _error(a: np.ndarray, b: np.ndarray) -> float:
     return float((err / scale).max())
 
 
+def _rung_at_or_below(dt: float, dt_init: float) -> int:
+    """The highest j with dt_init * 2**(j/4) <= dt: a ladder dt gives its own rung."""
+    j = math.floor(4.0 * math.log2(dt / dt_init)) + 1  # log2's rounding: at most one too high
+    while dt_init * 2.0 ** (j / 4) > dt:
+        j -= 1
+    return j
+
+
 def _integrate(
     fields: Sequence[Field],
     config: SolverConfig,
@@ -312,13 +327,13 @@ def _integrate(
     op = _Diffusion(grid, config.bc, config.theta)
     tol = config.tol_step
     t = config.t_start
-    dt_ctrl = config.dt_init
+    rung = 0  # dt is dt_init * 2**(rung/4), the same float on every visit
     values = np.empty((len(times), *state.shape))
     log: list[StepRecord] = []
 
     for i, t_out in enumerate(times):
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
-            dt_try = min(dt_ctrl, t_out - t)
+            dt_try = min(config.dt_init * 2.0 ** (rung / 4), t_out - t)
             retries = 0
             full = _advance(state, dt_try, op, absorption)
             while True:
@@ -340,10 +355,13 @@ def _integrate(
             state = two_half
             t += dt_try
             log.append(StepRecord(t, dt_try, retries))
+            rung_below = _rung_at_or_below(dt_try, config.dt_init)
             if retries:
-                dt_ctrl = dt_try
-            elif err < 0.25 * tol:
-                dt_ctrl = max(dt_ctrl, 2.0 * dt_try)
+                rung = rung_below
+            else:
+                # climb k rungs, the most with (2**(k/4))**3 err <= tol; never shrink
+                k = math.floor(min(4.0, 4.0 / 3.0 * math.log2(tol / err))) if err else 4
+                rung = max(rung, rung_below + k)
         t = t_out
         values[i] = state
 
