@@ -36,11 +36,12 @@ exceeds the local tolerance, and the half-step composition is what gets
 accepted (no extrapolation, so positivity is never undone).  A
 rejected attempt's half step is the retry's full step, so a retry costs two
 steps, not three.  dt lives on the quarter-octave ladder dt_init * 2**(j/4),
-integer j, one float per rung, so a few cached factorisations serve almost
-every step.  Only a step clipped to an output time leaves the ladder.  Let
-j0 be the highest rung at or below the accepted dt (its own rung, unless the
-step was clipped).  After a retry, dt takes rung j0.  After a step accepted
-with no retry, it takes rung max(j, j0 + k), with
+integer j, one float per rung, so a rung that recurs reuses its cached
+factors; while dt climbs, each attempt's dt and dt/2 are new, and the cache
+misses about once per accepted step.  Only a step clipped to an output time
+leaves the ladder.  Let j0 be the highest rung at or below the accepted dt
+(its own rung, unless the step was clipped).  After a retry, dt takes rung
+j0.  After a step accepted with no retry, it takes rung max(j, j0 + k), with
 k = min(4, floor(4/3 log2(tol/err))), the most rungs with
 (2**(k/4))**3 err <= tol for the step's third-order local error, and k = 4
 at err = 0: it never shrinks on an accepted step.
@@ -298,10 +299,18 @@ def _error(a: np.ndarray, b: np.ndarray) -> float:
     return float((err / scale).max())
 
 
+def _rung_dt(j: int, dt_init: float) -> float:
+    """Rung j of the ladder, dt_init * 2**(j/4); ldexp scales by 2**(j//4), so
+    no power of 2 overflows however far the ladder climbs."""
+    return math.ldexp(dt_init * 2.0 ** (j % 4 / 4), j // 4)
+
+
 def _rung_at_or_below(dt: float, dt_init: float) -> int:
-    """The highest j with dt_init * 2**(j/4) <= dt: a ladder dt gives its own rung."""
-    j = math.floor(4.0 * math.log2(dt / dt_init)) + 1  # log2's rounding: at most one too high
-    while dt_init * 2.0 ** (j / 4) > dt:
+    """The highest j with rung j <= dt: a ladder dt gives its own rung."""
+    j = math.floor(4.0 * (math.log2(dt) - math.log2(dt_init)))  # log2's rounding: off by one at most
+    while _rung_dt(j + 1, dt_init) <= dt:
+        j += 1
+    while _rung_dt(j, dt_init) > dt:
         j -= 1
     return j
 
@@ -327,13 +336,13 @@ def _integrate(
     op = _Diffusion(grid, config.bc, config.theta)
     tol = config.tol_step
     t = config.t_start
-    rung = 0  # dt is dt_init * 2**(rung/4), the same float on every visit
+    rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
     values = np.empty((len(times), *state.shape))
     log: list[StepRecord] = []
 
     for i, t_out in enumerate(times):
         while t < t_out - 1e-13 * max(1.0, abs(t_out)):
-            dt_try = min(config.dt_init * 2.0 ** (rung / 4), t_out - t)
+            dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
             retries = 0
             full = _advance(state, dt_try, op, absorption)
             while True:

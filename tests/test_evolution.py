@@ -667,7 +667,21 @@ class TestStepController:
         ic = bump_function(g, 0.0, 0.1)
         traj = solve(ic, ic, derive_exponents(2, 3), config(), [0.02])
         retries = sum(rec.retries for rec in traj.steps)
-        assert (len(calls), len(traj.steps), retries) == (565, 185, 5)
+        # this controller: 565 calls, 185 accepted steps and 5 retries
+        assert len(calls) <= 600 and retries <= 10
+
+    def test_ladder_climbs_past_the_float_powers_of_two(self):
+        # from 1e-300 to 1e9 the ladder climbs past 2**1024 times dt_init, a
+        # power of 2 that `2.0 ** x` cannot form
+        g = interval_grid(21)
+        cfg = config(dt_init=1e-300, dt_min=1e-300)
+        traj = heat_solve(Field(g, np.ones(21)), cfg, [1e9])
+        assert traj.steps[-1].t == 1e9
+        assert max(rec.dt for rec in traj.steps) > 1e8
+        # the steps of 1e8 lose a few 1e-7 of the constant to rounding
+        assert np.allclose(traj.values[-1, 0], 1.0, rtol=1e-6)
+        j = evolution._rung_at_or_below(1e9, 1e-300)
+        assert evolution._rung_dt(j, 1e-300) <= 1e9 < evolution._rung_dt(j + 1, 1e-300)
 
     def test_zero_error_climbs_four_rungs(self):
         # flat data under Neumann walls and no absorption: every gap is 0, so dt

@@ -24,7 +24,7 @@ def test_flat_validation_counts():
     workloads = tool.load_workloads()
     unit, = (u for u in workloads.WORKLOADS["lab_session"].units
              if u.name == "flat_validation(p=2,q=2)")
-    counts = tool.unit_counts(workloads, unit, 777)
+    counts = tool.unit_counts(workloads, unit)
     # 24 accepted steps of three calls each, none retried
     assert dict(counts) == {"calls": 72, "accepted": 24, "retries": 0, "factors": 41}
     assert evolution._advance.__name__ == "_advance"  # unwrapped again

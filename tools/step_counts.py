@@ -2,11 +2,12 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tools/step_counts.py [--seed N] [--workload NAME ...]
+    PYTHONPATH=src python3 tools/step_counts.py [--workload NAME ...]
 
 Every unit of `perfbench/workloads.py` (all workloads, or the ones named)
-runs once in this process, as a perfbench pass runs it, with its records and
-CSVs written to a temporary directory. The columns are counted by wrapping
+runs once in this process, in its declared order, as a perfbench pass runs
+it, with its records and CSVs written to a temporary directory. The columns
+are counted by wrapping
 `evolution._advance`, `evolution.StepRecord` and `_Diffusion._factor`:
 
 - calls:     `_advance` calls, one Strang step each;
@@ -15,8 +16,9 @@ CSVs written to a temporary directory. The columns are counted by wrapping
              StepSizeUnderflow logs no step, so its rejections are not here);
 - factors:   factor-cache misses, one dgttrf call each.
 
-The counts depend on the code and the seed only (the seed orders the
-lab_session units), so they compare two commits where `wall_s` is too noisy.
+Each unit is counted in a solve of its own, so no unit's factor cache
+serves another and the order does not matter. The counts depend on the code
+only: they compare two commits where `wall_s` is too noisy.
 """
 
 from __future__ import annotations
@@ -71,25 +73,24 @@ def counting(counts: Counter):
         evolution._Diffusion._factor = factor
 
 
-def unit_counts(workloads, unit, seed: int) -> Counter:
+def unit_counts(workloads, unit) -> Counter:
     """The counts of one unit's run, records and CSVs written as perfbench writes them."""
     counts = Counter(dict.fromkeys(COLUMNS, 0))
     with tempfile.TemporaryDirectory() as tmp, counting(counts):
-        workloads.run_pass(experiments, [unit], seed, Path(tmp))
+        workloads.run_pass(experiments, [unit], 0, Path(tmp))  # the seed is a run label
     return counts
 
 
 def main(argv: list[str]) -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=777)
     parser.add_argument("--workload", nargs="*", choices=sorted(workloads.WORKLOADS))
     args = parser.parse_args(argv)
     print(f"{'workload':<14}{'unit':<38}" + "".join(f"{c:>10}" for c in COLUMNS))
     for name in args.workload or workloads.WORKLOADS:
         total = Counter(dict.fromkeys(COLUMNS, 0))
-        for unit in workloads.WORKLOADS[name].ordered(args.seed):
-            counts = unit_counts(workloads, unit, args.seed)
+        for unit in workloads.WORKLOADS[name].units:
+            counts = unit_counts(workloads, unit)
             total.update(counts)
             print(f"{name:<14}{unit.name:<38}" + "".join(f"{counts[c]:>10,}" for c in COLUMNS))
         print(f"{name:<14}{'total':<38}" + "".join(f"{total[c]:>10,}" for c in COLUMNS))
