@@ -133,7 +133,7 @@ def flat_constants(pair: PowerPair) -> FlatSolutionConstants:
 
 def eval_flat(pair: PowerPair, t: float) -> tuple[float, float]:
     """Value (u, v) = (A* t^-a, B* t^-b) of the flat solution at time t > 0."""
-    if t <= 0:
+    if not t > 0:  # nan fails it
         raise ValueError(f"flat solution is defined for t > 0, got t={t}")
     c = flat_constants(pair)
     return c.a_star * t**-pair.a, c.b_star * t**-pair.b
@@ -186,9 +186,9 @@ def eval_elliptic(
 
 def scalar_profile(big_q: float, t: float) -> float:
     """Universal decay profile ((Q-1) t)^(-1/(Q-1)) of the scalar equation."""
-    if big_q <= 1:
+    if not big_q > 1:
         raise ValueError(f"profile requires Q > 1, got Q={big_q}")
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"profile requires t > 0, got t={t}")
     return ((big_q - 1.0) * t) ** (-1.0 / (big_q - 1.0))
 
@@ -220,7 +220,7 @@ def wellposedness(
     """
     if dim_n < 1:
         raise ValueError(f"dimension must be >= 1, got {dim_n}")
-    if theta < 1 or lam < 1:
+    if not (theta >= 1 and lam >= 1):
         raise ValueError(f"integrability orders must be >= 1, got theta={theta}, lam={lam}")
     p, q = pair.p, pair.q
     existence = max(p / lam, q / theta) < 1.0 + 2.0 / dim_n

@@ -175,7 +175,7 @@ def cylinder_integral(
     radial surface factor where applicable) and time (over the snapshots
     inside `t_window`).
     """
-    if power <= 0:
+    if not power > 0:  # nan fails it
         raise ValueError(f"power must be positive, got {power}")
     idx, weights, snaps = _cylinder(traj, region, t_window)
     vals = [float(weights @ traj.values[i, row, idx] ** power) for i in snaps]
@@ -316,10 +316,10 @@ def mean_value_check(
     The average is taken with the same discrete quadrature that measures the
     cylinder, so a constant field gives ratio exactly 1.
     """
-    if power_s <= 0:
+    if not power_s > 0:
         raise ValueError("averaging power must be positive")
     x0, t0 = center
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("cylinder radius must be positive")
     grid = caloric.grid
     if grid.domain.kind is DomainKind.RADIAL_BALL and x0 != 0.0:

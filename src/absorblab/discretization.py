@@ -197,7 +197,7 @@ def bump_function(grid: Grid, center: float, width: float) -> Field:
     lie inside the domain; on radial grids a bump centered at r = 0 is
     allowed (its support is the ball of radius `width`).
     """
-    if width <= 0:
+    if not width > 0:  # nan fails it
         raise ValueError(f"width must be positive, got {width}")
     domain = grid.domain
     if domain.kind is DomainKind.INTERVAL:

@@ -4,9 +4,10 @@ One step of size dt is a Strang splitting, A(dt/2) -> D(dt) -> A(dt/2),
 second order in dt.  D is theta-implicit diffusion, Crank-Nicolson at the
 default theta = 0.5 (theta = 1 is first order): one tridiagonal solve
 covering all components along the 1D/radial line, on LU factors computed
-once per dt and cached, its result clamped at 0.  A(h) is a positive
-second-order Patankar update of the absorption (MPRK22 with a geometric
-mean of the rates) for every row i absorbed by row s = source:
+once per dt and kept in a small least-recently-used cache, its result
+clamped at 0.  A(h) is a positive second-order Patankar update of the
+absorption (MPRK22 with a geometric mean of the rates) for every row i
+absorbed by row s = source:
 
     d0  = w_s**power                              (the rate at w)
     w1  = w_i / (1 + h * d0 / max(w_i, floor))
@@ -24,9 +25,9 @@ D alone; the last two serve as oracles for the diagnostics.  The update
 needs no Newton iteration and leaves an exactly zero component at zero.
 No clamp follows it: from values >= 0 every intermediate lies in [0, inf]
 or is nan, so the quotient is >= 0, inf or nan already.
-The powers skip np.power on the runs of end nodes below 2**(-1100/power),
-as on the tails of a narrow bump, where pow takes its slow path: such a
-node's exact power lies under 2**-1100, 25 binades below half the least
+The powers mask out of np.power the nodes below 2**(-1100/power), as on
+the tails of a narrow bump, where pow takes its slow path: such a node's
+exact power lies under 2**-1100, 25 binades below half the least
 subnormal, so it rounds to 0.0 and the update stays bit-identical to a
 plain np.power.  -0.0, negatives and nan always go through np.power.
 
@@ -39,8 +40,9 @@ steps, not three.  dt lives on the quarter-octave ladder dt_init * 2**(j/4),
 integer j, one float per rung, so a rung that recurs reuses its cached
 factors; while dt climbs, each attempt's dt and dt/2 are new, and the cache
 misses about once per accepted step.  Only a step clipped to an output time
-leaves the ladder.  Let j0 be the highest rung at or below the accepted dt
-(its own rung, unless the step was clipped).  After a retry, dt takes rung
+leaves the ladder.  Let j0 be the highest rung at or below the accepted dt:
+the tried rung, 4 rungs down per retry, unless the step was clipped, when
+the controller walks down from there.  After a retry, dt takes rung
 j0.  After a step accepted with no retry, it takes rung max(j, j0 + k), with
 k = min(4, floor(4/3 log2(tol/err))), the most rungs with
 (2**(k/4))**3 err <= tol for the step's third-order local error, and k = 4
@@ -56,6 +58,7 @@ the file is not there, scipy.linalg.lapack supplies them.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -166,7 +169,7 @@ class Trajectory:
     steps: list[StepRecord] = field(default_factory=list)
 
 
-_FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, oldest out first
+_FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently used out first
 
 
 class _Diffusion(LaplacianBands):
@@ -176,20 +179,20 @@ class _Diffusion(LaplacianBands):
         super().__init__(grid, bc)
         self.theta = theta
         self._pinned_at = np.flatnonzero(self.pinned)
-        self._factors: dict[float, list] = {}
+        sub, diag, sup = self.sub[1:], self.diag, self.sup[:-1]
 
-    def _factor(self, dt: float) -> list:
-        """LU factors of I - theta dt L, from a small first-in-first-out cache."""
-        factors = self._factors.get(dt)
-        if factors is None:
-            c = -self.theta * dt
-            *factors, info = dgttrf(c * self.sub[1:], 1.0 + c * self.diag, c * self.sup[:-1])
+        # a closure over the bands, not a bound method: the cache holds no
+        # reference to self, so an operator is freed without the cycle collector
+        @functools.lru_cache(_FACTOR_CACHE_SIZE)
+        def factor(dt: float) -> list:
+            """LU factors of I - theta dt L."""
+            c = -theta * dt
+            *factors, info = dgttrf(c * sub, 1.0 + c * diag, c * sup)
             if info != 0:
                 raise NumericsError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
-            if len(self._factors) >= _FACTOR_CACHE_SIZE:
-                del self._factors[next(iter(self._factors))]
-            self._factors[dt] = factors
-        return factors
+            return factors
+
+        self._factor = factor
 
     def step(self, w: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
@@ -228,23 +231,20 @@ def _power_into(out: np.ndarray, x: np.ndarray, power: float) -> None:
     Below cut = 2**(-1100/power) a node's exact power lies under 2**-1100, 25
     binades below half the least subnormal, so it rounds to +0.0 whatever the
     pow behind np.power does with its last bits, and whatever cut's own
-    rounding.  The runs of such nodes at both ends of the row get 0.0 and
-    np.power runs on the contiguous span between them.  A node is in a run
-    when its bits, read as uint64, lie below cut's: that is +0.0 <= x < cut
-    exactly, so -0.0, negatives and nan stay on the np.power side.  The runs
-    are looked for only when the second node from an end is below cut: a
-    run of one node, such as a pinned Dirichlet wall, costs np.power less
-    than finding it.  Never at power 2.0, which NumPy squares without pow.
+    rounding.  Such nodes get 0.0 and np.power runs on the rest, through its
+    `where=` mask.  A node is tiny when its bits, read as uint64, lie below
+    cut's: that is +0.0 <= x < cut exactly, so -0.0, negatives and nan stay on
+    the np.power side.  The mask is built only when the second node from an
+    end is below cut: a lone tiny node, such as a pinned Dirichlet wall, costs
+    np.power less than the mask.  Never at power 2.0, which NumPy squares
+    without pow.
     """
     if power != 2.0 and power > 0.0:
         cut = 2.0 ** (-1100.0 / power)
         if x[1] < cut or x[-2] < cut:
-            kept = x.view(np.uint64) >= np.array(cut).view(np.uint64)
-            lo = int(kept.argmax())
-            hi = kept.size - int(kept[::-1].argmax()) if kept[lo] else lo
-            out[:lo] = 0.0
-            out[hi:] = 0.0
-            np.power(x[lo:hi], power, out=out[lo:hi])
+            tiny = x.view(np.uint64) < np.array(cut).view(np.uint64)
+            out[tiny] = 0.0
+            np.power(x, power, out=out, where=~tiny)
             return
     np.power(x, power, out=out)
 
@@ -305,16 +305,6 @@ def _rung_dt(j: int, dt_init: float) -> float:
     return math.ldexp(dt_init * 2.0 ** (j % 4 / 4), j // 4)
 
 
-def _rung_at_or_below(dt: float, dt_init: float) -> int:
-    """The highest j with rung j <= dt: a ladder dt gives its own rung."""
-    j = math.floor(4.0 * (math.log2(dt) - math.log2(dt_init)))  # log2's rounding: off by one at most
-    while _rung_dt(j + 1, dt_init) <= dt:
-        j += 1
-    while _rung_dt(j, dt_init) > dt:
-        j -= 1
-    return j
-
-
 def _integrate(
     fields: Sequence[Field],
     config: SolverConfig,
@@ -364,7 +354,11 @@ def _integrate(
             state = two_half
             t += dt_try
             log.append(StepRecord(t, dt_try, retries))
-            rung_below = _rung_at_or_below(dt_try, config.dt_init)
+            # the highest rung at or below dt_try: the tried rung is exact, since
+            # halving a rung's float is exact; only a clipped step walks down
+            rung_below = rung - 4 * retries
+            while _rung_dt(rung_below, config.dt_init) > dt_try:
+                rung_below -= 1
             if retries:
                 rung = rung_below
             else:
@@ -397,7 +391,7 @@ def scalar_solve(
     ic: Field, big_q: float, config: SolverConfig, output_times: Sequence[float]
 ) -> Trajectory:
     """Integrate the scalar equation U_t - Lap(U) + U^Q = 0."""
-    if big_q <= 0:
+    if not big_q > 0:  # nan fails it
         raise ValueError(f"Q must be positive, got {big_q}")
     return _integrate([ic], config, output_times, ((0, big_q),))
 
@@ -421,7 +415,7 @@ def residual_of(
     boundary nodes when the probed state does not satisfy the condition of
     `bc`.
     """
-    if dt_probe <= 0:
+    if not dt_probe > 0:  # nan fails it
         raise ValueError("dt_probe must be positive")
     w = state_of_t(t)
     if w.shape != (2, grid.nodes):

@@ -1,12 +1,14 @@
 """Time integration: the IMEX step, adaptive solves, and the oracles."""
 
 import dataclasses
+import gc
 import importlib.machinery
 import math
 import os
 import subprocess
 import sys
 import types
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,17 +28,20 @@ from absorblab import (
     StepSizeUnderflow,
     build_grid,
     bump_function,
+    cylinder_integral,
     derive_exponents,
     eval_flat,
     flat_constants,
     heat_solve,
     integrate_field,
+    mean_value_check,
     residual_of,
     scalar_profile,
     scalar_solve,
     solve,
     steps_to_csv,
     trajectory_to_csv,
+    wellposedness,
 )
 from absorblab import evolution
 from absorblab.experiments import ExperimentSpec, run_experiment
@@ -491,9 +496,23 @@ class TestSharedOperator:
             ref = gtsv_step(op, ref, theta, dt)
             assert np.array_equal(w, ref)
             assert np.array_equal(op.step(w[1], dt), gtsv_step(op, ref[1], theta, dt))
-            assert len(op._factors) <= _FACTOR_CACHE_SIZE
-        assert len(op._factors) == _FACTOR_CACHE_SIZE
-        assert DT_SEQUENCE[-1] in op._factors
+            info = op._factor.cache_info()
+            assert info.maxsize == _FACTOR_CACHE_SIZE == 4 and info.currsize <= 4
+        hits, misses = op._factor.cache_info()[:2]
+        op.step(w, DT_SEQUENCE[-1])
+        assert op._factor.cache_info()[:2] == (hits + 1, misses)
+
+    def test_stepped_operator_is_freed_by_reference_counting(self):
+        g = interval_grid(41)
+        op = _Diffusion(g, NEU, 0.5)
+        op.step(two_rows(g), 1e-3)
+        ref = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert ref() is None  # no cycle through the factor cache keeps it
+        finally:
+            gc.enable()
 
 
 def reference_absorb(w, rates, h):
@@ -631,12 +650,24 @@ class TestStepController:
     """Grow-only quarter-octave rungs: halve on rejection, climb k <= 4 rungs after
     an unretried step, the most with (2**(k/4))**3 err <= tol."""
 
-    def test_rung_at_or_below(self):
-        for dt_init in (1e-4, 1e-6, 0.3):
-            for j in range(-90, 91):
-                dt = dt_init * 2.0 ** (j / 4)
-                assert evolution._rung_at_or_below(dt, dt_init) == j
-                assert evolution._rung_at_or_below(np.nextafter(dt, 0.0), dt_init) == j - 1
+    def test_first_attempt_after_a_clipped_step_is_on_the_ladder(self):
+        def highest_rung_at_or_below(dt, dt_init):
+            return max(j for j in range(-400, 400) if dt_init * 2.0 ** (j / 4) <= dt)
+
+        g = interval_grid(201)
+        ic = bump_function(g, 0.0, 0.1)
+        times = [0.002 * k for k in range(1, 11)]
+        cfg = config(dt_init=1e-2)
+        traj = solve(ic, ic, derive_exponents(2, 3), cfg, times)
+        clipped = clipped_steps(traj, 0.0, times)
+        after = [(rec, nxt) for rec, nxt, c, c_nxt in
+                 zip(traj.steps, traj.steps[1:], clipped, clipped[1:]) if c and not c_nxt]
+        assert len(after) >= 5 and any(rec.retries for rec, _ in after)
+        for rec, nxt in after:
+            first = nxt.dt * 2.0**nxt.retries
+            assert on_ladder(first, cfg.dt_init)
+            below = cfg.dt_init * 2.0 ** (highest_rung_at_or_below(rec.dt, cfg.dt_init) / 4)
+            assert first == below if rec.retries else first >= below
 
     def test_every_unclipped_step_is_on_the_ladder(self):
         g = interval_grid(201)
@@ -680,7 +711,10 @@ class TestStepController:
         assert max(rec.dt for rec in traj.steps) > 1e8
         # the steps of 1e8 lose a few 1e-7 of the constant to rounding
         assert np.allclose(traj.values[-1, 0], 1.0, rtol=1e-6)
-        j = evolution._rung_at_or_below(1e9, 1e-300)
+        j = 0
+        while evolution._rung_dt(j + 1, 1e-300) <= 1e9:
+            j += 1
+        assert j > 4 * 1024  # rung j is 2**(j/4) times dt_init
         assert evolution._rung_dt(j, 1e-300) <= 1e9 < evolution._rung_dt(j + 1, 1e-300)
 
     def test_zero_error_climbs_four_rungs(self):
@@ -1056,6 +1090,10 @@ def _unit_field():
     return Field(interval_grid(11), np.ones(11))
 
 
+def _heat_run():
+    return heat_solve(_unit_field(), config(), [0.05, 0.1])
+
+
 def _probe(shape, dt_probe):
     return residual_of(lambda t: np.ones(shape), interval_grid(11), derive_exponents(2, 2),
                        NEU, 1.0, dt_probe)
@@ -1075,6 +1113,28 @@ INPUT_CHECKS = {
     "dt-probe-negative": (lambda: _probe((2, 11), -1e-3), "dt_probe must be positive"),
     "probe-one-row": (lambda: _probe((1, 11), 1e-3), r"not \(2, 11\)"),
     "probe-other-grid": (lambda: _probe((2, 12), 1e-3), r"not \(2, 11\)"),
+    # every argument check is written so that nan fails it
+    "scalar-q-nan": (lambda: scalar_solve(_unit_field(), math.nan, config(), [0.1]),
+                     "Q must be positive"),
+    "dt-probe-nan": (lambda: _probe((2, 11), math.nan), "dt_probe must be positive"),
+    "flat-t-nan": (lambda: eval_flat(derive_exponents(2, 2), math.nan), "defined for t > 0"),
+    "profile-q-nan": (lambda: scalar_profile(math.nan, 1.0), "requires Q > 1"),
+    "profile-t-nan": (lambda: scalar_profile(2.0, math.nan), "requires t > 0"),
+    "theta-nan": (lambda: wellposedness(derive_exponents(2, 2), 1, math.nan, 1.0),
+                  "integrability orders must be >= 1"),
+    "lam-nan": (lambda: wellposedness(derive_exponents(2, 2), 1, 1.0, math.nan),
+                "integrability orders must be >= 1"),
+    "cylinder-power-nan": (lambda: cylinder_integral(_heat_run(), math.nan, 0, (-0.5, 0.5),
+                                                     (0.05, 0.1)),
+                           "power must be positive"),
+    "mean-value-power-nan": (lambda: mean_value_check(_heat_run(), math.nan, (0.0, 0.1), 0.2,
+                                                      [0.1]),
+                             "averaging power must be positive"),
+    "mean-value-rho-nan": (lambda: mean_value_check(_heat_run(), 1.0, (0.0, 0.1), math.nan,
+                                                    [0.1]),
+                           "cylinder radius must be positive"),
+    "bump-width-nan": (lambda: bump_function(interval_grid(11), 0.0, math.nan),
+                       "width must be positive"),
 }
 
 

@@ -53,7 +53,7 @@ def cases() -> list[tuple[str, str, dict]]:
         out.append((f"trace_measurement-p{p}q{q}-dirichlet-theta1", "trace_measurement",
                     {"p": p, "q": q, **VARIANT}))
     out.append(("mean_value_check-dirichlet-theta1", "mean_value_check", dict(VARIANT)))
-    # shortcut spans (`evolution._power_into`) at a fractional power, and with
+    # the power shortcut (`evolution._power_into`) at a fractional power, and with
     # the cube on row 0's source
     for p, q in ((1.5, 1.5), (3, 2)):
         out.append((f"removability_sweep-p{p:g}q{q:g}", "removability_sweep", {"p": p, "q": q}))

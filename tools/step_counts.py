@@ -8,13 +8,13 @@ Every unit of `perfbench/workloads.py` (all workloads, or the ones named)
 runs once in this process, in its declared order, as a perfbench pass runs
 it, with its records and CSVs written to a temporary directory. The columns
 are counted by wrapping
-`evolution._advance`, `evolution.StepRecord` and `_Diffusion._factor`:
+`evolution._advance`, `evolution.StepRecord` and `evolution.dgttrf`:
 
 - calls:     `_advance` calls, one Strang step each;
 - accepted:  accepted steps;
 - retries:   rejections of the accepted steps (an attempt that ends in
              StepSizeUnderflow logs no step, so its rejections are not here);
-- factors:   factor-cache misses, one dgttrf call each.
+- factors:   factorisations, one dgttrf call per factor-cache miss.
 
 Each unit is counted in a solve of its own, so no unit's factor cache
 serves another and the order does not matter. The counts depend on the code
@@ -49,7 +49,7 @@ def load_workloads():
 @contextmanager
 def counting(counts: Counter):
     """Count `_advance` calls, accepted steps, retries and factorisations into `counts`."""
-    advance, record, factor = evolution._advance, evolution.StepRecord, evolution._Diffusion._factor
+    advance, record, factorise = evolution._advance, evolution.StepRecord, evolution.dgttrf
 
     def counted_advance(*args):
         counts["calls"] += 1
@@ -60,17 +60,17 @@ def counting(counts: Counter):
         counts["retries"] += retries
         return record(t, dt, retries)
 
-    def counted_factor(self, dt):
-        counts["factors"] += dt not in self._factors
-        return factor(self, dt)
+    def counted_factorise(*args):
+        counts["factors"] += 1
+        return factorise(*args)
 
     evolution._advance, evolution.StepRecord = counted_advance, counted_record
-    evolution._Diffusion._factor = counted_factor
+    evolution.dgttrf = counted_factorise
     try:
         yield counts
     finally:
         evolution._advance, evolution.StepRecord = advance, record
-        evolution._Diffusion._factor = factor
+        evolution.dgttrf = factorise
 
 
 def unit_counts(workloads, unit) -> Counter:
