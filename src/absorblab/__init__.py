@@ -56,7 +56,6 @@ from .evolution import (
     Trajectory,
     heat_solve,
     residual_of,
-    scalar_solve,
     solve,
     steps_to_csv,
     trajectory_to_csv,

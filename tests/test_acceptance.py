@@ -33,7 +33,6 @@ from absorblab import (
     integrate_field,
     run_experiment,
     scalar_profile,
-    scalar_solve,
     solve,
     sweep,
     write_records,
@@ -71,7 +70,7 @@ def test_03_scalar_bound():
     grid = interval_grid(101)
     ic = Field(grid, np.full(101, 1e4))
     config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
-    traj = scalar_solve(ic, 2.0, config, [0.1])
+    traj = solve(ic, ic, derive_exponents(2.0, 2.0), config, [0.1])
     value = float(traj.values[-1, 0].max())
     bound = scalar_profile(2.0, 0.1)
     ok = value <= bound and value >= 0.95 * bound

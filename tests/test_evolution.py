@@ -37,7 +37,6 @@ from absorblab import (
     mean_value_check,
     residual_of,
     scalar_profile,
-    scalar_solve,
     solve,
     steps_to_csv,
     trajectory_to_csv,
@@ -301,11 +300,26 @@ class TestHeatSolve:
         assert rate == pytest.approx(target, rel=0.02)
 
 
-class TestScalarSolve:
+def spy_on_integrate(monkeypatch):
+    """Record the absorption of every `_integrate` call that `solve` makes."""
+    calls, integrate = [], evolution._integrate
+
+    def spy(fields, config, output_times, absorption):
+        calls.append(absorption)
+        return integrate(fields, config, output_times, absorption)
+
+    monkeypatch.setattr(evolution, "_integrate", spy)
+    return calls
+
+
+class TestSymmetricSolve:
+    """At p = q with u0 = v0 bit for bit, `solve` integrates the scalar
+    equation U_t - Lap(U) + U^p = 0 as one row and returns it as both."""
+
     def test_flat_bound_by_universal_profile(self):
         g = interval_grid(101)
         ic = Field(g, np.full(101, 1e4))
-        traj = scalar_solve(ic, 2.0, config(), [0.1])
+        traj = solve(ic, ic, derive_exponents(2, 2), config(), [0.1])
         bound = scalar_profile(2.0, 0.1)
         top = traj.values[-1, 0].max()
         assert top <= bound
@@ -314,18 +328,43 @@ class TestScalarSolve:
     def test_zero_stays_zero(self):
         g = interval_grid(101)
         ic = Field(g, np.zeros(101))
-        traj = scalar_solve(ic, 2.0, config(), [0.5, 1.0])
+        traj = solve(ic, ic, derive_exponents(2, 2), config(), [0.5, 1.0])
         assert np.all(traj.values == 0.0)
 
-    def test_reduction_of_symmetric_system(self):
+    @pytest.mark.parametrize("data", ["bump", "flat"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+    def test_reduction_of_symmetric_system(self, monkeypatch, power, bc, theta, data):
+        # the one-row path equals the two-row integration bit for bit, steps included
         g = interval_grid(101)
-        ic = bump_function(g, 0.0, 0.4)
-        times = [0.05, 0.2]
-        pair = derive_exponents(2, 2)
-        sys_traj = solve(ic, ic, pair, config(), times)
-        sc_traj = scalar_solve(ic, 2.0, config(), times)
-        for (u_sys, _), (u_sc,) in zip(sys_traj.values, sc_traj.values):
-            assert np.max(np.abs(u_sys - u_sc)) <= 1e-10
+        ic = bump_function(g, 0.0, 0.4) if data == "bump" else Field(g, np.full(101, 3.0))
+        pair, times = derive_exponents(power, power), [0.01, 0.04]
+        cfg = config(bc, theta=theta, tol_step=1e-5)
+        two_rows = evolution._integrate([ic, ic], cfg, times, _coupled(pair))
+        calls = spy_on_integrate(monkeypatch)
+        traj = solve(ic, ic, pair, cfg, times)
+        assert calls == [((0, power),)]
+        assert traj.values.shape == two_rows.values.shape == (2, 2, 101)
+        assert traj.values.tobytes() == two_rows.values.tobytes()
+        assert traj.steps == two_rows.steps
+
+    @pytest.mark.parametrize("change", ["one ulp", "negative zero", "p != q"])
+    def test_asymmetric_input_takes_two_rows(self, monkeypatch, change):
+        # data that differ in any bit, -0.0 against 0.0 included, or unequal powers
+        g = interval_grid(101)
+        u = bump_function(g, 0.0, 0.4)
+        v = u.values.copy()
+        if change == "one ulp":
+            v[50] = np.nextafter(v[50], math.inf)
+        elif change == "negative zero":
+            assert v[0] == 0.0  # the bump vanishes at the wall
+            v[0] = -0.0
+        pair = derive_exponents(2, 3 if change == "p != q" else 2)
+        calls = spy_on_integrate(monkeypatch)
+        traj = solve(u, Field(g, v), pair, config(), [0.05])
+        assert calls == [_coupled(pair)]
+        assert traj.values.shape == (1, 2, 101)
 
 
 class TestResidualOf:
@@ -415,10 +454,10 @@ def gtsv_step(bands, w, theta, dt):
     return np.maximum(x.T, 0.0)
 
 
-# hit, miss and evict: the halve/double ladder, a dt clipped to an output
-# time, a return to dt, then more distinct values than the cache holds; on
-# the 41-node interval (h = 0.05), theta dt > h^2 makes the LU factorisation
-# swap rows at a Dirichlet wall
+# hit, miss and evict: a dt, its half as a retry takes it and its double, a
+# dt clipped to an output time, a return to dt, then more distinct values
+# than the cache holds; on the 41-node interval (h = 0.05), theta dt > h^2
+# makes the LU factorisation swap rows at a Dirichlet wall
 DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3]
 
 
@@ -792,7 +831,7 @@ class TestPowerShortcut:
         cut = 2.0 ** (-1100.0 / power)
         near = ulps_around(cut, 4)
         # the cut's neighbours at both ends, and at one end; then the values
-        # whose power is the least subnormal, inside the span
+        # whose power is the least subnormal, outside the mask
         for x in (np.concatenate([near, [0.5], near[::-1]]),
                   np.concatenate([near, [0.5, 0.25]]),
                   np.concatenate([[0.5], near[::-1]]),
@@ -800,9 +839,9 @@ class TestPowerShortcut:
             assert same_bits(power_of_row(x, power), np.power(x, power))
 
     @pytest.mark.parametrize("power", SHORTCUT_POWERS)
-    def test_span_offsets(self, power):
-        # every end-run length from 0 to 17 at both ends moves the span's
-        # start and length across the SIMD lanes
+    def test_tiny_runs_across_simd_lanes(self, power):
+        # every tiny-run length from 0 to 17 at both ends moves the mask's
+        # edges across the SIMD lanes of the masked np.power
         assert TINY < 2.0 ** (-1100.0 / power) or power == 2.0
         for lo in range(18):
             for tail in range(18):
@@ -815,14 +854,14 @@ class TestPowerShortcut:
             "left tail": tailed_row(20, 0),
             "right tail": tailed_row(0, 20),
             "both tails": tailed_row(20, 20),
-            # ends not tiny: the runs are not looked for, np.power takes all
+            # second nodes not tiny: no mask is built, np.power takes all
             "pocket": np.full(64, 0.3),
             "all tiny": np.full(64, TINY),
             "all zero": np.zeros(64),
-            # a Dirichlet solve pins both walls at 0.0: runs of one node
+            # a Dirichlet solve pins both walls at 0.0: one tiny node per end
             "pinned ends": np.concatenate([[0.0], np.linspace(1e-120, 0.5, 62), [0.0]]),
             "one-node runs": tailed_row(1, 1),
-            # the second nodes are tiny, the end nodes are not: the span is the row
+            # the second nodes are tiny, the end nodes are not: the mask keeps the ends
             "runs behind the ends": tailed_row(20, 20),
         }
         rows["pocket"][20:44] = TINY
@@ -975,12 +1014,12 @@ class TestTrajectory:
         g = interval_grid(21)
         ic = bump_function(g, 0.0, 0.5)
         times = [0.01, 0.02, 0.05]
-        coupled = solve(ic, ic, derive_exponents(2, 2), config(), times)
+        coupled = solve(ic, ic, derive_exponents(2, 3), config(), times)
+        symmetric = solve(ic, ic, derive_exponents(2, 2), config(), times)
         heat = heat_solve(ic, config(), times)
-        scalar = scalar_solve(ic, 2.0, config(), times)
-        assert coupled.values.shape == (3, 2, 21)
-        assert heat.values.shape == scalar.values.shape == (3, 1, 21)
-        for traj in (coupled, heat, scalar):
+        assert coupled.values.shape == symmetric.values.shape == (3, 2, 21)
+        assert heat.values.shape == (3, 1, 21)
+        for traj in (coupled, symmetric, heat):
             assert traj.times.tolist() == times
             assert traj.grid is g
 
@@ -1105,17 +1144,13 @@ INPUT_CHECKS = {
     "falling-output-times": (lambda: solve(_unit_field(), _unit_field(), derive_exponents(2, 2),
                                            config(), [0.2, 0.1]),
                              "strictly increasing"),
-    "scalar-q-zero": (lambda: scalar_solve(_unit_field(), 0.0, config(), [0.1]),
-                      "Q must be positive"),
-    "scalar-q-negative": (lambda: scalar_solve(_unit_field(), -1.0, config(), [0.1]),
-                          "Q must be positive"),
     "dt-probe-zero": (lambda: _probe((2, 11), 0.0), "dt_probe must be positive"),
     "dt-probe-negative": (lambda: _probe((2, 11), -1e-3), "dt_probe must be positive"),
     "probe-one-row": (lambda: _probe((1, 11), 1e-3), r"not \(2, 11\)"),
     "probe-other-grid": (lambda: _probe((2, 12), 1e-3), r"not \(2, 11\)"),
     # every argument check is written so that nan fails it
-    "scalar-q-nan": (lambda: scalar_solve(_unit_field(), math.nan, config(), [0.1]),
-                     "Q must be positive"),
+    "exponents-nan": (lambda: derive_exponents(math.nan, math.nan),
+                      "exponents must be positive"),
     "dt-probe-nan": (lambda: _probe((2, 11), math.nan), "dt_probe must be positive"),
     "flat-t-nan": (lambda: eval_flat(derive_exponents(2, 2), math.nan), "defined for t > 0"),
     "profile-q-nan": (lambda: scalar_profile(math.nan, 1.0), "requires Q > 1"),

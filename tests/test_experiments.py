@@ -511,6 +511,21 @@ class TestRunExperiment:
         assert record.error == ("ValueError: temporal_residuals [0.0, 0.0, 0.0] "
                                 "must all be finite and > 0 to fit an order")
 
+    @pytest.mark.parametrize("verdict, thresholds", [
+        ("converging", {}),
+        ("collapsing", {"collapse_ratio": 0.96}),
+        ("mixed", {"converge_tol": 1e-3}),
+    ])
+    def test_removability_verdicts(self, verdict, thresholds):
+        # p = q = 3 on 201 nodes: last/first 0.9551 and last-two gap 0.0449, so
+        # each threshold moved past its reading gives the other two verdicts
+        params = {"p": 3, "q": 3, "nodes": 201, "eps_list": [0.2, 0.1], **thresholds}
+        record = run_experiment(ExperimentSpec("removability_sweep", params))
+        assert not record.failed, record.error
+        assert record.outcome["last_first_ratio"] == pytest.approx(0.9551, abs=1e-4)
+        assert record.outcome["last_two_gap"] == pytest.approx(0.0449, abs=1e-4)
+        assert record.outcome["verdict"] == verdict
+
     def test_echo_contains_every_numeric_parameter(self):
         record = run_experiment(
             ExperimentSpec("flat_validation", {"p": 2, "q": 2, "nodes": 101,

@@ -26,8 +26,10 @@ def test_flat_validation_counts():
              if u.name == "flat_validation(p=2,q=2)")
     dgttrf = evolution.dgttrf
     counts = tool.unit_counts(workloads, unit)
-    # 24 accepted steps of three calls each, none retried; 43 dgttrf calls
-    assert dict(counts) == {"calls": 72, "accepted": 24, "retries": 0, "factors": 43}
+    # 24 accepted steps of three calls each, none retried; p = q and u0 = v0,
+    # so each call advances one row; 43 dgttrf calls
+    assert dict(counts) == {"calls": 72, "rows": 72, "accepted": 24, "retries": 0,
+                            "factors": 43}
     assert evolution._advance.__name__ == "_advance"  # unwrapped again
     assert evolution.dgttrf is dgttrf
 
@@ -36,6 +38,7 @@ def test_prints_one_row_per_unit_and_a_total(capsys):
     tool = load_step_counts()
     assert tool.main(["--workload", "dense_output"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "unit", *tool.COLUMNS]
+    assert lines[0].split() == [
+        "workload", "unit", "calls", "rows", "accepted", "retries", "factors"]
     assert [line.split()[1] for line in lines[1:]] == [
         "dichotomy_probe(p=2,q=3)", "mean_value_check", "subsolution_check(p=2,q=3)", "total"]

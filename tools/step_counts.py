@@ -11,6 +11,9 @@ are counted by wrapping
 `evolution._advance`, `evolution.StepRecord` and `evolution.dgttrf`:
 
 - calls:     `_advance` calls, one Strang step each;
+- rows:      the rows those calls advanced, the sum of `w.shape[0]`: two
+             per call for the coupled system, one for a symmetric solve
+             (p = q, u0 = v0) and for the heat equation;
 - accepted:  accepted steps;
 - retries:   rejections of the accepted steps (an attempt that ends in
              StepSizeUnderflow logs no step, so its rejections are not here);
@@ -34,7 +37,7 @@ from pathlib import Path
 from absorblab import evolution, experiments
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-COLUMNS = ("calls", "accepted", "retries", "factors")
+COLUMNS = ("calls", "rows", "accepted", "retries", "factors")
 
 
 def load_workloads():
@@ -48,12 +51,13 @@ def load_workloads():
 
 @contextmanager
 def counting(counts: Counter):
-    """Count `_advance` calls, accepted steps, retries and factorisations into `counts`."""
+    """Count `_advance` calls and rows, accepted steps, retries and factorisations into `counts`."""
     advance, record, factorise = evolution._advance, evolution.StepRecord, evolution.dgttrf
 
-    def counted_advance(*args):
+    def counted_advance(w, *args):
         counts["calls"] += 1
-        return advance(*args)
+        counts["rows"] += w.shape[0]
+        return advance(w, *args)
 
     def counted_record(t, dt, retries):
         counts["accepted"] += 1
