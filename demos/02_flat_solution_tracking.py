@@ -12,17 +12,17 @@ from absorblab import (
     BoundaryCondition,
     DomainKind,
     Field,
+    PowerPair,
     SolverConfig,
     SpatialDomain,
     build_grid,
-    derive_exponents,
     eval_flat,
     solve,
 )
 
 
 def main():
-    pair = derive_exponents(2, 2)
+    pair = PowerPair(2, 2)
     grid = build_grid(SpatialDomain(DomainKind.INTERVAL, 1.0, 1), 401)
     t0 = 0.1
     u0, v0 = eval_flat(pair, t0)

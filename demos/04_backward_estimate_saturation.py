@@ -7,13 +7,13 @@ solution.  That uniformity-in-M is the falsifiable desk-scale content of the
 backward upper bound u <= C t^-a.
 """
 
-from absorblab import ExperimentSpec, flat_constants, derive_exponents, sweep
+from absorblab import ExperimentSpec, PowerPair, flat_constants, sweep
 
 
 def main():
     base = ExperimentSpec("estimate_saturation", {"p": 2, "q": 2}, seed=0)
     records = sweep(base, {"m": [10.0, 100.0, 1000.0, 10000.0]})
-    a_star = flat_constants(derive_exponents(2, 2)).a_star
+    a_star = flat_constants(PowerPair(2, 2)).a_star
 
     print("        M     sup u * t^a    (flat amplitude A* = %.4f)" % a_star)
     for rec in records:

@@ -15,12 +15,10 @@ from .closed_forms import (
     RegimeReport,
     WellposednessVerdict,
     classify_regime,
-    derive_exponents,
     elliptic_constants,
     eval_elliptic,
     eval_flat,
     flat_constants,
-    scalar_profile,
     wellposedness,
 )
 from .diagnostics import (

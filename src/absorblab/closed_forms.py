@@ -2,10 +2,10 @@
 
 Everything in this module is closed-form: the scaling exponents attached to
 an exponent pair (p, q), the amplitudes of the spatially flat decaying
-solution, the amplitudes of the singular steady radial profiles, the scalar
-decay profile, and the inequality-based regime / well-posedness classifiers.
-No discretization is involved; these functions double as oracles for the
-solver tests.
+solution, the amplitudes of the singular steady radial profiles, and the
+inequality-based regime / well-posedness classifiers.  At p = q = Q the flat
+solution is the scalar decay profile ((Q-1)t)^(-1/(Q-1)).  No discretization
+is involved; these functions double as oracles for the solver tests.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ __all__ = [
     "EllipticSolutionConstants",
     "RegimeReport",
     "WellposednessVerdict",
-    "derive_exponents",
     "flat_constants",
     "eval_flat",
     "elliptic_constants",
     "eval_elliptic",
-    "scalar_profile",
     "classify_regime",
     "wellposedness",
 ]
@@ -77,7 +75,6 @@ class EllipticSolutionConstants:
 
     a_sub: float
     b_sub: float
-    dim_n: int
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,6 @@ class RegimeReport:
 class WellposednessVerdict:
     existence: bool
     uniqueness: bool
-
-
-def derive_exponents(p: float, q: float) -> PowerPair:
-    """Build the PowerPair for (p, q), validating p, q > 0 and pq != 1."""
-    return PowerPair(p, q)
 
 
 def _positive_root(coef: float, base: float, power: float, exponent: float) -> float:
@@ -163,7 +155,7 @@ def elliptic_constants(pair: PowerPair, dim_n: int) -> EllipticSolutionConstants
     exponent = pair.p * pair.q - 1.0
     a_sub = _positive_root(lap_u, lap_v, pair.p, exponent)
     b_sub = _positive_root(lap_v, lap_u, pair.q, exponent)
-    return EllipticSolutionConstants(a_sub, b_sub, dim_n)
+    return EllipticSolutionConstants(a_sub, b_sub)
 
 
 _ORIGIN_FLOOR = 1e-12  # smallest |x| that `eval_elliptic` evaluates at
@@ -182,15 +174,6 @@ def eval_elliptic(
     """
     r = np.maximum(np.abs(np.asarray(coords, dtype=float)), _ORIGIN_FLOOR)
     return constants.a_sub * r ** (-2.0 * pair.a), constants.b_sub * r ** (-2.0 * pair.b)
-
-
-def scalar_profile(big_q: float, t: float) -> float:
-    """Universal decay profile ((Q-1) t)^(-1/(Q-1)) of the scalar equation."""
-    if not big_q > 1:
-        raise ValueError(f"profile requires Q > 1, got Q={big_q}")
-    if not t > 0:
-        raise ValueError(f"profile requires t > 0, got t={t}")
-    return ((big_q - 1.0) * t) ** (-1.0 / (big_q - 1.0))
 
 
 def classify_regime(pair: PowerPair, dim_n: int) -> RegimeReport:

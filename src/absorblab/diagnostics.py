@@ -5,19 +5,20 @@ integrals, the regular/singular trend classifier, the backward-estimate
 monitor sup u * t^a, the composite-subsolution residual check, and the
 parabolic mean value ratio.  Everything here is a pure function over
 trajectories; nothing mutates solver state.  A trajectory's `values` is a
-(T, k, n) array, rows u, v for a coupled run and one row for a heat or
-scalar run.  Nodes and snapshots are picked by one rule, `_within` (a
-space-time `_cylinder` is both), and the lateral boundary by `_walls`.
-Elementwise arithmetic and maxima run once over the stacked array.  Two
-things stay per snapshot so that no output byte moves: each quadrature
-dots its weights with one contiguous row (a matrix-vector product, or a dot
-with a strided row such as one of a fancy-indexed (T, m) slice, sums in
-another order), and the time weights t**a are Python float powers (NumPy's
-vector pow differs from Python's in about 5 % of elements).
+(T, k, n) array, rows u, v for a coupled run and one row for a heat run.
+Nodes and snapshots are picked by one rule, `_within` (a space-time
+`_cylinder` is both), and the lateral boundary by `_walls`.  Elementwise
+arithmetic and maxima run once over the stacked array.  Two things stay per
+snapshot so that no output byte moves: each quadrature dots its weights
+with one contiguous row (a matrix-vector product, or a dot with a strided
+row such as one of a fancy-indexed (T, m) slice, sums in another order),
+and the time weights t**a are Python float powers (NumPy's vector pow
+differs from Python's in about 5 % of elements).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,8 +95,8 @@ def fit_power_law(
     pts = [(float(t), float(v)) for t, v in samples if t_lo <= t <= t_hi]
     if len(pts) < 5:
         raise ValueError(f"need at least 5 samples in the window, got {len(pts)}")
-    if any(t <= 0 or v <= 0 for t, v in pts):
-        raise ValueError("power-law fit needs strictly positive samples")
+    if not all(0 < t < math.inf and 0 < v < math.inf for t, v in pts):  # nan fails it
+        raise ValueError("power-law fit needs strictly positive, finite samples")
     log_t = np.log([t for t, _ in pts])
     log_v = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(log_t, log_v, 1)

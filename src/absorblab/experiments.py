@@ -779,7 +779,7 @@ def run_experiment(
     start = time.perf_counter()
     outcome, traj, error = {}, None, None
     try:
-        pair = cf.derive_exponents(params["p"], params["q"]) if "p" in params else None
+        pair = cf.PowerPair(params["p"], params["q"]) if "p" in params else None
         grid = _grid(params) if "nodes" in params else None
         outcome, traj = _RECIPES[spec.name].run(params, pair, grid)
     except (NumericsError, ValueError, ArithmeticError) as exc:
@@ -821,18 +821,6 @@ def sweep(
     return records
 
 
-def _json_ready(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    return value
-
-
 def _flatten(record: RunRecord) -> dict:
     flat = {
         "runid": record.runid,
@@ -844,7 +832,7 @@ def _flatten(record: RunRecord) -> dict:
     }
     for prefix, mapping in (("param", record.params), ("out", record.outcome)):
         for key in sorted(mapping):
-            value = _json_ready(mapping[key])
+            value = mapping[key]
             if isinstance(value, list):
                 value = ";".join(repr(v) for v in value)
             flat[f"{prefix}.{key}"] = value
@@ -858,10 +846,12 @@ def write_records(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         path = out / "record.json"
-        payload = [_json_ready(dataclasses.asdict(r)) for r in records]
+        payload = [dataclasses.asdict(r) for r in records]
         if len(payload) == 1:
             payload = payload[0]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        # a sweep point that failed its config check keeps the values as given, of any type
+        text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
+        path.write_text(text + "\n", encoding="utf-8")
         return path
     if fmt != "csv":
         raise ConfigError(f"unknown output format '{fmt}'")

@@ -13,8 +13,12 @@ the repository root for the measured evidence; the criterion is asserted as
 stated rather than weakened.  Away from the border the contrast shows: at
 N = 3, where the border is 5/3, p = q = 3 collapses and p = q = 1.5
 converges (`test_07_removability_contrast_radial`, library-only, since no
-recipe runs a radial grid).
+recipe runs a radial grid).  At the border itself the mass decays like
+1/sqrt(log s) with s = t/eps^2 (`test_07a_border_decay_law`), which puts a
+passing eps near 1e-72.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,15 +28,15 @@ from absorblab import (
     DomainKind,
     ExperimentSpec,
     Field,
+    PowerPair,
     SolverConfig,
     SpatialDomain,
     build_grid,
     bump_function,
     classify_regime,
-    derive_exponents,
+    eval_flat,
     integrate_field,
     run_experiment,
-    scalar_profile,
     solve,
     sweep,
     write_records,
@@ -70,9 +74,9 @@ def test_03_scalar_bound():
     grid = interval_grid(101)
     ic = Field(grid, np.full(101, 1e4))
     config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
-    traj = solve(ic, ic, derive_exponents(2.0, 2.0), config, [0.1])
+    traj = solve(ic, ic, PowerPair(2.0, 2.0), config, [0.1])
     value = float(traj.values[-1, 0].max())
-    bound = scalar_profile(2.0, 0.1)
+    bound = eval_flat(PowerPair(2.0, 2.0), 0.1)[0]
     ok = value <= bound and value >= 0.95 * bound
     report(3, ok, f"U(0.1) = {value:.6f}, bound {bound:.1f}, within 5%")
 
@@ -131,13 +135,29 @@ def test_07_removability_contrast():
     )
 
 
+def test_07a_border_decay_law():
+    # at the border p = q = 1 + 2/N the mass M decays like 1/sqrt(log s), s = t/eps^2:
+    # a Gaussian profile in M' = -int U^3 gives d(M^-2)/d(log s) = 1/(2 sqrt(3) pi),
+    # so each halving of eps (log s grows by 2 ln 2) adds 2 ln 2 / (2 sqrt(3) pi) to M^-2
+    record = run_experiment(ExperimentSpec("removability_sweep", {"p": 3, "q": 3}))
+    assert not record.failed, record.error
+    eps = record.outcome["eps_list"]
+    assert all(wide == 2 * narrow for wide, narrow in zip(eps, eps[1:]))
+    inverse_squares = [m**-2 for m in record.outcome["masses"]]
+    increments = [b - a for a, b in zip(inverse_squares, inverse_squares[1:])]
+    law = 2 * math.log(2) / (2 * math.sqrt(3) * math.pi)
+    ok = all(0.9 * law <= d <= 1.1 * law for d in increments)
+    report("7a (border law)", ok, f"M^-2 increments {[f'{d:.4f}' for d in increments]} "
+                                  f"within 10 % of {law:.4f}")
+
+
 @pytest.mark.parametrize("p, removable", [(3.0, True), (1.5, False)])
 def test_07_removability_contrast_radial(p, removable):
     # removability_sweep's ladder and verdict thresholds, on the ball in N = 3;
     # 201 nodes give the verdicts of 401 in 3.7 s instead of 5.2 s (notes/decisions.md)
     grid = build_grid(SpatialDomain(DomainKind.RADIAL_BALL, 1.0, 3), 201)
     config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
-    pair = derive_exponents(p, p)
+    pair = PowerPair(p, p)
     masses = []
     for eps in (0.2, 0.1, 0.05):
         ic = bump_function(grid, 0.0, eps)

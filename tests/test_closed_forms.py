@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from absorblab import (
+    PowerPair,
     classify_regime,
-    derive_exponents,
     elliptic_constants,
     eval_elliptic,
     eval_flat,
     flat_constants,
-    scalar_profile,
     wellposedness,
 )
 
@@ -27,31 +26,31 @@ def _random_superlinear_pairs(rng, count):
     return pairs
 
 
-class TestDeriveExponents:
+class TestPowerPair:
     def test_hand_values(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         assert pair.a == pytest.approx(1.0, abs=1e-15)
         assert pair.b == pytest.approx(1.0, abs=1e-15)
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         assert pair.a == pytest.approx(0.6, abs=1e-15)
         assert pair.b == pytest.approx(0.8, abs=1e-15)
-        pair = derive_exponents(0.5, 3)
+        pair = PowerPair(0.5, 3)
         assert pair.a == pytest.approx(3.0, rel=1e-14)
         assert pair.b == pytest.approx(8.0, rel=1e-14)
 
     def test_sublinear_reports_raw_negative_values(self):
-        pair = derive_exponents(0.5, 0.5)
+        pair = PowerPair(0.5, 0.5)
         assert pair.a < 0 and pair.b < 0
 
     def test_rejects_pq_one(self):
         with pytest.raises(ValueError):
-            derive_exponents(2, 0.5)
+            PowerPair(2, 0.5)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            derive_exponents(-1, 2)
+            PowerPair(-1, 2)
         with pytest.raises(ValueError):
-            derive_exponents(2, 0)
+            PowerPair(2, 0)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(11)
@@ -60,40 +59,39 @@ class TestDeriveExponents:
             q = rng.uniform(0.3, 3.0)
             if abs(p * q - 1.0) < 0.05:
                 continue
-            ab_pair = derive_exponents(p, q)
-            ba_pair = derive_exponents(q, p)
+            ab_pair = PowerPair(p, q)
+            ba_pair = PowerPair(q, p)
             assert ab_pair.a == pytest.approx(ba_pair.b, rel=1e-14)
             assert ab_pair.b == pytest.approx(ba_pair.a, rel=1e-14)
 
 
 class TestFlatConstants:
     def test_symmetric_two(self):
-        consts = flat_constants(derive_exponents(2, 2))
+        consts = flat_constants(PowerPair(2, 2))
         assert consts.a_star == pytest.approx(1.0, rel=1e-14)
         assert consts.b_star == pytest.approx(1.0, rel=1e-14)
 
     def test_two_three(self):
-        consts = flat_constants(derive_exponents(2, 3))
+        consts = flat_constants(PowerPair(2, 3))
         assert consts.a_star == pytest.approx((48 / 125) ** 0.2, rel=1e-13)
         assert consts.b_star == pytest.approx((108 / 625) ** 0.2, rel=1e-13)
 
     @pytest.mark.parametrize("big_q", [1.5, 2.0, 3.0, 5.0])
     def test_scalar_consistency(self, big_q):
         # p = q = Q collapses onto the scalar amplitude (Q-1)^(-1/(Q-1))
-        consts = flat_constants(derive_exponents(big_q, big_q))
+        consts = flat_constants(PowerPair(big_q, big_q))
         expected = (big_q - 1.0) ** (-1.0 / (big_q - 1.0))
         assert consts.a_star == pytest.approx(expected, rel=1e-12)
-        assert consts.a_star == pytest.approx(scalar_profile(big_q, 1.0), rel=1e-12)
 
     def test_rejects_sublinear(self):
         with pytest.raises(ValueError):
-            flat_constants(derive_exponents(0.5, 0.5))
+            flat_constants(PowerPair(0.5, 0.5))
 
     def test_amplitude_system_resubstitution(self):
         # a A = B**p and b B = A**q pin the amplitudes uniquely
         rng = np.random.default_rng(7)
         for p, q in _random_superlinear_pairs(rng, 50):
-            pair = derive_exponents(p, q)
+            pair = PowerPair(p, q)
             consts = flat_constants(pair)
             lhs_u = pair.a * consts.a_star
             lhs_v = pair.b * consts.b_star
@@ -103,16 +101,21 @@ class TestFlatConstants:
 
 class TestEvalFlat:
     def test_values(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         assert eval_flat(pair, 1.0) == pytest.approx((1.0, 1.0), rel=1e-14)
         assert eval_flat(pair, 2.0) == pytest.approx((0.5, 0.5), rel=1e-14)
 
+    @pytest.mark.parametrize("big_q, t, value", [(2, 1.0, 1.0), (3, 0.5, 1.0), (2, 0.1, 10.0)])
+    def test_scalar_decay_profile(self, big_q, t, value):
+        # at p = q = Q the flat solution is the scalar profile ((Q-1)t)^(-1/(Q-1))
+        assert eval_flat(PowerPair(big_q, big_q), t) == pytest.approx((value, value), rel=1e-14)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            eval_flat(derive_exponents(2, 2), 0.0)
+            eval_flat(PowerPair(2, 2), 0.0)
 
     def test_ode_identity_at_t_one(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         delta = 1e-5
         up = eval_flat(pair, 1.0 + delta)[0]
         um = eval_flat(pair, 1.0 - delta)[0]
@@ -123,7 +126,7 @@ class TestEvalFlat:
         # central finite differences on u(t) against -v**p, across times
         rng = np.random.default_rng(23)
         for p, q in _random_superlinear_pairs(rng, 100):
-            pair = derive_exponents(p, q)
+            pair = PowerPair(p, q)
             for t in (0.5, 1.0, 2.0):
                 delta = 1e-5 * t
                 up = eval_flat(pair, t + delta)[0]
@@ -134,27 +137,27 @@ class TestEvalFlat:
 
 class TestEllipticConstants:
     def test_symmetric_dim_one(self):
-        consts = elliptic_constants(derive_exponents(2, 2), 1)
+        consts = elliptic_constants(PowerPair(2, 2), 1)
         assert consts.a_sub == pytest.approx(6.0, rel=1e-12)
         assert consts.b_sub == pytest.approx(6.0, rel=1e-12)
 
     def test_symmetric_dim_three(self):
-        consts = elliptic_constants(derive_exponents(2, 2), 3)
+        consts = elliptic_constants(PowerPair(2, 2), 3)
         assert consts.a_sub == pytest.approx(2.0, rel=1e-12)
 
     def test_symmetry_under_swap(self):
-        consts = elliptic_constants(derive_exponents(2.5, 2.5), 1)
+        consts = elliptic_constants(PowerPair(2.5, 2.5), 1)
         assert consts.a_sub == consts.b_sub
 
     def test_rejects_flat_profile_dimension(self):
         # p = q = 2 gives 2a = 2b = 2, not above N - 2 = 3
         with pytest.raises(ValueError):
-            elliptic_constants(derive_exponents(2, 2), 5)
+            elliptic_constants(PowerPair(2, 2), 5)
 
     @pytest.mark.parametrize("p,q,dim_n", [(2, 2, 1), (2, 3, 1), (2, 2, 3), (1.5, 3, 2)])
     def test_direct_differentiation_oracle(self, p, q, dim_n):
         # second differences of A r^(-2a) must reproduce (B r^(-2b))**p
-        pair = derive_exponents(p, q)
+        pair = PowerPair(p, q)
         consts = elliptic_constants(pair, dim_n)
         h = 1e-5
         for r in (0.5, 0.8):
@@ -166,7 +169,7 @@ class TestEllipticConstants:
 
     def test_resubstitution_fixes_b_amplitude(self):
         # B * 2b(2b+2-N) = A**q, the identity that distinguishes the q power
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         consts = elliptic_constants(pair, 1)
         lhs = consts.b_sub * 2 * pair.b * (2 * pair.b + 2 - 1)
         assert lhs == pytest.approx(consts.a_sub**pair.q, rel=1e-10)
@@ -177,7 +180,7 @@ class TestEllipticConstants:
         assert consts.b_sub ** (pair.p * pair.q - 1) == pytest.approx(corrected, rel=1e-10)
 
     def test_eval_elliptic_floors_the_origin(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         consts = elliptic_constants(pair, 1)
         u, v = eval_elliptic(pair, consts, np.array([-0.5, 0.0, 0.5]))
         assert np.isfinite(u).all() and np.isfinite(v).all()
@@ -189,7 +192,7 @@ class TestLargeExponentConstants:
 
     @pytest.mark.parametrize("p", [200.0, 300.0])
     def test_flat_amplitudes_in_log_form(self, p):
-        pair = derive_exponents(p, 2)
+        pair = PowerPair(p, 2)
         c = flat_constants(pair)
         assert 0 < c.a_star < math.inf and 0 < c.b_star < math.inf
         # a A = B**p and b B = A**q
@@ -199,7 +202,7 @@ class TestLargeExponentConstants:
 
     @pytest.mark.parametrize("p", [200.0, 300.0])
     def test_elliptic_amplitudes_in_log_form(self, p):
-        pair = derive_exponents(p, 2)
+        pair = PowerPair(p, 2)
         c = elliptic_constants(pair, 1)
         assert 0 < c.a_sub < math.inf and 0 < c.b_sub < math.inf
         # A L(2a) = B**p and B L(2b) = A**q, with L(g) = g (g + 2 - N)
@@ -222,40 +225,27 @@ class TestLargeExponentConstants:
 
     @pytest.mark.parametrize("p, q", BITS)
     def test_normal_products_keep_their_bits(self, p, q):
-        pair = derive_exponents(p, q)
+        pair = PowerPair(p, q)
         flat = flat_constants(pair)
         elliptic = elliptic_constants(pair, 1)
         got = (flat.a_star, flat.b_star, elliptic.a_sub, elliptic.b_sub)
         assert tuple(x.hex() for x in got) == self.BITS[(p, q)]
 
 
-class TestScalarProfile:
-    def test_values(self):
-        assert scalar_profile(2, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert scalar_profile(3, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert scalar_profile(2, 0.1) == pytest.approx(10.0, rel=1e-14)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            scalar_profile(1.0, 1.0)
-        with pytest.raises(ValueError):
-            scalar_profile(2.0, 0.0)
-
-
 class TestClassifyRegime:
     def test_two_two_dim_one(self):
-        report = classify_regime(derive_exponents(2, 2), 1)
+        report = classify_regime(PowerPair(2, 2), 1)
         assert report.superlinear and not report.sublinear
         assert report.measure_subcritical
         assert not report.removable_supercritical
         assert report.elliptic_singular_exists
 
     def test_three_three_dim_one(self):
-        report = classify_regime(derive_exponents(3, 3), 1)
+        report = classify_regime(PowerPair(3, 3), 1)
         assert report.removable_supercritical
 
     def test_sublinear(self):
-        report = classify_regime(derive_exponents(0.5, 0.5), 2)
+        report = classify_regime(PowerPair(0.5, 0.5), 2)
         assert report.sublinear and not report.superlinear
 
     def test_exclusivity_and_implication(self):
@@ -266,7 +256,7 @@ class TestClassifyRegime:
             if abs(p * q - 1.0) < 0.05:
                 continue
             for dim_n in (1, 2, 3):
-                report = classify_regime(derive_exponents(p, q), dim_n)
+                report = classify_regime(PowerPair(p, q), dim_n)
                 assert not (report.superlinear and report.sublinear)
                 if report.removable_supercritical:
                     assert not report.measure_subcritical
@@ -278,7 +268,7 @@ class TestClassifyRegime:
             q = rng.uniform(0.3, 4.0)
             if abs(p * q - 1.0) < 0.05:
                 continue
-            pair = derive_exponents(p, q)
+            pair = PowerPair(p, q)
             seen_false = False
             for dim_n in range(1, 11):
                 flag = classify_regime(pair, dim_n).measure_subcritical
@@ -289,32 +279,32 @@ class TestClassifyRegime:
 
 class TestWellposedness:
     def test_integrable_data_dim_one(self):
-        verdict = wellposedness(derive_exponents(2, 2), 1, 1.0, 1.0)
+        verdict = wellposedness(PowerPair(2, 2), 1, 1.0, 1.0)
         assert verdict.existence and verdict.uniqueness
 
     def test_integrable_data_dim_three(self):
-        verdict = wellposedness(derive_exponents(2, 2), 3, 1.0, 1.0)
+        verdict = wellposedness(PowerPair(2, 2), 3, 1.0, 1.0)
         assert not verdict.existence
 
     def test_bounded_data_always_exists(self):
         for dim_n in (1, 2, 3, 7):
-            verdict = wellposedness(derive_exponents(3, 4), dim_n, math.inf, math.inf)
+            verdict = wellposedness(PowerPair(3, 4), dim_n, math.inf, math.inf)
             assert verdict.existence
 
     def test_rejects_orders_below_one(self):
         with pytest.raises(ValueError):
-            wellposedness(derive_exponents(2, 2), 1, 0.5, 1.0)
+            wellposedness(PowerPair(2, 2), 1, 0.5, 1.0)
 
     def test_uniqueness_requires_existence(self):
         # p/lam - 1/theta small but existence already fails
-        verdict = wellposedness(derive_exponents(2, 2), 3, 1.0, 1.0)
+        verdict = wellposedness(PowerPair(2, 2), 3, 1.0, 1.0)
         assert not verdict.uniqueness
 
 
 @pytest.mark.parametrize("call", [
-    lambda: elliptic_constants(derive_exponents(2, 2), 0),
-    lambda: classify_regime(derive_exponents(2, 2), 0),
-    lambda: wellposedness(derive_exponents(2, 2), 0, 1.0, 1.0),
+    lambda: elliptic_constants(PowerPair(2, 2), 0),
+    lambda: classify_regime(PowerPair(2, 2), 0),
+    lambda: wellposedness(PowerPair(2, 2), 0, 1.0, 1.0),
 ], ids=["elliptic_constants", "classify_regime", "wellposedness"])
 def test_dimension_below_one_raises(call):
     with pytest.raises(ValueError, match="dimension must be >= 1"):

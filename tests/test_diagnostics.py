@@ -10,6 +10,7 @@ from absorblab import (
     DomainKind,
     Field,
     LaplacianBands,
+    PowerPair,
     SolverConfig,
     SpatialDomain,
     Trajectory,
@@ -18,7 +19,6 @@ from absorblab import (
     check_f_subsolution,
     check_upper_estimate,
     cylinder_integral,
-    derive_exponents,
     dichotomy_classify,
     eval_flat,
     fit_power_law,
@@ -160,7 +160,7 @@ class TestCylinderIntegral:
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_flat_solution_closed_form(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(401)
         traj = flat_trajectory(g, pair, np.linspace(0.1, 1.0, 181))
         value = cylinder_integral(traj, 2.0, 0, (-0.5, 0.5), (0.2, 0.5))
@@ -168,7 +168,7 @@ class TestCylinderIntegral:
         assert value == pytest.approx(exact, rel=0.01)
 
     def test_logarithmic_growth_of_first_power(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(401)
         traj = flat_trajectory(g, pair, np.linspace(0.05, 1.0, 191))
         v1 = cylinder_integral(traj, 1.0, 0, (-0.5, 0.5), (0.1, 1.0))
@@ -244,7 +244,7 @@ class TestDichotomyClassify:
 
 class TestUpperEstimateMonitor:
     def test_exact_flat_solution_recovers_amplitude(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         consts = flat_constants(pair)
         g = interval_grid(201)
         traj = flat_trajectory(g, pair, np.geomspace(0.1, 1.0, 12))
@@ -253,7 +253,7 @@ class TestUpperEstimateMonitor:
         assert report.sup_v_t_b == pytest.approx(consts.b_star, abs=1e-6)
 
     def test_monitor_is_linear_in_the_field(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(201)
         times = np.geomspace(0.1, 1.0, 12)
         full = flat_trajectory(g, pair, times)
@@ -267,7 +267,7 @@ class TestUpperEstimateMonitor:
         assert r_half.sup_u_t_a == pytest.approx(0.5 * r_full.sup_u_t_a, rel=1e-12)
 
     def test_interior_margin_excludes_boundary_layer(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(201)
 
         def u_fn(t):
@@ -280,7 +280,7 @@ class TestUpperEstimateMonitor:
         assert report.sup_u_t_a < 2.0
 
     def test_one_row_trajectory_rejected(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(201)
         traj = synthetic_trajectory(g, np.geomspace(0.1, 1.0, 8), lambda t: np.ones(201))
         with pytest.raises(ValueError, match="coupled trajectory"):
@@ -289,7 +289,7 @@ class TestUpperEstimateMonitor:
     def test_mirror_edge_nodes_weigh_alike(self):
         # on 21 nodes over [-0.5, 0.5] the right edge node at margin 0.05 sits at
         # 0.45000000000000007, one ulp past 0.45; it counts as its mirror -0.45 does
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(21, extent=0.5)
         times = np.geomspace(0.1, 1.0, 6)
         sups = []
@@ -305,7 +305,7 @@ class TestUpperEstimateMonitor:
         assert sups[0][0] == 50.0  # the spike at t = 1
 
     def test_margin_swallowing_domain_rejected(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         g = interval_grid(201)
         traj = flat_trajectory(g, pair, np.geomspace(0.1, 1.0, 8))
         with pytest.raises(ValueError):
@@ -314,7 +314,7 @@ class TestUpperEstimateMonitor:
 
 class TestFSubsolution:
     def test_constants_for_two_three(self):
-        d, c, k = subsolution_constants(derive_exponents(2, 3))
+        d, c, k = subsolution_constants(PowerPair(2, 3))
         assert d == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert c == 0.125
         assert k == pytest.approx(512.0, rel=1e-12)
@@ -327,11 +327,11 @@ class TestFSubsolution:
             g, [0.1, 0.2, 0.3],
             lambda t: np.zeros(101), lambda t: np.zeros(101),
         )
-        report = check_f_subsolution(traj, derive_exponents(2, 3))
+        report = check_f_subsolution(traj, PowerPair(2, 3))
         assert report.max_violation == 0.0
 
     def test_exact_flat_trajectory_stays_below_bound(self):
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         g = interval_grid(101)
         traj = flat_trajectory(g, pair, np.linspace(0.1, 1.0, 30))
         report = check_f_subsolution(traj, pair)
@@ -343,17 +343,17 @@ class TestFSubsolution:
             g, [0.1, 0.2, 0.3], lambda t: np.zeros(11), lambda t: np.zeros(11)
         )
         with pytest.raises(ValueError):
-            check_f_subsolution(traj, derive_exponents(2, 2))
+            check_f_subsolution(traj, PowerPair(2, 2))
 
     def test_rejects_one_row_trajectory(self):
         g = interval_grid(11)
         traj = synthetic_trajectory(g, [0.1, 0.2, 0.3], lambda t: np.zeros(11))
         with pytest.raises(ValueError, match="coupled trajectory"):
-            check_f_subsolution(traj, derive_exponents(2, 3))
+            check_f_subsolution(traj, PowerPair(2, 3))
 
     def test_rejects_q_below_p(self):
         with pytest.raises(ValueError):
-            subsolution_constants(derive_exponents(3, 2))
+            subsolution_constants(PowerPair(3, 2))
 
 
 class TestMeanValue:
@@ -397,9 +397,16 @@ def _cylinder_of_ones(power=1.0, region=(-0.5, 0.5), t_window=(0.1, 0.3)):
     return cylinder_integral(_ones_trajectory(), power, 0, region, t_window)
 
 
+def _fit_with_last(value):
+    return fit_power_law([(t, 1.0 / t) for t in (0.1, 0.2, 0.3, 0.4)] + [(0.5, value)],
+                         (0.1, 0.5))
+
+
 # on the 11-node interval (h = 0.2) every check below fails before any arithmetic
 INPUT_CHECKS = {
     "fit-empty-window": (lambda: fit_power_law([(0.1, 1.0)], (0.2, 0.1)), "empty fit window"),
+    "fit-inf": (lambda: _fit_with_last(math.inf), "power-law fit needs strictly positive"),
+    "fit-nan": (lambda: _fit_with_last(math.nan), "power-law fit needs strictly positive"),
     "trace-psi-other-grid": (lambda: trace_functional(_ones_trajectory(),
                                                       Field(interval_grid(21), np.zeros(21))),
                              "different grid"),
@@ -409,10 +416,10 @@ INPUT_CHECKS = {
     "cylinder-power-zero": (lambda: _cylinder_of_ones(power=0.0), "power must be positive"),
     "cylinder-power-negative": (lambda: _cylinder_of_ones(power=-1.0), "power must be positive"),
     "monitor-pq-below-one": (lambda: check_upper_estimate(_ones_trajectory(),
-                                                          derive_exponents(0.5, 0.5), 0.1),
+                                                          PowerPair(0.5, 0.5), 0.1),
                              "requires pq > 1"),
     "subsolution-two-snapshots": (lambda: check_f_subsolution(_ones_trajectory((0.1, 0.2)),
-                                                              derive_exponents(2, 3)),
+                                                              PowerPair(2, 3)),
                                   "at least 3 snapshots"),
     "mean-value-s-zero": (lambda: mean_value_check(_ones_trajectory(), 0.0, (0.0, 0.3), 0.2, [0.1]),
                           "averaging power must be positive"),
@@ -522,7 +529,7 @@ GEOMETRIES = [(DomainKind.INTERVAL, 1), (DomainKind.RADIAL_BALL, 3)]
 
 
 class TestStackedReductionsMatchPerSnapshot:
-    PAIR = derive_exponents(2, 3)
+    PAIR = PowerPair(2, 3)
     TIMES = np.geomspace(2e-3, 0.05, 20)  # nonuniform snapshot spacing
 
     @pytest.fixture(scope="class", params=[(kind, dim_n, bc) for kind, dim_n in GEOMETRIES

@@ -23,20 +23,19 @@ from absorblab import (
     DomainKind,
     Field,
     LaplacianBands,
+    PowerPair,
     SolverConfig,
     SpatialDomain,
     StepSizeUnderflow,
     build_grid,
     bump_function,
     cylinder_integral,
-    derive_exponents,
     eval_flat,
     flat_constants,
     heat_solve,
     integrate_field,
     mean_value_check,
     residual_of,
-    scalar_profile,
     solve,
     steps_to_csv,
     trajectory_to_csv,
@@ -112,7 +111,7 @@ class TestLapackLoader:
 class TestOneStep:
     def test_zero_v_reduces_to_implicit_diffusion(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         u0 = bump_function(g, 0.0, 0.5)
         zero = Field(g, np.zeros(101))
         dt = 1e-3
@@ -127,13 +126,13 @@ class TestOneStep:
 
     def test_flat_field_unchanged_by_diffusion(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         out = one_step(Field(g, np.full(101, 4.2)), Field(g, np.zeros(101)), pair)
         assert np.allclose(out[0], 4.2, rtol=1e-13)
 
     def test_flat_unit_state_one_step_value(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         one = Field(g, np.ones(101))
         out = one_step(one, one, pair)
         expected = 1.0 / 1.001
@@ -143,7 +142,7 @@ class TestOneStep:
     def test_zero_component_stays_exactly_zero(self):
         # with u = 0 the v equation degenerates to pure heat: flat v persists
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         out = one_step(Field(g, np.zeros(101)), Field(g, np.ones(101)), pair)
         assert np.all(out[0] == 0.0)
         assert np.allclose(out[1], 1.0, rtol=1e-13)
@@ -153,7 +152,7 @@ class TestOneStep:
     def test_rejects_negative_or_nonfinite_data(self, bad, component):
         # bad data is rejected, never clamped to 0
         g = interval_grid(11)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         one = Field(g, np.ones(11))
         wrong = Field(g, np.full(11, bad))
         u, v = (wrong, one) if component == "u" else (one, wrong)
@@ -161,7 +160,7 @@ class TestOneStep:
             solve(u, v, pair, config(), [0.01])
 
     def test_rejects_fields_on_different_grids(self):
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         u = Field(interval_grid(11), np.ones(11))
         v = Field(grid_of(DomainKind.RADIAL_BALL, 3, nodes=11), np.ones(11))
         with pytest.raises(ValueError, match="different grids"):
@@ -171,7 +170,7 @@ class TestOneStep:
 class TestSolve:
     def test_tracks_flat_solution(self):
         g = interval_grid(201)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         ic = Field(g, np.full(201, 10.0))
         traj = solve(ic, ic, pair, config(t_start=0.1), np.geomspace(0.11, 0.5, 8))
         for t, (u, _) in zip(traj.times, traj.values):
@@ -180,7 +179,7 @@ class TestSolve:
 
     def test_symmetric_data_stays_symmetric(self):
         g = interval_grid(101)
-        pair = derive_exponents(2.5, 2.5)
+        pair = PowerPair(2.5, 2.5)
         ic = bump_function(g, 0.0, 0.5)
         traj = solve(ic, ic, pair, config(), [0.05, 0.1, 0.2])
         for u, v in traj.values:
@@ -188,7 +187,7 @@ class TestSolve:
 
     def test_positivity_everywhere(self):
         g = interval_grid(101)
-        pair = derive_exponents(3, 3)
+        pair = PowerPair(3, 3)
         ic = bump_function(g, 0.0, 0.1)
         traj = solve(ic, ic, pair, config(dt_init=1e-6), [0.01, 0.1])
         for u, v in traj.values:
@@ -197,7 +196,7 @@ class TestSolve:
 
     def test_mass_monotone_under_neumann(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         ic = bump_function(g, 0.0, 0.5)
         traj = solve(ic, ic, pair, config(), np.linspace(0.05, 0.5, 10))
         masses = [integrate_field(Field(g, u)) for u, _ in traj.values]
@@ -209,7 +208,7 @@ class TestSolve:
         # matched step sequences (huge tolerance => same doubling pattern),
         # backward Euler diffusion is order-preserving, absorption only removes
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         ic = bump_function(g, 0.0, 0.4)
         times = [0.02, 0.1, 0.3]
         cfg = config(dt_init=1e-4, tol_step=1e6)
@@ -220,7 +219,7 @@ class TestSolve:
 
     def test_repeated_runs_bit_identical(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         ic = bump_function(g, 0.0, 0.3)
         t1 = solve(ic, ic, pair, config(), [0.1, 0.2])
         t2 = solve(ic, ic, pair, config(), [0.1, 0.2])
@@ -230,7 +229,7 @@ class TestSolve:
 
     def test_rejects_negative_initial_data(self):
         g = interval_grid(11)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         bad = Field(g, np.linspace(-1, 1, 11))
         good = Field(g, np.ones(11))
         with pytest.raises(ValueError):
@@ -238,14 +237,14 @@ class TestSolve:
 
     def test_rejects_output_times_outside_span(self):
         g = interval_grid(11)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         ic = Field(g, np.ones(11))
         with pytest.raises(ValueError):
             solve(ic, ic, pair, config(t_start=0.1), [0.05, 0.5])
 
     def test_dt_underflow_reports_time(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         ic = Field(g, np.full(101, 5.0))
         cfg = config(t_start=0.1, dt_init=1e-4, dt_min=9e-5, tol_step=1e-18)
         with pytest.raises(StepSizeUnderflow, match="t="):
@@ -253,7 +252,7 @@ class TestSolve:
 
     def test_step_log_records_accepted_steps(self):
         g = interval_grid(51)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         ic = Field(g, np.ones(51))
         traj = solve(ic, ic, pair, config(), [0.05, 0.1])
         assert len(traj.steps) > 0
@@ -319,8 +318,8 @@ class TestSymmetricSolve:
     def test_flat_bound_by_universal_profile(self):
         g = interval_grid(101)
         ic = Field(g, np.full(101, 1e4))
-        traj = solve(ic, ic, derive_exponents(2, 2), config(), [0.1])
-        bound = scalar_profile(2.0, 0.1)
+        traj = solve(ic, ic, PowerPair(2, 2), config(), [0.1])
+        bound = eval_flat(PowerPair(2, 2), 0.1)[0]
         top = traj.values[-1, 0].max()
         assert top <= bound
         assert top >= 0.95 * bound
@@ -328,7 +327,7 @@ class TestSymmetricSolve:
     def test_zero_stays_zero(self):
         g = interval_grid(101)
         ic = Field(g, np.zeros(101))
-        traj = solve(ic, ic, derive_exponents(2, 2), config(), [0.5, 1.0])
+        traj = solve(ic, ic, PowerPair(2, 2), config(), [0.5, 1.0])
         assert np.all(traj.values == 0.0)
 
     @pytest.mark.parametrize("data", ["bump", "flat"])
@@ -339,7 +338,7 @@ class TestSymmetricSolve:
         # the one-row path equals the two-row integration bit for bit, steps included
         g = interval_grid(101)
         ic = bump_function(g, 0.0, 0.4) if data == "bump" else Field(g, np.full(101, 3.0))
-        pair, times = derive_exponents(power, power), [0.01, 0.04]
+        pair, times = PowerPair(power, power), [0.01, 0.04]
         cfg = config(bc, theta=theta, tol_step=1e-5)
         two_rows = evolution._integrate([ic, ic], cfg, times, _coupled(pair))
         calls = spy_on_integrate(monkeypatch)
@@ -360,7 +359,7 @@ class TestSymmetricSolve:
         elif change == "negative zero":
             assert v[0] == 0.0  # the bump vanishes at the wall
             v[0] = -0.0
-        pair = derive_exponents(2, 3 if change == "p != q" else 2)
+        pair = PowerPair(2, 3 if change == "p != q" else 2)
         calls = spy_on_integrate(monkeypatch)
         traj = solve(u, Field(g, v), pair, config(), [0.05])
         assert calls == [_coupled(pair)]
@@ -370,7 +369,7 @@ class TestSymmetricSolve:
 class TestResidualOf:
     def test_zero_fields_give_zero_residual(self):
         g = interval_grid(101)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
         zero = np.zeros((2, 101))
         r = residual_of(lambda t: zero, g, pair, NEU, 1.0, 1e-3)
         assert r.shape == (2, 101)
@@ -384,13 +383,13 @@ class TestResidualOf:
         # probe, on a flat state, therefore takes neither `bc` nor `nodes`
         g = interval_grid(nodes)
         state = np.stack([np.full(nodes, 2.0), np.full(nodes, 3.0)])
-        r = residual_of(lambda t: state, g, derive_exponents(2, 3), bc, 1.0, 1e-3)
+        r = residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)
         assert np.all(r[0] == 9.0)
         assert np.all(r[1] == 8.0)
 
     def test_flat_solution_temporal_order_two(self):
         g = interval_grid(51)
-        pair = derive_exponents(2, 2)
+        pair = PowerPair(2, 2)
 
         def state_of(t):
             return np.full((2, 51), np.array(eval_flat(pair, t))[:, None])
@@ -471,7 +470,7 @@ class TestSharedOperator:
         g = grid_of(kind, dim_n, nodes=41)
         w = smooth_positive(g)
         state = np.stack([w, np.zeros_like(w)])
-        probe = -residual_of(lambda t: state, g, derive_exponents(2, 3), bc, 1.0, 1e-3)[0]
+        probe = -residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)[0]
         assert np.array_equal(probe, _Diffusion(g, bc, 1.0).apply(w))
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -513,7 +512,7 @@ class TestSharedOperator:
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_advance_equals_list_based_reference(self, kind, dim_n, bc, theta):
         g = grid_of(kind, dim_n, nodes=41)
-        pair = derive_exponents(2, 3)
+        pair = PowerPair(2, 3)
         op = _Diffusion(g, bc, theta)
         absorption = _coupled(pair)
         w = two_rows(g)
@@ -587,7 +586,7 @@ def strang(reaction, op, w, dt):
     return reaction(op.step(reaction(w, 0.5 * dt), dt), 0.5 * dt)
 
 
-PAIR_23 = derive_exponents(2, 3)
+PAIR_23 = PowerPair(2, 3)
 # (absorption, the clamped reaction it replaces, number of rows)
 ABSORPTIONS = {
     "coupled": (((1, PAIR_23.p), (0, PAIR_23.q)), clamped_system_reaction(PAIR_23), 2),
@@ -660,7 +659,7 @@ def test_rejection_reuses_the_half_step(monkeypatch):
     monkeypatch.setattr(evolution, "_advance", counted)
     g = interval_grid(41)
     ic = bump_function(g, 0.0, 0.3)
-    traj = solve(ic, ic, derive_exponents(2, 3), config(dt_init=1e-2), [0.02])
+    traj = solve(ic, ic, PowerPair(2, 3), config(dt_init=1e-2), [0.02])
     retries = sum(rec.retries for rec in traj.steps)
     assert retries >= 1
     assert len(calls) == 3 * len(traj.steps) + 2 * retries
@@ -697,7 +696,7 @@ class TestStepController:
         ic = bump_function(g, 0.0, 0.1)
         times = [0.002 * k for k in range(1, 11)]
         cfg = config(dt_init=1e-2)
-        traj = solve(ic, ic, derive_exponents(2, 3), cfg, times)
+        traj = solve(ic, ic, PowerPair(2, 3), cfg, times)
         clipped = clipped_steps(traj, 0.0, times)
         after = [(rec, nxt) for rec, nxt, c, c_nxt in
                  zip(traj.steps, traj.steps[1:], clipped, clipped[1:]) if c and not c_nxt]
@@ -713,7 +712,7 @@ class TestStepController:
         ic = bump_function(g, 0.0, 0.1)
         times = [0.003, 0.007, 0.02]
         cfg = config(dt_init=1e-4)
-        traj = solve(ic, ic, derive_exponents(2, 3), cfg, times)
+        traj = solve(ic, ic, PowerPair(2, 3), cfg, times)
         clipped = clipped_steps(traj, 0.0, times)
         free = [rec for rec, c in zip(traj.steps, clipped) if not c]
         assert 0 < sum(clipped) <= len(times)
@@ -735,7 +734,7 @@ class TestStepController:
         monkeypatch.setattr(evolution, "_advance", counted)
         g = interval_grid(201)
         ic = bump_function(g, 0.0, 0.1)
-        traj = solve(ic, ic, derive_exponents(2, 3), config(), [0.02])
+        traj = solve(ic, ic, PowerPair(2, 3), config(), [0.02])
         retries = sum(rec.retries for rec in traj.steps)
         # this controller: 565 calls, 185 accepted steps and 5 retries
         assert len(calls) <= 600 and retries <= 10
@@ -774,7 +773,7 @@ def test_always_overflowing_attempts_end_in_underflow():
     spike[20] = 1e308
     cfg = config(dt_init=1e-4, dt_min=1e-8, theta=0.5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepSizeUnderflow):
-        solve(Field(g, spike), Field(g, spike), derive_exponents(2, 3), cfg, [1e-3])
+        solve(Field(g, spike), Field(g, spike), PowerPair(2, 3), cfg, [1e-3])
 
 
 def test_error_is_nan_when_any_row_is_nan():
@@ -909,7 +908,7 @@ class TestPowerShortcut:
     def test_solve_equals_plain_power(self, monkeypatch):
         g = interval_grid(201)
         ic = bump_function(g, 0.0, 0.05)
-        args = (ic, ic, derive_exponents(2, 3), config(dt_init=1e-6), [1e-3, 4e-3])
+        args = (ic, ic, PowerPair(2, 3), config(dt_init=1e-6), [1e-3, 4e-3])
         fast = solve(*args)
         monkeypatch.setattr(evolution, "_power_into",
                             lambda out, x, power: np.power(x, power, out=out))
@@ -984,7 +983,7 @@ def test_adaptive_solve_is_second_order():
     # (1.99 in 17...391 under halve / double below tol/4).
     g = interval_grid(201)
     ic = bump_function(g, 0.0, 0.5)
-    run = lambda tol: solve(ic, ic, derive_exponents(2, 3), config(tol_step=tol), [0.02])
+    run = lambda tol: solve(ic, ic, PowerPair(2, 3), config(tol_step=tol), [0.02])
     ref = run(1e-11).values[-1]
     steps, errs = [], []
     for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
@@ -1000,7 +999,7 @@ def test_first_integral_holds_on_the_separatrix():
     # the flat solution keeps H = 0, and the step's drift, relative to
     # m**(q+1)/(q+1), stays below 2e-5 at t = 0.1 (the Lie splitting gave 1.5e-4)
     g = interval_grid(101)
-    pair = derive_exponents(2, 3)
+    pair = PowerPair(2, 3)
     p, q, m = pair.p, pair.q, 10.0
     v0 = ((p + 1) / (q + 1) * m ** (q + 1)) ** (1 / (p + 1))
     traj = solve(Field(g, np.full(101, m)), Field(g, np.full(101, v0)), pair, config(), [0.1])
@@ -1014,8 +1013,8 @@ class TestTrajectory:
         g = interval_grid(21)
         ic = bump_function(g, 0.0, 0.5)
         times = [0.01, 0.02, 0.05]
-        coupled = solve(ic, ic, derive_exponents(2, 3), config(), times)
-        symmetric = solve(ic, ic, derive_exponents(2, 2), config(), times)
+        coupled = solve(ic, ic, PowerPair(2, 3), config(), times)
+        symmetric = solve(ic, ic, PowerPair(2, 2), config(), times)
         heat = heat_solve(ic, config(), times)
         assert coupled.values.shape == symmetric.values.shape == (3, 2, 21)
         assert heat.values.shape == (3, 1, 21)
@@ -1064,7 +1063,7 @@ def solved_trajectory(rows):
     cfg = config(dt_init=1e-5)
     times = np.geomspace(1e-3, 0.02, 5)
     if rows == 2:
-        return solve(ic, ic, derive_exponents(2, 3), cfg, times)
+        return solve(ic, ic, PowerPair(2, 3), cfg, times)
     return heat_solve(ic, cfg, times)
 
 
@@ -1081,7 +1080,7 @@ def test_csv_writers_match_per_node_reference(tmp_path, make, rows):
 
 def test_trajectory_csv_export(tmp_path):
     g = interval_grid(11)
-    pair = derive_exponents(2, 2)
+    pair = PowerPair(2, 2)
     ic = Field(g, np.ones(11))
     traj = solve(ic, ic, pair, config(), [0.005, 0.01])
     tpath = tmp_path / "traj.csv"
@@ -1134,14 +1133,14 @@ def _heat_run():
 
 
 def _probe(shape, dt_probe):
-    return residual_of(lambda t: np.ones(shape), interval_grid(11), derive_exponents(2, 2),
+    return residual_of(lambda t: np.ones(shape), interval_grid(11), PowerPair(2, 2),
                        NEU, 1.0, dt_probe)
 
 
 INPUT_CHECKS = {
     "no-output-times": (lambda: heat_solve(_unit_field(), config(), []),
                         "need at least one output time"),
-    "falling-output-times": (lambda: solve(_unit_field(), _unit_field(), derive_exponents(2, 2),
+    "falling-output-times": (lambda: solve(_unit_field(), _unit_field(), PowerPair(2, 2),
                                            config(), [0.2, 0.1]),
                              "strictly increasing"),
     "dt-probe-zero": (lambda: _probe((2, 11), 0.0), "dt_probe must be positive"),
@@ -1149,15 +1148,13 @@ INPUT_CHECKS = {
     "probe-one-row": (lambda: _probe((1, 11), 1e-3), r"not \(2, 11\)"),
     "probe-other-grid": (lambda: _probe((2, 12), 1e-3), r"not \(2, 11\)"),
     # every argument check is written so that nan fails it
-    "exponents-nan": (lambda: derive_exponents(math.nan, math.nan),
+    "exponents-nan": (lambda: PowerPair(math.nan, math.nan),
                       "exponents must be positive"),
     "dt-probe-nan": (lambda: _probe((2, 11), math.nan), "dt_probe must be positive"),
-    "flat-t-nan": (lambda: eval_flat(derive_exponents(2, 2), math.nan), "defined for t > 0"),
-    "profile-q-nan": (lambda: scalar_profile(math.nan, 1.0), "requires Q > 1"),
-    "profile-t-nan": (lambda: scalar_profile(2.0, math.nan), "requires t > 0"),
-    "theta-nan": (lambda: wellposedness(derive_exponents(2, 2), 1, math.nan, 1.0),
+    "flat-t-nan": (lambda: eval_flat(PowerPair(2, 2), math.nan), "defined for t > 0"),
+    "theta-nan": (lambda: wellposedness(PowerPair(2, 2), 1, math.nan, 1.0),
                   "integrability orders must be >= 1"),
-    "lam-nan": (lambda: wellposedness(derive_exponents(2, 2), 1, 1.0, math.nan),
+    "lam-nan": (lambda: wellposedness(PowerPair(2, 2), 1, 1.0, math.nan),
                 "integrability orders must be >= 1"),
     "cylinder-power-nan": (lambda: cylinder_integral(_heat_run(), math.nan, 0, (-0.5, 0.5),
                                                      (0.05, 0.1)),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from absorblab import ConfigError, ExperimentSpec, parse_config, run_experiment, sweep, write_records
@@ -444,6 +445,10 @@ class TestSchema:
         record = run_experiment(ExperimentSpec(name, FAST[name]))
         assert not record.failed, record.error
         assert recorders[0].read == set(_RECIPES[name].schema)
+        # write_records writes these leaves as they are, with no conversion
+        for value in [*record.params.values(), *record.outcome.values()]:
+            leaves = value if type(value) is list else [value]
+            assert all(type(v) in (bool, int, float, str) for v in leaves), value
 
     def test_settable_key_count(self):
         assert sum(len(r.schema) for r in _RECIPES.values()) == 115
@@ -627,6 +632,16 @@ class TestRecords:
         data = json.loads(path.read_text())
         assert data["name"] == "flat_validation"
         assert data["outcome"]["max_rel_err_u"] < 1e-4
+
+    def test_rejected_sweep_value_is_written_as_given(self, tmp_path):
+        [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
+                         {"nodes": np.array([41])})
+        assert record.error.startswith("ConfigError: key 'nodes': expected an integer")
+        data = json.loads(write_records([record], tmp_path, fmt="json").read_text())
+        assert data["params"]["nodes"] == "np.int64(41)"
+        with open(write_records([record], tmp_path, fmt="csv"), newline="") as fh:
+            header, row = csv.reader(fh)
+        assert row[header.index("param.nodes")] == "41"
 
     def test_sweep_reruns_identical_apart_from_wall_time(self, tmp_path):
         base = ExperimentSpec("estimate_saturation",
