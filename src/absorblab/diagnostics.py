@@ -88,15 +88,22 @@ class SubsolutionReport:
 def fit_power_law(
     samples: Iterable[tuple[float, float]], window: tuple[float, float]
 ) -> FitResult:
-    """Least-squares line through (log t, log value) inside the window."""
+    """Least-squares line through (log t, log value) inside the window.
+
+    Every time must be positive and finite, in the window or not, so that no
+    sample is dropped because its time is nan."""
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ValueError(f"empty fit window {window}")
-    pts = [(float(t), float(v)) for t, v in samples if t_lo <= t <= t_hi]
+    pts = [(float(t), float(v)) for t, v in samples]
+    bad = "power-law fit needs strictly positive, finite samples"
+    if not all(0 < t < math.inf for t, _ in pts):  # nan fails it
+        raise ValueError(bad)
+    pts = [(t, v) for t, v in pts if t_lo <= t <= t_hi]
     if len(pts) < 5:
         raise ValueError(f"need at least 5 samples in the window, got {len(pts)}")
-    if not all(0 < t < math.inf and 0 < v < math.inf for t, v in pts):  # nan fails it
-        raise ValueError("power-law fit needs strictly positive, finite samples")
+    if not all(0 < v < math.inf for _, v in pts):
+        raise ValueError(bad)
     log_t = np.log([t for t, _ in pts])
     log_v = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(log_t, log_v, 1)

@@ -5,9 +5,11 @@ second order in dt.  D is theta-implicit diffusion, Crank-Nicolson at the
 default theta = 0.5 (theta = 1 is first order): one tridiagonal solve
 covering all components along the 1D/radial line, on LU factors computed
 once per dt and kept in a small least-recently-used cache, its result
-clamped at 0.  A(h) is a positive second-order Patankar update of the
-absorption (MPRK22 with a geometric mean of the rates) for every row i
-absorbed by row s = source:
+clamped at 0.  The explicit half is never applied: with M = I - theta dt L,
+the step is x = (M^-1 w - (1-theta) w) / theta, at theta = 0.5 twice the
+backward half step minus w.  A(h) is a positive second-order Patankar
+update of the absorption (MPRK22 with a geometric mean of the rates) for
+every row i absorbed by row s = source:
 
     d0  = w_s**power                              (the rate at w)
     w1  = w_i / (1 + h * d0 / max(w_i, floor))
@@ -25,11 +27,13 @@ for the coupled system, ((0, p),) for it at p = q with u0 = v0 bit for bit
 needs no Newton iteration and leaves an exactly zero component at zero.
 No clamp follows it: from values >= 0 every intermediate lies in [0, inf]
 or is nan, so the quotient is >= 0, inf or nan already.
-The powers mask out of np.power the nodes below 2**(-1100/power), as on
-the tails of a narrow bump, where pow takes its slow path: such a node's
-exact power lies under 2**-1100, 25 binades below half the least
-subnormal, so it rounds to 0.0 and the update stays bit-identical to a
-plain np.power.  -0.0, negatives and nan always go through np.power.
+A cube is x * x * x, two multiplications within an ulp or so of pow, and
+NumPy squares at 2.0.  Any other power masks out of np.power the nodes
+below 2**(-1100/power), as on the tails of a narrow bump, where pow takes
+its slow path: such a node's exact power lies under 2**-1100, 25 binades
+below half the least subnormal, so it rounds to 0.0 and the update stays
+bit-identical to a plain np.power.  -0.0, negatives and nan always go
+through np.power.
 
 Adaptive stepping is plain step doubling: a full step is compared against
 two half steps, the step is rejected and dt halved whenever the scaled gap
@@ -196,19 +200,32 @@ class _Diffusion(LaplacianBands):
     def step(self, w: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
 
+        With M = I - theta dt L the right-hand side is never formed: M x = w~ +
+        (1-theta) dt L w~ is x = (M^-1 w~ - (1-theta) w~) / theta, with w~ = w
+        whose pinned nodes are 0.  At theta = 0.5 that is Crank-Nicolson as
+        twice the backward half step minus w~, one solve and no product with L;
+        at theta = 1, x = M^-1 w~.  Dirichlet data that do not vanish at a wall,
+        as only a first step can meet them, add theta (1-theta) dt L (w - w~) to
+        the solve's right-hand side, non-zero on the rows next to the wall:
+        then x solves the theta step with w itself up to round-off.
+
         w is one field or a (k, n) stack; every row is a right-hand side of
-        one LAPACK gttrs call on the cached factors of I - theta dt L.
-        gttrf + gttrs do the same floating-point operations as one gtsv
-        call, row interchanges included, so the result equals a gtsv solve
-        bit for bit.
+        one LAPACK gttrs call on the cached factors of M.  gttrf + gttrs do
+        the same floating-point operations as one gtsv call, row interchanges
+        included, so M^-1 w~ equals a gtsv solve bit for bit.
         """
-        if self.theta < 1.0:
-            rhs = w + (1.0 - self.theta) * dt * self.apply(w)
-        else:
-            rhs = w.copy()
+        theta = self.theta
+        b = w.copy()  # w~, then M^-1 w~ in place
         if self._pinned_at.size:
-            rhs[..., self._pinned_at] = 0.0
-        x, _ = dgttrs(*self._factor(dt), rhs.T, overwrite_b=1)
+            b[..., self._pinned_at] = 0.0
+        if theta < 1.0:
+            explicit = np.multiply(b, 1.0 - theta)
+            if self._pinned_at.size and w[..., self._pinned_at].any():
+                b += theta * (1.0 - theta) * dt * self.apply(w - b)
+        x, _ = dgttrs(*self._factor(dt), b.T, overwrite_b=1)
+        if theta < 1.0:
+            x -= explicit.T
+            x /= theta
         # theta < 1, a row-swapping Dirichlet factorisation and radial N >= 4 can
         # undershoot slightly; fractional powers and the unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
@@ -225,19 +242,24 @@ def _coupled(pair: PowerPair) -> _Absorption:
 
 
 def _power_into(out: np.ndarray, x: np.ndarray, power: float) -> None:
-    """out[:] = x ** power, as np.power gives it, bit for bit.
+    """out[:] = x ** power: x * x * x at 3.0, else np.power's value bit for bit.
 
-    Below cut = 2**(-1100/power) a node's exact power lies under 2**-1100, 25
-    binades below half the least subnormal, so it rounds to +0.0 whatever the
-    pow behind np.power does with its last bits, and whatever cut's own
-    rounding.  Such nodes get 0.0 and np.power runs on the rest, through its
-    `where=` mask.  A node is tiny when its bits, read as uint64, lie below
-    cut's: that is +0.0 <= x < cut exactly, so -0.0, negatives and nan stay on
-    the np.power side.  The mask is built only when the second node from an
-    end is below cut: a lone tiny node, such as a pinned Dirichlet wall, costs
-    np.power less than the mask.  Never at power 2.0, which NumPy squares
-    without pow.
+    The cube is two multiplications, (x * x) * x, within an ulp or so of pow
+    and a fraction of its cost; NumPy already squares at 2.0 without pow.
+    For the other powers, below cut = 2**(-1100/power) a node's exact power
+    lies under 2**-1100, 25 binades below half the least subnormal, so it
+    rounds to +0.0 whatever the pow behind np.power does with its last bits,
+    and whatever cut's own rounding.  Such nodes get 0.0 and np.power runs on
+    the rest, through its `where=` mask.  A node is tiny when its bits, read
+    as uint64, lie below cut's: that is +0.0 <= x < cut exactly, so -0.0,
+    negatives and nan stay on the np.power side.  The mask is built only when
+    the second node from an end is below cut: a lone tiny node, such as a
+    pinned Dirichlet wall, costs np.power less than the mask.
     """
+    if power == 3.0:
+        np.multiply(x, x, out=out)
+        np.multiply(out, x, out=out)
+        return
     if power != 2.0 and power > 0.0:
         cut = 2.0 ** (-1100.0 / power)
         if x[1] < cut or x[-2] < cut:
@@ -406,22 +428,24 @@ def residual_of(
 
     Row i is (w_i(t+dt) - w_i(t-dt)) / (2 dt) - L w_i(t) + w_s(t)**power,
     with (s, power) the row's absorption as `solve` steps it: r_u carries
-    v**p, r_v carries u**q.  Used to verify exact solutions against the
-    discrete operator: L is `LaplacianBands(grid, bc)`, the bands the solver
-    steps with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall
-    rows of L are zero, because the solver pins those nodes.  Exclude
-    boundary nodes when the probed state does not satisfy the condition of
-    `bc`.
+    v**p, r_v carries u**q, each from the solver's own power rule, the cube
+    as x * x * x.  Used to verify exact solutions against the discrete
+    operator: L is `LaplacianBands(grid, bc)`, the bands the solver steps
+    with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows of
+    L are zero, because the solver pins those nodes.  Exclude boundary nodes
+    when the probed state does not satisfy the condition of `bc`.
     """
     if not dt_probe > 0:  # nan fails it
         raise ValueError("dt_probe must be positive")
-    w = state_of_t(t)
+    w = np.asarray(state_of_t(t), dtype=float)
     if w.shape != (2, grid.nodes):
         raise ValueError(f"state of shape {w.shape} is not (2, {grid.nodes})")
     r = (state_of_t(t + dt_probe) - state_of_t(t - dt_probe)) / (2.0 * dt_probe)
     r -= LaplacianBands(grid, bc).apply(w)
+    rate = np.empty(grid.nodes)
     for row, (source, power) in enumerate(_coupled(pair)):
-        r[row] += w[source] ** power
+        _power_into(rate, w[source], power)
+        r[row] += rate
     return r
 
 

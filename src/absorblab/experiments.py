@@ -220,6 +220,8 @@ def _coerce(key: str, value, param: _Param, at: str):
             fail("a finite number")
         return float(x)
 
+    if isinstance(value, np.integer):  # as a NumPy float passes for a float
+        value = int(value)
     if param.kind == "int":
         if not isinstance(value, int):
             fail("an integer")
@@ -234,7 +236,7 @@ def _coerce(key: str, value, param: _Param, at: str):
         out = value
     elif param.kind == "float_list":
         items = value if isinstance(value, list) else [value]
-        if not all(isinstance(v, (int, float)) for v in items):
+        if not all(isinstance(v, (int, float, np.integer)) for v in items):
             fail("a comma-separated list of numbers")
         out = [finite(v) for v in items]
     else:  # pragma: no cover - schema bug

@@ -407,6 +407,10 @@ INPUT_CHECKS = {
     "fit-empty-window": (lambda: fit_power_law([(0.1, 1.0)], (0.2, 0.1)), "empty fit window"),
     "fit-inf": (lambda: _fit_with_last(math.inf), "power-law fit needs strictly positive"),
     "fit-nan": (lambda: _fit_with_last(math.nan), "power-law fit needs strictly positive"),
+    # five good samples and one at t = nan, which no window filter keeps or drops
+    "fit-t-nan": (lambda: fit_power_law([(t, 1.0 / t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
+                                        + [(math.nan, 5.0)], (0.1, 0.5)),
+                  "power-law fit needs strictly positive"),
     "trace-psi-other-grid": (lambda: trace_functional(_ones_trajectory(),
                                                       Field(interval_grid(21), np.zeros(21))),
                              "different grid"),

@@ -387,6 +387,15 @@ class TestResidualOf:
         assert np.all(r[0] == 9.0)
         assert np.all(r[1] == 8.0)
 
+    def test_rates_follow_the_solver_power_rule(self):
+        # a constant u whose cube by multiplication is not pow's: r_v is u * u * u,
+        # the rate the solver's absorption update takes
+        x = next(x for x in np.linspace(1.1, 2.0, 1001) if x * x * x != np.power(x, 3.0))
+        state = np.stack([np.full(11, x), np.full(11, 2.0)])
+        r = residual_of(lambda t: state, interval_grid(11), PowerPair(2, 3), NEU, 1.0, 1e-3)
+        assert np.all(r[1] == x * x * x)
+        assert np.all(r[0] == 4.0)
+
     def test_flat_solution_temporal_order_two(self):
         g = interval_grid(51)
         pair = PowerPair(2, 2)
@@ -419,38 +428,56 @@ def two_rows(g):
     return np.stack([w, 0.5 * w[::-1] + 0.1])
 
 
+def kernel_power(x, power):
+    """Reference: the solver's rate x**power, the cube as (x * x) * x, any other power
+    as np.power."""
+    return x * x * x if power == 3.0 else np.power(x, power)
+
+
 def list_based_absorb(components, h, pair):
     """Reference: the geometric-mean absorption update A(h), one field at a time."""
     u, v = components
-    u1 = u / (1.0 + h * v**pair.p / np.maximum(u, 1e-300))
-    v1 = v / (1.0 + h * u**pair.q / np.maximum(v, 1e-300))
-    u_new = u / (1.0 + h * np.sqrt(v**pair.p) * np.sqrt(v1**pair.p) / np.maximum(u1, 1e-300))
-    v_new = v / (1.0 + h * np.sqrt(u**pair.q) * np.sqrt(u1**pair.q) / np.maximum(v1, 1e-300))
+    p, q = pair.p, pair.q
+    u1 = u / (1.0 + h * kernel_power(v, p) / np.maximum(u, 1e-300))
+    v1 = v / (1.0 + h * kernel_power(u, q) / np.maximum(v, 1e-300))
+    u_new = u / (1.0 + h * np.sqrt(kernel_power(v, p)) * np.sqrt(kernel_power(v1, p))
+                 / np.maximum(u1, 1e-300))
+    v_new = v / (1.0 + h * np.sqrt(kernel_power(u, q)) * np.sqrt(kernel_power(u1, q))
+                 / np.maximum(v1, 1e-300))
     return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
 
 
+def theta_rhs(bands, w, theta, dt):
+    """Reference: w~ (w with its pinned nodes 0) and the right-hand side
+    b = w~ + theta (1-theta) dt L (w - w~) of the theta step's one solve."""
+    w_pinned = w.copy()
+    w_pinned[..., bands.pinned] = 0.0
+    return w_pinned, w_pinned + theta * (1.0 - theta) * dt * bands.apply(w - w_pinned)
+
+
 def list_based_advance(components, dt, bands, theta, pair):
-    """Reference: the per-component Strang step, one solve_banded call per field."""
+    """Reference: the per-component Strang step, one solve_banded call per field, then
+    x = (y - (1-theta) w~) / theta."""
     halves = []
     for w in list_based_absorb(components, 0.5 * dt, pair):
-        rhs = w + (1.0 - theta) * dt * bands.apply(w) if theta < 1.0 else w.copy()
-        rhs[bands.pinned] = 0.0
+        w_pinned, b = theta_rhs(bands, w, theta, dt)
         ab = np.zeros((3, w.size))
         ab[0, 1:] = -theta * dt * bands.sup[:-1]
         ab[1, :] = 1.0 - theta * dt * bands.diag
         ab[2, :-1] = -theta * dt * bands.sub[1:]
-        halves.append(np.maximum(solve_banded((1, 1), ab, rhs), 0.0))
+        y = solve_banded((1, 1), ab, b)
+        halves.append(np.maximum((y - (1.0 - theta) * w_pinned) / theta, 0.0))
     return list_based_absorb(halves, 0.5 * dt, pair)
 
 
 def gtsv_step(bands, w, theta, dt):
-    """Reference: the uncached step, one LAPACK gtsv call on freshly built bands."""
-    rhs = w + (1.0 - theta) * dt * bands.apply(w) if theta < 1.0 else w.copy()
-    rhs[..., bands.pinned] = 0.0
+    """Reference: the uncached step, one LAPACK gtsv solve y of b on freshly built
+    bands, then x = (y - (1-theta) w~) / theta."""
+    w_pinned, b = theta_rhs(bands, w, theta, dt)
     c = -theta * dt
-    *_, x, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], rhs.T)
+    *_, y, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], b.T)
     assert info == 0
-    return np.maximum(x.T, 0.0)
+    return np.maximum((y.T - (1.0 - theta) * w_pinned) / theta, 0.0)
 
 
 # hit, miss and evict: a dt, its half as a retry takes it and its double, a
@@ -568,8 +595,8 @@ def clamped_absorb(w, rates, h):
 
 def clamped_system_reaction(pair):
     def update(w, h):
-        return clamped_absorb(w, lambda x: np.stack([np.power(x[1], pair.p),
-                                                     np.power(x[0], pair.q)]), h)
+        return clamped_absorb(w, lambda x: np.stack([kernel_power(x[1], pair.p),
+                                                     kernel_power(x[0], pair.q)]), h)
 
     return update
 
@@ -815,15 +842,17 @@ def tailed_row(lo, tail, nodes=64, body=0.3, tiny=TINY):
 
 
 def plain_power_advance(w, dt, op, absorption):
-    """`_advance` with a plain np.power on every row: the Strang step without the shortcut."""
+    """`_advance` with every rate from `kernel_power`: the Strang step without the
+    tiny-node mask."""
     if not absorption:
         return op.step(w, dt)
-    rates = lambda x: np.stack([np.power(x[source], power) for source, power in absorption])
+    rates = lambda x: np.stack([kernel_power(x[source], power) for source, power in absorption])
     return strang(lambda x, h: reference_absorb(x, rates, h), op, w, dt)
 
 
 class TestPowerShortcut:
-    """`_power_into` equals a plain np.power on the whole row, bit for bit."""
+    """`_power_into` equals x * x * x at power 3.0, and a plain np.power on the whole row
+    at any other power, bit for bit."""
 
     @pytest.mark.parametrize("power", SHORTCUT_POWERS)
     def test_values_around_the_cut(self, power):
@@ -835,7 +864,7 @@ class TestPowerShortcut:
                   np.concatenate([near, [0.5, 0.25]]),
                   np.concatenate([[0.5], near[::-1]]),
                   np.concatenate([near, ulps_around(2.0 ** (-1074.0 / power), 4), near])):
-            assert same_bits(power_of_row(x, power), np.power(x, power))
+            assert same_bits(power_of_row(x, power), kernel_power(x, power))
 
     @pytest.mark.parametrize("power", SHORTCUT_POWERS)
     def test_tiny_runs_across_simd_lanes(self, power):
@@ -845,7 +874,7 @@ class TestPowerShortcut:
         for lo in range(18):
             for tail in range(18):
                 x = tailed_row(lo, tail)
-                assert same_bits(power_of_row(x, power), np.power(x, power))
+                assert same_bits(power_of_row(x, power), kernel_power(x, power))
 
     @pytest.mark.parametrize("power", SHORTCUT_POWERS)
     def test_tails_pockets_and_pinned_ends(self, power):
@@ -866,7 +895,7 @@ class TestPowerShortcut:
         rows["pocket"][20:44] = TINY
         rows["runs behind the ends"][[0, -1]] = 0.3
         for name, x in rows.items():
-            assert same_bits(power_of_row(x, power), np.power(x, power)), name
+            assert same_bits(power_of_row(x, power), kernel_power(x, power)), name
 
     @pytest.mark.parametrize("power", SHORTCUT_POWERS)
     def test_special_values(self, power):
@@ -876,16 +905,37 @@ class TestPowerShortcut:
                 for at in (0, 1, 20, 38, 39):
                     for x in (tailed_row(10, 10, nodes=40), np.full(40, TINY)):
                         x[at] = value
-                        assert same_bits(power_of_row(x, power), np.power(x, power)), (value, at)
-            # negatives go to np.power too: nan for a fractional power, -0.0 for an odd one
+                        assert same_bits(power_of_row(x, power), kernel_power(x, power)), (value, at)
+            # negatives go to np.power too, or to the cube: nan for a fractional power,
+            # -0.0 for an odd one
             x = np.concatenate([[-TINY, -0.0], np.full(8, TINY), [-1e-300]])
-            assert same_bits(power_of_row(x, power), np.power(x, power))
+            assert same_bits(power_of_row(x, power), kernel_power(x, power))
+
+    def test_cube_special_values(self):
+        cut = 2.0 ** (-1100.0 / 3.0)
+        near = ulps_around(cut, 4)
+        cases = [(-0.0, -0.0), (0.0, 0.0), (5e-324, 0.0), (1e103, math.inf),
+                 (math.inf, math.inf), (-math.inf, -math.inf), (math.nan, math.nan),
+                 (2.0, 8.0), (-0.5, -0.125)]
+        x = np.array([v for v, _ in cases] + near.tolist())
+        # every node around the cut has an exact cube under 2**-1100: +0.0
+        expected = np.array([c for _, c in cases] + [0.0] * near.size)
+        with np.errstate(over="ignore"):
+            out = power_of_row(x, 3.0)
+            assert same_bits(out, expected)
+            assert same_bits(out, x * x * x)
+
+    def test_cube_is_within_an_ulp_of_pow(self):
+        # normal cubes from 1e-100 to 1e100: two roundings against pow's one
+        x = np.geomspace(10.0 ** (-100 / 3), 10.0 ** (100 / 3), 20001)
+        cube, exact = power_of_row(x, 3.0), np.power(x, 3.0)
+        assert np.all(np.abs(cube - exact) <= np.spacing(exact))
 
     @pytest.mark.parametrize("power", [0.5, 1.0, -1.0, math.nan])
     def test_powers_without_a_shortcut(self, power):
         x = tailed_row(10, 10)
         with np.errstate(divide="ignore"):
-            assert same_bits(power_of_row(x, power), np.power(x, power))
+            assert same_bits(power_of_row(x, power), kernel_power(x, power))
 
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("absorption", [
@@ -911,7 +961,7 @@ class TestPowerShortcut:
         args = (ic, ic, PowerPair(2, 3), config(dt_init=1e-6), [1e-3, 4e-3])
         fast = solve(*args)
         monkeypatch.setattr(evolution, "_power_into",
-                            lambda out, x, power: np.power(x, power, out=out))
+                            lambda out, x, power: np.copyto(out, kernel_power(x, power)))
         plain = solve(*args)
         assert same_bits(fast.values, plain.values)
         assert fast.steps == plain.steps

@@ -635,13 +635,21 @@ class TestRecords:
 
     def test_rejected_sweep_value_is_written_as_given(self, tmp_path):
         [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
-                         {"nodes": np.array([41])})
+                         {"nodes": np.array([True])})
         assert record.error.startswith("ConfigError: key 'nodes': expected an integer")
         data = json.loads(write_records([record], tmp_path, fmt="json").read_text())
-        assert data["params"]["nodes"] == "np.int64(41)"
+        assert data["params"]["nodes"] == "np.True_"
         with open(write_records([record], tmp_path, fmt="csv"), newline="") as fh:
             header, row = csv.reader(fh)
-        assert row[header.index("param.nodes")] == "41"
+        assert row[header.index("param.nodes")] == "True"
+
+    def test_numpy_integer_sweep_values_run(self):
+        # NumPy integers pass for integers, and for numbers, as NumPy floats do
+        [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
+                         {"nodes": np.array([41]), "t_end": np.array([1])})
+        assert not record.failed, record.error
+        assert type(record.params["nodes"]) is int and record.params["nodes"] == 41
+        assert type(record.params["t_end"]) is float and record.params["t_end"] == 1.0
 
     def test_sweep_reruns_identical_apart_from_wall_time(self, tmp_path):
         base = ExperimentSpec("estimate_saturation",

@@ -1,0 +1,69 @@
+"""`tools/golden_diff.py` compares two golden-output directories case by case.
+
+The tool is loaded from its file as it stands, so a moved column or a
+renamed helper fails here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+GOLDEN_DIFF = Path(__file__).resolve().parent.parent / "tools" / "golden_diff.py"
+
+
+def load_golden_diff():
+    spec = importlib.util.spec_from_file_location("golden_diff", GOLDEN_DIFF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_case(root, name, outcome, steps=None):
+    case = root / name
+    case.mkdir(parents=True)
+    (case / "record.json").write_text(json.dumps({"outcome": outcome}), encoding="utf-8")
+    if steps is not None:
+        rows = "".join(f"{0.1 * (k + 1)!r},0.1,0\n" for k in range(steps))
+        (case / f"steps_{name}.csv").write_text("t,dt,retries\n" + rows, encoding="utf-8")
+
+
+def test_equal_directories_exit_zero(tmp_path, capsys):
+    tool = load_golden_diff()
+    for side in "ab":
+        write_case(tmp_path / side, "flat", {"err": 1e-13}, steps=3)
+        write_case(tmp_path / side, "fit", {"slope": -1.0})
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["case", "bytes", "steps", "A", "->", "B"]
+    assert [line.split() for line in lines[1:]] == [
+        ["fit", "equal", "-", "->", "-"], ["flat", "equal", "3", "->", "3"]]
+
+
+def test_moved_fields_show_their_largest_relative_change(tmp_path, capsys):
+    tool = load_golden_diff()
+    write_case(tmp_path / "a", "run", {"masses": [1.0, 2.0, 4.0], "ratio": 0.5, "zero": 0.0,
+                                       "tag": "x", "kept": 3.0, "gone": 1.0}, steps=4)
+    write_case(tmp_path / "b", "run", {"masses": [1.0, 2.002, 4.004], "ratio": 0.25, "zero": 1e-3,
+                                       "tag": "y", "kept": 3.0, "new": [1.0]}, steps=5)
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["run", "differ", "4", "->", "5"]
+    fields = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert fields == {
+        "gone": ["only", "in", "A"],
+        "masses": ["0.001"],
+        "new": ["only", "in", "B"],
+        "ratio": ["0.5", "(0.5", "->", "0.25)"],
+        "tag": ["changed"],
+        "zero": ["0.001", "(0.0", "->", "0.001)"],  # absolute where the old value is 0
+    }
+
+
+def test_a_case_on_one_side_only_differs(tmp_path, capsys):
+    tool = load_golden_diff()
+    write_case(tmp_path / "a", "both", {"x": 1.0})
+    write_case(tmp_path / "b", "both", {"x": 1.0})
+    write_case(tmp_path / "b", "extra", {"x": 1.0}, steps=2)
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[:5] == ["extra", "differ", "-", "->", "2"]

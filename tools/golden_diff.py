@@ -1,0 +1,115 @@
+"""Compare two directories written by `tools/golden_outputs.py`, case by case.
+
+Usage, from the repository root:
+
+    python3 tools/golden_diff.py A B
+
+For every case directory in A or B it prints one line: whether all its
+files are equal byte for byte, and the step-log length (the rows of
+steps_<case>.csv, "-" without one) on both sides. Under a case whose bytes
+differ follows one line per outcome field of record.json that moved, with
+the largest relative change |b - a| / |a| over the field's numbers (the
+absolute change where a is 0) and, for a single number, both values; or a
+word when the field is not numeric, has another length, or is missing on
+one side. Exits 0 when every case is
+byte-identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def leaves(value) -> list:
+    """The scalars of a value, in order; a list is walked depth first."""
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [value]
+
+
+def relative_change(a, b) -> float | str:
+    """Largest |b - a| / |a| over the paired numbers of two outcome values, or a word."""
+    xs, ys = leaves(a), leaves(b)
+    if len(xs) != len(ys):
+        return f"length {len(xs)} -> {len(ys)}"
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if not numbers:
+            if x != y:
+                return "changed"
+            continue
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        gap = abs(y - x)
+        worst = max(worst, gap / abs(x) if x else gap)
+    return worst
+
+
+def outcome_changes(a: dict, b: dict) -> dict[str, float | str]:
+    """Per outcome field that differs between two records: its relative change, or a word."""
+    out: dict[str, float | str] = {}
+    for key in sorted(set(a) | set(b)):
+        if key not in b:
+            out[key] = "only in A"
+        elif key not in a:
+            out[key] = "only in B"
+        elif a[key] != b[key]:
+            out[key] = relative_change(a[key], b[key])
+    return out
+
+
+def step_rows(case: Path) -> int | None:
+    """The rows of the case's step log, its header left out; None without one."""
+    logs = list(case.glob("steps_*.csv"))
+    if not logs:
+        return None
+    return len(logs[0].read_text(encoding="utf-8").splitlines()) - 1
+
+
+def files(case: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in case.iterdir()} if case.is_dir() else {}
+
+
+def outcome(case: Path) -> dict:
+    path = case / "record.json"
+    return json.loads(path.read_text(encoding="utf-8"))["outcome"] if path.is_file() else {}
+
+
+def compare(a_root: Path, b_root: Path) -> tuple[list[str], int]:
+    """The report's lines, and the number of cases whose bytes differ."""
+    cases = sorted({p.name for root in (a_root, b_root) for p in root.iterdir() if p.is_dir()})
+    lines = [f"{'case':<48}{'bytes':<8}steps A -> B"]
+    differ = 0
+    for name in cases:
+        a, b = a_root / name, b_root / name
+        equal = files(a) == files(b)
+        differ += not equal
+        rows = [step_rows(d) if d.is_dir() else None for d in (a, b)]
+        steps = " -> ".join("-" if r is None else str(r) for r in rows)
+        lines.append(f"{name:<48}{'equal' if equal else 'differ':<8}{steps}")
+        if not equal:
+            old, new = outcome(a), outcome(b)
+            for key, change in outcome_changes(old, new).items():
+                shown = change if isinstance(change, str) else f"{change:.3g}"
+                if not isinstance(change, str) and not isinstance(old[key], list):
+                    shown += f"  ({old[key]!r} -> {new[key]!r})"
+                lines.append(f"    {key:<44}{shown}")
+    return lines, differ
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    a_root, b_root = map(Path, argv)
+    lines, differ = compare(a_root, b_root)
+    print("\n".join(lines))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
