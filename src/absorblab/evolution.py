@@ -1,15 +1,14 @@
 """Time integration of the coupled system with positivity preservation.
 
 One step of size dt is a Strang splitting, A(dt/2) -> D(dt) -> A(dt/2),
-second order in dt.  D is theta-implicit diffusion, Crank-Nicolson at the
-default theta = 0.5 (theta = 1 is first order): one tridiagonal solve
+second order in dt.  D is Crank-Nicolson diffusion: one tridiagonal solve
 covering all components along the 1D/radial line, on LU factors computed
 once per dt and kept in a small least-recently-used cache, its result
-clamped at 0.  The explicit half is never applied: with M = I - theta dt L,
-the step is x = (M^-1 w - (1-theta) w) / theta, at theta = 0.5 twice the
-backward half step minus w.  A(h) is a positive second-order Patankar
-update of the absorption (MPRK22 with a geometric mean of the rates) for
-every row i absorbed by row s = source:
+clamped at 0.  The explicit half is never applied: with M = I - dt/2 L,
+the step is x = (M^-1 w - w/2) / (1/2), twice the backward half step minus
+w.  A(h) is a positive second-order Patankar update of the absorption
+(MPRK22 with a geometric mean of the rates) for every row i absorbed by
+row s = source:
 
     d0  = w_s**power                              (the rate at w)
     w1  = w_i / (1 + h * d0 / max(w_i, floor))
@@ -135,7 +134,6 @@ class SolverConfig:
     dt_init: float = 1e-4
     dt_min: float = 1e-12
     tol_step: float = 1e-6
-    theta: float = 0.5
 
     def __post_init__(self):
         # every check is written so that nan fails it
@@ -147,8 +145,6 @@ class SolverConfig:
             raise ValueError("dt_min must not exceed dt_init")
         if not 0 < self.tol_step < math.inf:
             raise ValueError("tol_step must be positive and finite")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0.5, 1]")
 
 
 @dataclass(frozen=True)
@@ -176,11 +172,10 @@ _FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently u
 
 
 class _Diffusion(LaplacianBands):
-    """Theta-implicit diffusion step on the shared Laplacian bands, for one theta."""
+    """Crank-Nicolson diffusion step on the shared Laplacian bands."""
 
-    def __init__(self, grid: Grid, bc: BoundaryCondition, theta: float):
+    def __init__(self, grid: Grid, bc: BoundaryCondition):
         super().__init__(grid, bc)
-        self.theta = theta
         self._pinned_at = np.flatnonzero(self.pinned)
         sub, diag, sup = self.sub[1:], self.diag, self.sup[:-1]
 
@@ -188,8 +183,8 @@ class _Diffusion(LaplacianBands):
         # reference to self, so an operator is freed without the cycle collector
         @functools.lru_cache(_FACTOR_CACHE_SIZE)
         def factor(dt: float) -> list:
-            """LU factors of I - theta dt L."""
-            c = -theta * dt
+            """LU factors of I - dt/2 L."""
+            c = -0.5 * dt
             *factors, info = dgttrf(c * sub, 1.0 + c * diag, c * sup)
             if info != 0:
                 raise NumericsError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
@@ -198,36 +193,32 @@ class _Diffusion(LaplacianBands):
         self._factor = factor
 
     def step(self, w: np.ndarray, dt: float) -> np.ndarray:
-        """Solve (I - theta dt L) x = (I + (1-theta) dt L) w, pinned nodes -> 0.
+        """Solve (I - dt/2 L) x = (I + dt/2 L) w, pinned nodes -> 0.
 
-        With M = I - theta dt L the right-hand side is never formed: M x = w~ +
-        (1-theta) dt L w~ is x = (M^-1 w~ - (1-theta) w~) / theta, with w~ = w
-        whose pinned nodes are 0.  At theta = 0.5 that is Crank-Nicolson as
-        twice the backward half step minus w~, one solve and no product with L;
-        at theta = 1, x = M^-1 w~.  Dirichlet data that do not vanish at a wall,
-        as only a first step can meet them, add theta (1-theta) dt L (w - w~) to
-        the solve's right-hand side, non-zero on the rows next to the wall:
-        then x solves the theta step with w itself up to round-off.
+        With M = I - dt/2 L the right-hand side is never formed: M x = w~ +
+        dt/2 L w~ is x = (M^-1 w~ - w~/2) / (1/2), with w~ = w whose pinned
+        nodes are 0: twice the backward half step minus w~, one solve and no
+        product with L.  Dirichlet data that do not vanish at a wall, as only
+        a first step can meet them, add dt/4 L (w - w~) to the solve's
+        right-hand side, non-zero on the rows next to the wall: then x solves
+        the Crank-Nicolson step with w itself up to round-off.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
         one LAPACK gttrs call on the cached factors of M.  gttrf + gttrs do
         the same floating-point operations as one gtsv call, row interchanges
         included, so M^-1 w~ equals a gtsv solve bit for bit.
         """
-        theta = self.theta
         b = w.copy()  # w~, then M^-1 w~ in place
         if self._pinned_at.size:
             b[..., self._pinned_at] = 0.0
-        if theta < 1.0:
-            explicit = np.multiply(b, 1.0 - theta)
-            if self._pinned_at.size and w[..., self._pinned_at].any():
-                b += theta * (1.0 - theta) * dt * self.apply(w - b)
+        explicit = np.multiply(b, 0.5)
+        if self._pinned_at.size and w[..., self._pinned_at].any():
+            b += 0.25 * dt * self.apply(w - b)
         x, _ = dgttrs(*self._factor(dt), b.T, overwrite_b=1)
-        if theta < 1.0:
-            x -= explicit.T
-            x /= theta
-        # theta < 1, a row-swapping Dirichlet factorisation and radial N >= 4 can
-        # undershoot slightly; fractional powers and the unclamped absorption need >= 0
+        x -= explicit.T
+        x /= 0.5
+        # the explicit half, a row-swapping Dirichlet factorisation and radial N >= 4
+        # can undershoot slightly; fractional powers and the unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
 
 
@@ -344,7 +335,7 @@ def _integrate(
     state = _stacked(*fields)
 
     grid = fields[0].grid
-    op = _Diffusion(grid, config.bc, config.theta)
+    op = _Diffusion(grid, config.bc)
     tol = config.tol_step
     t = config.t_start
     rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
@@ -352,7 +343,7 @@ def _integrate(
     log: list[StepRecord] = []
 
     for i, t_out in enumerate(times):
-        while t < t_out - 1e-13 * max(1.0, abs(t_out)):
+        while t < t_out - 1e-13 * t_out:  # t_out > t_start >= 0
             dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
             retries = 0
             full = _advance(state, dt_try, op, absorption)

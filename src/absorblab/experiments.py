@@ -106,12 +106,11 @@ _SHARED: dict[str, _Param] = {
     "dt_init": _Param("float", 1e-4, _positive, "dt_init must be > 0"),
     "dt_min": _Param("float", 1e-12, _positive, "dt_min must be > 0"),
     "tol_step": _Param("float", 1e-6, _positive, "tol_step must be > 0"),
-    "theta": _Param("float", 0.5, lambda x: 0.5 <= x <= 1.0, "theta must lie in [0.5, 1]"),
     "t_probe": _Param("float", 0.1, _positive, "t_probe must be > 0"),
     "ic_width": _Param("float", 0.3, _positive, "ic_width must be > 0"),
     "ic_mass": _Param("float", 1.0, _positive, "ic_mass must be > 0"),
 }
-_SOLVER = ("dt_init", "dt_min", "tol_step", "theta")  # read by `_solver_config`, with bc if set
+_SOLVER = ("dt_init", "dt_min", "tol_step")  # read by `_solver_config`, with bc if set
 # `run_experiment` reads p, q, nodes and extent; a schema with p runs the coupled system
 _COUPLED = ("p", "q", "nodes", "extent", "bc", *_SOLVER)
 # the flat solution is exact only between zero-flux walls: its recipes run neumann_zero
@@ -215,6 +214,9 @@ def _coerce(key: str, value, param: _Param, at: str):
     def fail(expected):
         raise ConfigError(f"{at}key '{key}': expected {expected}, got {value!r}")
 
+    def number(x, kinds=(int, float)) -> bool:
+        return isinstance(x, kinds) and not isinstance(x, bool)  # True is an int to Python
+
     def finite(x) -> float:
         if not abs(x) <= sys.float_info.max:  # inf, nan, or an int past the float range
             fail("a finite number")
@@ -223,11 +225,11 @@ def _coerce(key: str, value, param: _Param, at: str):
     if isinstance(value, np.integer):  # as a NumPy float passes for a float
         value = int(value)
     if param.kind == "int":
-        if not isinstance(value, int):
+        if not number(value, int):
             fail("an integer")
         out = value
     elif param.kind == "float":
-        if not isinstance(value, (int, float)):
+        if not number(value):
             fail("a number")
         out = finite(value)
     elif param.kind == "str":
@@ -236,7 +238,7 @@ def _coerce(key: str, value, param: _Param, at: str):
         out = value
     elif param.kind == "float_list":
         items = value if isinstance(value, list) else [value]
-        if not all(isinstance(v, (int, float, np.integer)) for v in items):
+        if not all(number(v, (int, float, np.integer)) for v in items):
             fail("a comma-separated list of numbers")
         out = [finite(v) for v in items]
     else:  # pragma: no cover - schema bug
@@ -347,7 +349,6 @@ def _solver_config(params: dict, t_start: float) -> SolverConfig:
         dt_init=params["dt_init"],
         dt_min=params["dt_min"],
         tol_step=params["tol_step"],
-        theta=params["theta"],
     )
 
 

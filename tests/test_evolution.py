@@ -72,9 +72,9 @@ def heat_kernel(x, t):
 
 
 def one_step(u, v, pair, dt=1e-3):
-    """One coupled Strang step as `solve` takes it, with implicit (theta = 1) diffusion."""
+    """One coupled Strang step as `solve` takes it."""
     w = np.stack([u.values, v.values])
-    return _advance(w, dt, _Diffusion(u.grid, NEU, 1.0), _coupled(pair))
+    return _advance(w, dt, _Diffusion(u.grid, NEU), _coupled(pair))
 
 
 class TestLapackLoader:
@@ -116,11 +116,12 @@ class TestOneStep:
         zero = Field(g, np.zeros(101))
         dt = 1e-3
         out = one_step(u0, zero, pair, dt)
-        # independent reference: dense solve of (I - dt L) x = u0
+        # independent reference: dense solve of (I - dt/2 L) x = (I + dt/2 L) u0
         basis = np.eye(101)
         bands = LaplacianBands(g, NEU)
         lap_cols = np.column_stack([bands.apply(basis[:, j]) for j in range(101)])
-        x = np.linalg.solve(np.eye(101) - dt * lap_cols, u0.values)
+        rhs = u0.values + 0.5 * dt * lap_cols @ u0.values
+        x = np.linalg.solve(np.eye(101) - 0.5 * dt * lap_cols, rhs)
         assert np.allclose(out[0], x, atol=1e-11)
         assert np.all(out[1] == 0.0)
 
@@ -331,15 +332,14 @@ class TestSymmetricSolve:
         assert np.all(traj.values == 0.0)
 
     @pytest.mark.parametrize("data", ["bump", "flat"])
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
-    def test_reduction_of_symmetric_system(self, monkeypatch, power, bc, theta, data):
+    def test_reduction_of_symmetric_system(self, monkeypatch, power, bc, data):
         # the one-row path equals the two-row integration bit for bit, steps included
         g = interval_grid(101)
         ic = bump_function(g, 0.0, 0.4) if data == "bump" else Field(g, np.full(101, 3.0))
         pair, times = PowerPair(power, power), [0.01, 0.04]
-        cfg = config(bc, theta=theta, tol_step=1e-5)
+        cfg = config(bc, tol_step=1e-5)
         two_rows = evolution._integrate([ic, ic], cfg, times, _coupled(pair))
         calls = spy_on_integrate(monkeypatch)
         traj = solve(ic, ic, pair, cfg, times)
@@ -447,42 +447,42 @@ def list_based_absorb(components, h, pair):
     return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
 
 
-def theta_rhs(bands, w, theta, dt):
+def crank_nicolson_rhs(bands, w, dt):
     """Reference: w~ (w with its pinned nodes 0) and the right-hand side
-    b = w~ + theta (1-theta) dt L (w - w~) of the theta step's one solve."""
+    b = w~ + dt/4 L (w - w~) of the Crank-Nicolson step's one solve."""
     w_pinned = w.copy()
     w_pinned[..., bands.pinned] = 0.0
-    return w_pinned, w_pinned + theta * (1.0 - theta) * dt * bands.apply(w - w_pinned)
+    return w_pinned, w_pinned + 0.25 * dt * bands.apply(w - w_pinned)
 
 
-def list_based_advance(components, dt, bands, theta, pair):
+def list_based_advance(components, dt, bands, pair):
     """Reference: the per-component Strang step, one solve_banded call per field, then
-    x = (y - (1-theta) w~) / theta."""
+    x = (y - w~/2) / (1/2)."""
     halves = []
     for w in list_based_absorb(components, 0.5 * dt, pair):
-        w_pinned, b = theta_rhs(bands, w, theta, dt)
+        w_pinned, b = crank_nicolson_rhs(bands, w, dt)
         ab = np.zeros((3, w.size))
-        ab[0, 1:] = -theta * dt * bands.sup[:-1]
-        ab[1, :] = 1.0 - theta * dt * bands.diag
-        ab[2, :-1] = -theta * dt * bands.sub[1:]
+        ab[0, 1:] = -0.5 * dt * bands.sup[:-1]
+        ab[1, :] = 1.0 - 0.5 * dt * bands.diag
+        ab[2, :-1] = -0.5 * dt * bands.sub[1:]
         y = solve_banded((1, 1), ab, b)
-        halves.append(np.maximum((y - (1.0 - theta) * w_pinned) / theta, 0.0))
+        halves.append(np.maximum((y - 0.5 * w_pinned) / 0.5, 0.0))
     return list_based_absorb(halves, 0.5 * dt, pair)
 
 
-def gtsv_step(bands, w, theta, dt):
+def gtsv_step(bands, w, dt):
     """Reference: the uncached step, one LAPACK gtsv solve y of b on freshly built
-    bands, then x = (y - (1-theta) w~) / theta."""
-    w_pinned, b = theta_rhs(bands, w, theta, dt)
-    c = -theta * dt
+    bands, then x = (y - w~/2) / (1/2)."""
+    w_pinned, b = crank_nicolson_rhs(bands, w, dt)
+    c = -0.5 * dt
     *_, y, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], b.T)
     assert info == 0
-    return np.maximum((y.T - (1.0 - theta) * w_pinned) / theta, 0.0)
+    return np.maximum((y.T - 0.5 * w_pinned) / 0.5, 0.0)
 
 
 # hit, miss and evict: a dt, its half as a retry takes it and its double, a
 # dt clipped to an output time, a return to dt, then more distinct values
-# than the cache holds; on the 41-node interval (h = 0.05), theta dt > h^2
+# than the cache holds; on the 41-node interval (h = 0.05), dt/2 > h^2
 # makes the LU factorisation swap rows at a Dirichlet wall
 DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3]
 
@@ -498,12 +498,11 @@ class TestSharedOperator:
         w = smooth_positive(g)
         state = np.stack([w, np.zeros_like(w)])
         probe = -residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)[0]
-        assert np.array_equal(probe, _Diffusion(g, bc, 1.0).apply(w))
+        assert np.array_equal(probe, _Diffusion(g, bc).apply(w))
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_step_is_dense_theta_solve(self, kind, dim_n, bc, theta):
+    def test_step_is_dense_crank_nicolson_solve(self, kind, dim_n, bc):
         g = grid_of(kind, dim_n)
         n, dt = g.nodes, 1e-3
         w = smooth_positive(g)
@@ -514,19 +513,24 @@ class TestSharedOperator:
         if bc is DIR:
             wall[-1] = True
             wall[0] = kind is DomainKind.INTERVAL
-        rhs = w + (1.0 - theta) * dt * lap @ w
+        rhs = w + 0.5 * dt * lap @ w
         rhs[wall] = 0.0
-        x = np.linalg.solve(np.eye(n) - theta * dt * lap, rhs)
-        out = _Diffusion(g, bc, theta).step(w, dt)
+        x = np.linalg.solve(np.eye(n) - 0.5 * dt * lap, rhs)
+        out = _Diffusion(g, bc).step(w, dt)
         assert np.allclose(out, x, atol=1e-11)
         assert np.all(out[wall] == 0.0)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_dt_sequence_swaps_rows_at_a_dirichlet_wall(self):
+        # dgttrf's pivots are 1-based: a row whose pivot is not its own was interchanged
+        op = _Diffusion(interval_grid(41), DIR)
+        swapped = [bool(np.any(op._factor(dt)[-1] != np.arange(1, 42))) for dt in DT_SEQUENCE]
+        assert swapped == [dt > 5e-3 for dt in DT_SEQUENCE]  # dt/2 > h^2 = 2.5e-3
+
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, theta):
+    def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc):
         g = grid_of(kind, dim_n, nodes=41)
-        op = _Diffusion(g, bc, theta)
+        op = _Diffusion(g, bc)
         w = two_rows(g)
         applied = op.apply(w)
         stepped = op.step(w, 1e-3)
@@ -534,33 +538,31 @@ class TestSharedOperator:
             assert np.array_equal(applied[i], op.apply(w[i]))
             assert np.array_equal(stepped[i], op.step(w[i], 1e-3))
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_advance_equals_list_based_reference(self, kind, dim_n, bc, theta):
+    def test_advance_equals_list_based_reference(self, kind, dim_n, bc):
         g = grid_of(kind, dim_n, nodes=41)
         pair = PowerPair(2, 3)
-        op = _Diffusion(g, bc, theta)
+        op = _Diffusion(g, bc)
         absorption = _coupled(pair)
         w = two_rows(g)
         ref = list(w)
         for dt in DT_SEQUENCE:
             w = _advance(w, dt, op, absorption)
-            ref = list_based_advance(ref, dt, op, theta, pair)
+            ref = list_based_advance(ref, dt, op, pair)
             assert np.array_equal(w, np.stack(ref))
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc, theta):
+    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc):
         g = grid_of(kind, dim_n, nodes=41)
-        op = _Diffusion(g, bc, theta)
+        op = _Diffusion(g, bc)
         w = ref = two_rows(g)
         for dt in DT_SEQUENCE:
             w = op.step(w, dt)
-            ref = gtsv_step(op, ref, theta, dt)
+            ref = gtsv_step(op, ref, dt)
             assert np.array_equal(w, ref)
-            assert np.array_equal(op.step(w[1], dt), gtsv_step(op, ref[1], theta, dt))
+            assert np.array_equal(op.step(w[1], dt), gtsv_step(op, ref[1], dt))
             info = op._factor.cache_info()
             assert info.maxsize == _FACTOR_CACHE_SIZE == 4 and info.currsize <= 4
         hits, misses = op._factor.cache_info()[:2]
@@ -569,7 +571,7 @@ class TestSharedOperator:
 
     def test_stepped_operator_is_freed_by_reference_counting(self):
         g = interval_grid(41)
-        op = _Diffusion(g, NEU, 0.5)
+        op = _Diffusion(g, NEU)
         op.step(two_rows(g), 1e-3)
         ref = weakref.ref(op)
         gc.disable()
@@ -640,12 +642,11 @@ class TestUnclampedAbsorption:
     step with clamped updates bit for bit."""
 
     @pytest.mark.parametrize("rows", ["coupled", "scalar"])
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("bc", [NEU, DIR])
-    def test_equals_clamped_update(self, bc, theta, rows):
+    def test_equals_clamped_update(self, bc, rows):
         absorption, reaction, k = ABSORPTIONS[rows]
         g = interval_grid(41)
-        op = _Diffusion(g, bc, theta)
+        op = _Diffusion(g, bc)
         w = two_rows(g)[:k]
         # an inf turns the whole line nan, so the finite extremes also go alone
         finite = np.stack([np.resize(EXTREMES[:-1], 41), np.resize(EXTREMES[-2::-1], 41)])[:k]
@@ -792,13 +793,13 @@ class TestStepController:
 
 
 def test_always_overflowing_attempts_end_in_underflow():
-    # at theta = 0.5 the explicit Laplacian of a 1e308 spike overflows at any
+    # the explicit half of a Crank-Nicolson step overflows on a 1e308 spike at any
     # dt: every attempt is non-finite, so each is rejected and dt runs down
     # to dt_min, and no non-finite state is ever accepted
     g = interval_grid(41)
     spike = np.zeros(41)
     spike[20] = 1e308
-    cfg = config(dt_init=1e-4, dt_min=1e-8, theta=0.5)
+    cfg = config(dt_init=1e-4, dt_min=1e-8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepSizeUnderflow):
         solve(Field(g, spike), Field(g, spike), PowerPair(2, 3), cfg, [1e-3])
 
@@ -947,7 +948,7 @@ class TestPowerShortcut:
         g = interval_grid(201)
         bump = bump_function(g, 0.0, 0.05).values
         w = np.stack([bump, 0.5 * bump])[:max(len(absorption), 1)]
-        op = _Diffusion(g, bc, 1.0)
+        op = _Diffusion(g, bc)
         halves = op.step(w, 1e-7)
         assert all(halves[s, 1] < 2.0 ** (-1100.0 / power) for s, power in absorption)
         for dt in (1e-7, 1e-6, 1e-5, 1e-4):
@@ -976,19 +977,16 @@ def test_error_keeps_the_three_temporary_value():
         assert _error(a, b).hex() == expected.hex()
 
 
-class TestTheta:
+class TestCrankNicolson:
     def test_crank_nicolson_runs_and_stays_accurate(self):
         g = interval_grid(201, extent=2.0)
         s0 = 0.05
         ic = Field(g, heat_kernel(g.coords, s0))
-        cfg = config(t_start=s0, dt_init=1e-4, tol_step=1e-7, theta=0.5)
+        cfg = config(t_start=s0, dt_init=1e-4, tol_step=1e-7)
         traj = heat_solve(ic, cfg, [0.1])
         err = np.max(np.abs(traj.values[0, 0] - heat_kernel(g.coords, 0.1)))
         assert err < 5e-3
         assert traj.values[0, 0].min() >= 0.0
-
-    def test_crank_nicolson_is_the_default(self):
-        assert config().theta == 0.5
 
 
 class TestAbsorptionSubstep:
@@ -1150,15 +1148,13 @@ def test_trajectory_csv_export(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(bc=NEU, t_start=0.0, theta=0.2)
-    with pytest.raises(ValueError):
         SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6, dt_min=1e-3)
 
 
 @pytest.mark.parametrize("key, value", [
     ("t_start", math.nan), ("t_start", math.inf), ("dt_init", math.nan),
     ("dt_init", math.inf), ("dt_min", math.nan), ("tol_step", math.nan),
-    ("tol_step", math.inf), ("theta", math.nan),
+    ("tol_step", math.inf),
 ])
 def test_config_rejects_non_finite_values(key, value):
     # dt_init = nan used to make a solve loop forever; that solve is not run here
@@ -1172,6 +1168,20 @@ def test_non_finite_output_time_rejected(t_out):
     ic = Field(interval_grid(11), np.ones(11))
     with pytest.raises(ValueError, match="output times must be finite"):
         heat_solve(ic, config(), [t_out])
+
+
+def test_output_times_below_1e_13_are_reached():
+    # the end-of-interval slack is 1e-13 t_out; an absolute 1e-13 below t = 1
+    # skipped these output times and returned the initial data at them
+    g = interval_grid(41)
+    ic = bump_function(g, 0.0, 0.3)
+    times = [5e-14, 1e-13, 1e-12]
+    cfg = config(dt_init=1e-15, dt_min=1e-18)
+    traj = solve(ic, ic, PowerPair(2, 3), cfg, times)
+    ends = np.array([rec.t for rec in traj.steps])
+    for t_out, snapshot in zip(times, traj.values):
+        assert np.min(np.abs(ends - t_out)) <= 1e-13 * t_out
+        assert not np.array_equal(snapshot[0], ic.values)
 
 
 def _unit_field():
@@ -1228,4 +1238,4 @@ def test_input_check_raises(call, message):
 
 def test_solver_config_holds_only_what_every_solve_reads():
     names = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert names == ["bc", "t_start", "dt_init", "dt_min", "tol_step", "theta"]
+    assert names == ["bc", "t_start", "dt_init", "dt_min", "tol_step"]

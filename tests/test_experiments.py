@@ -107,7 +107,7 @@ BAD_TEXT = [
 
 
 def config_text(recipe, *lines):
-    pair = ["p = 2", "q = 2"] if "p" in _RECIPES[recipe].schema else []
+    pair = [f"{key} = {FAST[recipe][key]}" for key in ("p", "q") if key in FAST[recipe]]
     return "\n".join([f"experiment = {recipe}", *pair, *lines, ""])
 
 
@@ -189,6 +189,15 @@ BAD_CONFIGS = [
     ("convergence_order", {"mask_radius": 0.02}, "keep x = 0 and its neighbours out"),
     # the flat solution exists only for pq > 1: a ValueError in the runner, exit 2
     ("flat_validation", {"q": 0.25}, "this recipe requires pq > 1"),
+    # a bool is an int to Python: p = True ran at p = 1.0 with status ok, and
+    # nodes = True failed with "nodes must be >= 3"
+    ("flat_validation", {"p": True}, "key 'p': expected a number"),
+    ("flat_validation", {"t_end": False}, "key 't_end': expected a number"),
+    ("flat_validation", {"nodes": True}, "key 'nodes': expected an integer"),
+    ("removability_sweep", {"eps_list": [0.1, True]},
+     "key 'eps_list': expected a comma-separated list of numbers"),
+    ("removability_sweep", {"eps_list": True},
+     "key 'eps_list': expected a comma-separated list of numbers"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -405,7 +414,8 @@ FAST = {
 
 # keys each recipe accepted and echoed before they were deleted: the first 15
 # were never read; `nodes` and `bc` of convergence_order changed no output bit,
-# and `bc = dirichlet_zero` voided the flat reference of the last two
+# `bc = dirichlet_zero` voided the flat reference of flat_validation and
+# blowup_fit, and `theta` above 0.5 made the second-order step first order
 DELETED = [
     ("convergence_order", key)
     for key in ("t_start", "t_end", "dt_init", "dt_min", "tol_step", "theta")
@@ -416,7 +426,7 @@ DELETED = [
     ("mean_value_check", "p"), ("mean_value_check", "q"), ("mean_value_check", "t_start"),
     ("convergence_order", "nodes"), ("convergence_order", "bc"),
     ("flat_validation", "bc"), ("blowup_fit", "bc"),
-]
+] + [(name, "theta") for name in RECIPE_NAMES if name != "convergence_order"]
 
 
 class ReadRecorder(dict):
@@ -451,7 +461,7 @@ class TestSchema:
             assert all(type(v) in (bool, int, float, str) for v in leaves), value
 
     def test_settable_key_count(self):
-        assert sum(len(r.schema) for r in _RECIPES.values()) == 115
+        assert sum(len(r.schema) for r in _RECIPES.values()) == 107
 
     @pytest.mark.parametrize("name", RECIPE_NAMES)
     def test_shared_keys_differ_only_in_default(self, name):
@@ -537,7 +547,7 @@ class TestRunExperiment:
                                                "n_snapshots": 4, "t_end": 0.2})
         )
         for key in ("p", "q", "nodes", "extent", "t_start", "t_end",
-                    "dt_init", "dt_min", "tol_step", "theta", "n_snapshots"):
+                    "dt_init", "dt_min", "tol_step", "n_snapshots"):
             assert key in record.params
 
 
@@ -606,8 +616,8 @@ class TestRecords:
         assert "runid" in header and "param.p" in header and "out.max_rel_err_u" in header
 
     def test_csv_cell_with_commas_stays_one_cell(self, tmp_path):
-        records = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
-                        {"theta": [1.0, 0.4]})
+        records = sweep(ExperimentSpec("estimate_saturation", FAST["estimate_saturation"]),
+                        {"margin_frac": [0.2, 0.6]})
         assert "," in records[1].error
         path = write_records(records, tmp_path, fmt="csv")
         with open(path, newline="", encoding="utf-8") as fh:
@@ -797,15 +807,18 @@ class TestCli:
         assert len(data) == 2
 
     def test_sweep_checks_each_value_at_its_point(self, tmp_path, run_cli):
-        # theta = 0.4 fails its own point; it used to abort the sweep at parse time
+        # margin_frac = 0.6 fails its own point; a bad value used to abort the
+        # sweep at parse time
         out = tmp_path / "out"
         result = run_cli(["sweep", "exp.cfg", "--out", str(out), "--format", "json"],
-                         self.CONFIG + "sweep.theta = 1.0, 0.4\n")
+                         "experiment = estimate_saturation\np = 2\nq = 2\nnodes = 41\n"
+                         "t_probe = 1e-3\nsweep.margin_frac = 0.2, 0.6\n")
         assert result.returncode == 0, result.stderr
         first, second = json.loads((out / "record.json").read_text())
         assert not first["failed"]
         assert second["failed"]
-        assert second["error"] == "ConfigError: key 'theta': theta must lie in [0.5, 1]"
+        assert second["error"] == ("ConfigError: key 'margin_frac': "
+                                   "margin_frac must lie in (0, 0.5)")
 
     def test_seed_override(self, tmp_path, run_cli):
         out = tmp_path / "out"

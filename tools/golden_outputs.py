@@ -34,11 +34,13 @@ from absorblab.experiments import (
 )
 
 PAIRS = [(2, 2), (2, 3)]
-VARIANT = {"bc": "dirichlet_zero", "theta": 1.0}  # theta = 1: the non-default diffusion
+# mean_value_check's data do not vanish at the walls, so under Dirichlet walls its
+# first step runs the wall term of `evolution._Diffusion.step`
+VARIANT = {"bc": "dirichlet_zero"}
 
 
 def cases() -> list[tuple[str, str, dict]]:
-    """(case name, recipe, parameters); 26 cases."""
+    """(case name, recipe, parameters); 24 cases."""
     out = []
     for name in RECIPE_NAMES:
         if name == "mean_value_check":  # no (p, q): one run at its defaults
@@ -46,13 +48,10 @@ def cases() -> list[tuple[str, str, dict]]:
             continue
         for p, q in PAIRS:
             out.append((f"{name}-p{p}q{q}", name, {"p": p, "q": q}))
-    # the flat solution holds only between zero-flux walls, so flat_validation takes no bc
     for p, q in PAIRS:
-        out.append((f"flat_validation-p{p}q{q}-theta1", "flat_validation",
-                    {"p": p, "q": q, "theta": 1.0}))
-        out.append((f"trace_measurement-p{p}q{q}-dirichlet-theta1", "trace_measurement",
+        out.append((f"trace_measurement-p{p}q{q}-dirichlet", "trace_measurement",
                     {"p": p, "q": q, **VARIANT}))
-    out.append(("mean_value_check-dirichlet-theta1", "mean_value_check", dict(VARIANT)))
+    out.append(("mean_value_check-dirichlet", "mean_value_check", dict(VARIANT)))
     # the power shortcut (`evolution._power_into`) at a fractional power, and with
     # the cube on row 0's source
     for p, q in ((1.5, 1.5), (3, 2)):
