@@ -332,14 +332,16 @@ class TestSymmetricSolve:
         assert np.all(traj.values == 0.0)
 
     @pytest.mark.parametrize("data", ["bump", "flat"])
+    @pytest.mark.parametrize("tol_step", [1e-5, 1e-3])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
-    def test_reduction_of_symmetric_system(self, monkeypatch, power, bc, data):
-        # the one-row path equals the two-row integration bit for bit, steps included
+    def test_reduction_of_symmetric_system(self, monkeypatch, power, bc, tol_step, data):
+        # the one-row path equals the two-row integration bit for bit, steps included,
+        # on the step sequences of a tight and a loose tolerance
         g = interval_grid(101)
         ic = bump_function(g, 0.0, 0.4) if data == "bump" else Field(g, np.full(101, 3.0))
         pair, times = PowerPair(power, power), [0.01, 0.04]
-        cfg = config(bc, tol_step=1e-5)
+        cfg = config(bc, tol_step=tol_step)
         two_rows = evolution._integrate([ic, ic], cfg, times, _coupled(pair))
         calls = spy_on_integrate(monkeypatch)
         traj = solve(ic, ic, pair, cfg, times)
@@ -485,6 +487,8 @@ def gtsv_step(bands, w, dt):
 # than the cache holds; on the 41-node interval (h = 0.05), dt/2 > h^2
 # makes the LU factorisation swap rows at a Dirichlet wall
 DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3]
+# the same cache pattern at a quarter of the steps: dt/2 < h^2 throughout, no swaps
+DT_SEQUENCES = {"swapping": DT_SEQUENCE, "unpivoted": [dt / 4 for dt in DT_SEQUENCE]}
 
 
 class TestSharedOperator:
@@ -500,11 +504,13 @@ class TestSharedOperator:
         probe = -residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)[0]
         assert np.array_equal(probe, _Diffusion(g, bc).apply(w))
 
+    # on 9 nodes (h = 1/8) dt = 0.1 has dt/2 > h^2, past the diagonally dominant range
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_step_is_dense_crank_nicolson_solve(self, kind, dim_n, bc):
+    def test_step_is_dense_crank_nicolson_solve(self, kind, dim_n, bc, dt):
         g = grid_of(kind, dim_n)
-        n, dt = g.nodes, 1e-3
+        n = g.nodes
         w = smooth_positive(g)
         basis = np.eye(n)
         bands = LaplacianBands(g, bc)
@@ -525,24 +531,30 @@ class TestSharedOperator:
         op = _Diffusion(interval_grid(41), DIR)
         swapped = [bool(np.any(op._factor(dt)[-1] != np.arange(1, 42))) for dt in DT_SEQUENCE]
         assert swapped == [dt > 5e-3 for dt in DT_SEQUENCE]  # dt/2 > h^2 = 2.5e-3
+        assert not any(np.any(op._factor(dt)[-1] != np.arange(1, 42))
+                       for dt in DT_SEQUENCES["unpivoted"])
 
+    # on 41 nodes dt = 8e-3 swaps rows at a Dirichlet wall, dt = 1e-3 does not
+    @pytest.mark.parametrize("dt", [1e-3, 8e-3])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc):
+    def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, dt):
         g = grid_of(kind, dim_n, nodes=41)
         op = _Diffusion(g, bc)
         w = two_rows(g)
         applied = op.apply(w)
-        stepped = op.step(w, 1e-3)
+        stepped = op.step(w, dt)
         for i in range(2):
             assert np.array_equal(applied[i], op.apply(w[i]))
-            assert np.array_equal(stepped[i], op.step(w[i], 1e-3))
+            assert np.array_equal(stepped[i], op.step(w[i], dt))
 
+    # the cube and square shortcuts, and np.power at non-integer powers
+    @pytest.mark.parametrize("pair", [PowerPair(2, 3), PowerPair(1.5, 2.5)],
+                             ids=["2-3", "1.5-2.5"])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_advance_equals_list_based_reference(self, kind, dim_n, bc):
+    def test_advance_equals_list_based_reference(self, kind, dim_n, bc, pair):
         g = grid_of(kind, dim_n, nodes=41)
-        pair = PowerPair(2, 3)
         op = _Diffusion(g, bc)
         absorption = _coupled(pair)
         w = two_rows(g)
@@ -552,13 +564,15 @@ class TestSharedOperator:
             ref = list_based_advance(ref, dt, op, pair)
             assert np.array_equal(w, np.stack(ref))
 
+    @pytest.mark.parametrize("dts", DT_SEQUENCES)
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc):
+    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc, dts):
+        dts = DT_SEQUENCES[dts]
         g = grid_of(kind, dim_n, nodes=41)
         op = _Diffusion(g, bc)
         w = ref = two_rows(g)
-        for dt in DT_SEQUENCE:
+        for dt in dts:
             w = op.step(w, dt)
             ref = gtsv_step(op, ref, dt)
             assert np.array_equal(w, ref)
@@ -566,7 +580,7 @@ class TestSharedOperator:
             info = op._factor.cache_info()
             assert info.maxsize == _FACTOR_CACHE_SIZE == 4 and info.currsize <= 4
         hits, misses = op._factor.cache_info()[:2]
-        op.step(w, DT_SEQUENCE[-1])
+        op.step(w, dts[-1])
         assert op._factor.cache_info()[:2] == (hits + 1, misses)
 
     def test_stepped_operator_is_freed_by_reference_counting(self):
@@ -642,8 +656,9 @@ class TestUnclampedAbsorption:
     step with clamped updates bit for bit."""
 
     @pytest.mark.parametrize("rows", ["coupled", "scalar"])
+    @pytest.mark.parametrize("dts", DT_SEQUENCES)
     @pytest.mark.parametrize("bc", [NEU, DIR])
-    def test_equals_clamped_update(self, bc, rows):
+    def test_equals_clamped_update(self, bc, dts, rows):
         absorption, reaction, k = ABSORPTIONS[rows]
         g = interval_grid(41)
         op = _Diffusion(g, bc)
@@ -653,7 +668,7 @@ class TestUnclampedAbsorption:
         with_inf = finite.copy()
         with_inf[0, 20] = math.inf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for dt in DT_SEQUENCE:
+            for dt in DT_SEQUENCES[dts]:
                 for data in (finite, with_inf):
                     assert same_bits(_advance(data, dt, op, absorption),
                                      strang(reaction, op, data, dt))
