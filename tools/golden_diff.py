@@ -1,26 +1,31 @@
-"""Compare two directories written by `tools/golden_outputs.py`, case by case.
+"""Compare two sets of golden outputs from `tools/golden_outputs.py`, case by case.
 
 Usage, from the repository root:
 
     python3 tools/golden_diff.py A B
 
-For every case directory in A or B it prints one line: whether all its
-files are equal byte for byte, and the step-log length (the rows of
+A and B are each a directory written by `tools/golden_outputs.py` or a
+manifest it wrote with `--manifest`, such as `tests/golden_manifest.json`.
+For every case in A or B it prints one line: whether all its files are
+equal byte for byte (by sha256), and the step-log length (the rows of
 steps_<case>.csv, "-" without one) on both sides. Under a case whose bytes
 differ follows one line per outcome field of record.json that moved, with
 the largest relative change |b - a| / |a| over the field's numbers (the
 absolute change where a is 0) and, for a single number, both values; or a
 word when the field is not numeric, has another length, or is missing on
-one side. Exits 0 when every case is
-byte-identical, 1 otherwise.
+one side. Exits 0 when every case is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+
+# a case on one side only: no files, no step log, no outcome
+ABSENT = {"files": {}, "steps": None, "outcome": {}}
 
 
 def leaves(value) -> list:
@@ -70,29 +75,39 @@ def step_rows(case: Path) -> int | None:
     return len(logs[0].read_text(encoding="utf-8").splitlines()) - 1
 
 
-def files(case: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in case.iterdir()} if case.is_dir() else {}
-
-
-def outcome(case: Path) -> dict:
+def digest(case: Path) -> dict:
+    """One case directory as the manifest keeps it: the sha256 of each file, the
+    step-log length and the outcome of record.json."""
     path = case / "record.json"
-    return json.loads(path.read_text(encoding="utf-8"))["outcome"] if path.is_file() else {}
+    return {
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(case.iterdir())},
+        "steps": step_rows(case),
+        "outcome": json.loads(path.read_text(encoding="utf-8"))["outcome"]
+        if path.is_file() else {},
+    }
 
 
-def compare(a_root: Path, b_root: Path) -> tuple[list[str], int]:
-    """The report's lines, and the number of cases whose bytes differ."""
-    cases = sorted({p.name for root in (a_root, b_root) for p in root.iterdir() if p.is_dir()})
+def digests(root: Path) -> dict[str, dict]:
+    """Every case of a golden-output directory, or of a manifest file, by name."""
+    if root.is_file():
+        return json.loads(root.read_text(encoding="utf-8"))["cases"]
+    return {p.name: digest(p) for p in sorted(root.iterdir()) if p.is_dir()}
+
+
+def compare(a_cases: dict[str, dict], b_cases: dict[str, dict]) -> tuple[list[str], int]:
+    """The report's lines for two sets of case digests, and the number of cases
+    whose bytes differ."""
     lines = [f"{'case':<48}{'bytes':<8}steps A -> B"]
     differ = 0
-    for name in cases:
-        a, b = a_root / name, b_root / name
-        equal = files(a) == files(b)
+    for name in sorted(a_cases.keys() | b_cases.keys()):
+        a, b = a_cases.get(name, ABSENT), b_cases.get(name, ABSENT)
+        equal = a["files"] == b["files"]
         differ += not equal
-        rows = [step_rows(d) if d.is_dir() else None for d in (a, b)]
-        steps = " -> ".join("-" if r is None else str(r) for r in rows)
+        steps = " -> ".join("-" if d["steps"] is None else str(d["steps"]) for d in (a, b))
         lines.append(f"{name:<48}{'equal' if equal else 'differ':<8}{steps}")
         if not equal:
-            old, new = outcome(a), outcome(b)
+            old, new = a["outcome"], b["outcome"]
             for key, change in outcome_changes(old, new).items():
                 shown = change if isinstance(change, str) else f"{change:.3g}"
                 if not isinstance(change, str) and not isinstance(old[key], list):
@@ -105,8 +120,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    a_root, b_root = map(Path, argv)
-    lines, differ = compare(a_root, b_root)
+    lines, differ = compare(*(digests(Path(arg)) for arg in argv))
     print("\n".join(lines))
     return 1 if differ else 0
 

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tools/golden_outputs.py OUT_DIR
+    PYTHONPATH=src python3 tools/golden_outputs.py OUT_DIR [--manifest PATH]
 
 Each case runs through `absorblab.experiments.run_experiment` with the
 `absorblab` that is first on the path, and writes into OUT_DIR/<case>/:
@@ -13,16 +13,23 @@ Each case runs through `absorblab.experiments.run_experiment` with the
   trajectory;
 - config_error.txt in place of all three, when the recipe raised ConfigError.
 
-To check that a change keeps every output byte, run the script once with
-PYTHONPATH pointing at a checkout of the parent commit and once at the
-change, then `diff -r` the two directories.
+With `--manifest PATH` it also writes PATH, the manifest that
+`tests/test_golden_manifest.py` checks every case against: the NumPy
+version, and per case the sha256 of each file, the step-log length and the
+record's outcome (`golden_diff.digest`).  A change that moves outputs on
+purpose regenerates `tests/golden_manifest.json` this way, and
+`tools/golden_diff.py tests/golden_manifest.json OUT_DIR`, run before,
+shows what moved.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import absorblab
 from absorblab.experiments import (
@@ -32,10 +39,11 @@ from absorblab.experiments import (
     run_experiment,
     write_records,
 )
+from golden_diff import digests
 
 PAIRS = [(2, 2), (2, 3)]
-# mean_value_check's data do not vanish at the walls, so under Dirichlet walls its
-# first step runs the wall term of `evolution._Diffusion.step`
+# mean_value_check's data do not vanish at the walls: under Dirichlet walls its first
+# step diffuses the data with their wall nodes projected to 0
 VARIANT = {"bc": "dirichlet_zero"}
 
 
@@ -62,24 +70,31 @@ def cases() -> list[tuple[str, str, dict]]:
     return out
 
 
+def run_case(root: Path, case: str, name: str, params: dict) -> str:
+    """Write one case's outputs into root/case; its status."""
+    out = root / case
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        record = run_experiment(ExperimentSpec(name, params), out_dir=out, runid=case)
+    except ConfigError as exc:
+        (out / "config_error.txt").write_text(f"{exc}\n", encoding="utf-8")
+        return f"ConfigError: {exc}"
+    for fmt in ("json", "csv"):
+        write_records([replace(record, wall_time_s=0.0)], out, fmt=fmt)
+    return "failed: " + record.error if record.failed else "ok"
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--manifest"):
         print(__doc__, file=sys.stderr)
         return 1
     root = Path(argv[0])
     print(f"absorblab from {Path(absorblab.__file__).parent}")
     for case, name, params in cases():
-        out = root / case
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            record = run_experiment(ExperimentSpec(name, params), out_dir=out, runid=case)
-        except ConfigError as exc:
-            (out / "config_error.txt").write_text(f"{exc}\n", encoding="utf-8")
-            print(f"{case}: ConfigError: {exc}")
-            continue
-        for fmt in ("json", "csv"):
-            write_records([replace(record, wall_time_s=0.0)], out, fmt=fmt)
-        print(f"{case}: {'failed: ' + record.error if record.failed else 'ok'}")
+        print(f"{case}: {run_case(root, case, name, params)}")
+    if len(argv) == 3:
+        manifest = {"numpy": np.__version__, "cases": digests(root)}
+        Path(argv[2]).write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
