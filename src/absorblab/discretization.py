@@ -6,7 +6,7 @@ by the sphere area omega * r^(N-1)).  All grids are uniform; the Laplacian
 is the second-order central stencil, stored once as tridiagonal bands that
 the solver steps with and every probe applies.  A zero-flux wall mirrors
 the ghost node.  A homogeneous Dirichlet wall node is pinned at 0 by the
-solver, so it is not an unknown and its Laplacian row is zero.
+solver, so it is not an unknown: its Laplacian row and column are zero.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ class LaplacianBands:
     (w[i-1] - 2 w[i] + w[i+1]) / h^2.  Radial: w'' + (N-1)/r * w' with the
     regularized origin row 2N (w[1] - w[0]) / h^2.  A zero-flux wall row uses
     the mirrored ghost.  Dirichlet wall nodes are `pinned`: the solver holds
-    them at 0, so their rows are zero.
+    them at 0, so their rows and columns are zero, and L w never reads a
+    (finite) wall value.
     """
 
     def __init__(self, grid: Grid, bc: BoundaryCondition):
@@ -161,6 +162,8 @@ class LaplacianBands:
             pinned[-1] = True
         for band in (sub, diag, sup):
             band[pinned] = 0.0
+        sub[1:][pinned[:-1]] = 0.0
+        sup[:-1][pinned[1:]] = 0.0
 
         self.sub = sub
         self.diag = diag

@@ -198,10 +198,9 @@ class _Diffusion(LaplacianBands):
         With M = I - dt/2 L the right-hand side is never formed: M x = w~ +
         dt/2 L w~ is x = (M^-1 w~ - w~/2) / (1/2), with w~ = w whose pinned
         nodes are 0: twice the backward half step minus w~, one solve and no
-        product with L.  Dirichlet data that do not vanish at a wall, as only
-        a first step can meet them, add dt/4 L (w - w~) to the solve's
-        right-hand side, non-zero on the rows next to the wall: then x solves
-        the Crank-Nicolson step with w itself up to round-off.
+        product with L.  A pinned node's row and column of L are zero, so L w~
+        is L w, and M's pinned rows are identity rows that gttrf never swaps:
+        x is exactly 0 there.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
         one LAPACK gttrs call on the cached factors of M.  gttrf + gttrs do
@@ -212,13 +211,10 @@ class _Diffusion(LaplacianBands):
         if self._pinned_at.size:
             b[..., self._pinned_at] = 0.0
         explicit = np.multiply(b, 0.5)
-        if self._pinned_at.size and w[..., self._pinned_at].any():
-            b += 0.25 * dt * self.apply(w - b)
         x, _ = dgttrs(*self._factor(dt), b.T, overwrite_b=1)
         x -= explicit.T
         x /= 0.5
-        # the explicit half, a row-swapping Dirichlet factorisation and radial N >= 4
-        # can undershoot slightly; fractional powers and the unclamped absorption need >= 0
+        # the explicit half and radial N >= 4 can undershoot slightly; fractional powers and the unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
 
 
@@ -422,9 +418,10 @@ def residual_of(
     v**p, r_v carries u**q, each from the solver's own power rule, the cube
     as x * x * x.  Used to verify exact solutions against the discrete
     operator: L is `LaplacianBands(grid, bc)`, the bands the solver steps
-    with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows of
-    L are zero, because the solver pins those nodes.  Exclude boundary nodes
-    when the probed state does not satisfy the condition of `bc`.
+    with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows and
+    columns of L are zero, because the solver pins those nodes.  Exclude
+    boundary nodes, and their neighbours under Dirichlet walls, when the
+    probed state does not satisfy the condition of `bc`.
     """
     if not dt_probe > 0:  # nan fails it
         raise ValueError("dt_probe must be positive")

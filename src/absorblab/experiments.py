@@ -414,7 +414,7 @@ def _fit_slope(xs, errs, name: str) -> float:
 
 
 def _run_convergence_order(params: dict, pair, grid: None) -> tuple[dict, Trajectory | None]:
-    # L of a flat state is 0 on any grid under either wall; the mask keeps interior rows only
+    # L of a flat state is 0 on any grid under zero-flux walls; the mask keeps interior rows only
     bc = BoundaryCondition.NEUMANN_ZERO
     grids = _spatial_grids(params)
     coarse = min(grids, key=lambda g: g.nodes)

@@ -113,6 +113,21 @@ class TestLaplacian:
         slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
         assert slope == pytest.approx(2.0, abs=0.2)
 
+    @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1)]
+                             + [(DomainKind.RADIAL_BALL, n) for n in (1, 2, 3, 5)])
+    def test_dirichlet_wall_leaves_the_operator(self, kind, dim_n):
+        # a pinned node's row and column are zero: L w never reads a wall value
+        g = build_grid(SpatialDomain(kind, 1.0, dim_n), 41)
+        bands = LaplacianBands(g, DIR)
+        assert np.flatnonzero(bands.pinned).tolist() == (
+            [0, 40] if kind is DomainKind.INTERVAL else [40])
+        w = np.exp(np.cos(2.0 * g.coords)) + g.coords**2  # nonzero on every wall
+        w_pinned = np.where(bands.pinned, 0.0, w)
+        assert bands.apply(w).tobytes() == bands.apply(w_pinned).tobytes()
+        lap = np.column_stack([bands.apply(e) for e in np.eye(g.nodes)])
+        assert np.all(lap[bands.pinned] == 0.0)
+        assert np.all(lap[:, bands.pinned] == 0.0)
+
     def test_discrete_green_identity_interval(self):
         # zero-flux walls: the weighted row sums of the stencil telescope away
         rng = np.random.default_rng(3)

@@ -378,14 +378,14 @@ class TestResidualOf:
         assert np.all(r == 0.0)
 
     @pytest.mark.parametrize("nodes", [3, 4, 11, 201])
-    @pytest.mark.parametrize("bc", [NEU, DIR])
-    def test_rows_absorb_as_solve_couples_them(self, bc, nodes):
-        # a steady constant state: L w = 0 at every node under either wall and on any
-        # grid, so r_u = v**p and r_v = u**q exactly; convergence_order's temporal
-        # probe, on a flat state, therefore takes neither `bc` nor `nodes`
+    def test_rows_absorb_as_solve_couples_them(self, nodes):
+        # a steady constant state: L w = 0 at every node under zero-flux walls and on
+        # any grid, so r_u = v**p and r_v = u**q exactly; convergence_order's temporal
+        # probe, on a flat state, therefore takes no `nodes` (a Dirichlet wall leaves
+        # the operator, so beside it L of a constant is not 0)
         g = interval_grid(nodes)
         state = np.stack([np.full(nodes, 2.0), np.full(nodes, 3.0)])
-        r = residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)
+        r = residual_of(lambda t: state, g, PowerPair(2, 3), NEU, 1.0, 1e-3)
         assert np.all(r[0] == 9.0)
         assert np.all(r[1] == 8.0)
 
@@ -449,12 +449,12 @@ def list_based_absorb(components, h, pair):
     return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
 
 
-def crank_nicolson_rhs(bands, w, dt):
-    """Reference: w~ (w with its pinned nodes 0) and the right-hand side
-    b = w~ + dt/4 L (w - w~) of the Crank-Nicolson step's one solve."""
+def crank_nicolson_rhs(bands, w):
+    """Reference: the right-hand side w~ of the Crank-Nicolson step's one solve, w
+    with its pinned nodes 0."""
     w_pinned = w.copy()
     w_pinned[..., bands.pinned] = 0.0
-    return w_pinned, w_pinned + 0.25 * dt * bands.apply(w - w_pinned)
+    return w_pinned
 
 
 def list_based_advance(components, dt, bands, pair):
@@ -462,33 +462,42 @@ def list_based_advance(components, dt, bands, pair):
     x = (y - w~/2) / (1/2)."""
     halves = []
     for w in list_based_absorb(components, 0.5 * dt, pair):
-        w_pinned, b = crank_nicolson_rhs(bands, w, dt)
+        b = crank_nicolson_rhs(bands, w)
         ab = np.zeros((3, w.size))
         ab[0, 1:] = -0.5 * dt * bands.sup[:-1]
         ab[1, :] = 1.0 - 0.5 * dt * bands.diag
         ab[2, :-1] = -0.5 * dt * bands.sub[1:]
         y = solve_banded((1, 1), ab, b)
-        halves.append(np.maximum((y - 0.5 * w_pinned) / 0.5, 0.0))
+        halves.append(np.maximum((y - 0.5 * b) / 0.5, 0.0))
     return list_based_absorb(halves, 0.5 * dt, pair)
 
 
 def gtsv_step(bands, w, dt):
     """Reference: the uncached step, one LAPACK gtsv solve y of b on freshly built
     bands, then x = (y - w~/2) / (1/2)."""
-    w_pinned, b = crank_nicolson_rhs(bands, w, dt)
+    b = crank_nicolson_rhs(bands, w)
     c = -0.5 * dt
     *_, y, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], b.T)
     assert info == 0
-    return np.maximum((y.T - 0.5 * w_pinned) / 0.5, 0.0)
+    return np.maximum((y.T - 0.5 * b) / 0.5, 0.0)
 
 
 # hit, miss and evict: a dt, its half as a retry takes it and its double, a
 # dt clipped to an output time, a return to dt, then more distinct values
-# than the cache holds; on the 41-node interval (h = 0.05), dt/2 > h^2
-# makes the LU factorisation swap rows at a Dirichlet wall
-DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3]
-# the same cache pattern at a quarter of the steps: dt/2 < h^2 throughout, no swaps
-DT_SEQUENCES = {"swapping": DT_SEQUENCE, "unpivoted": [dt / 4 for dt in DT_SEQUENCE]}
+# than the cache holds; the last dt makes the LU factorisation swap rows at
+# the Neumann mirror row on every 41-node grid
+DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3,
+                                                                                       1.6e-2]
+SWAPPING_DT = DT_SEQUENCE[-1]
+# the same cache pattern at a quarter of the steps, without the last: no swaps
+DT_SEQUENCES = {"swapping": DT_SEQUENCE, "unpivoted": [dt / 4 for dt in DT_SEQUENCE[:-1]]}
+
+
+def swapped_rows(op, dt):
+    """The rows that dgttrf interchanged: its pivots are 1-based, and a row whose
+    pivot is not its own was swapped."""
+    ipiv = op._factor(dt)[-1]
+    return np.flatnonzero(ipiv != np.arange(1, ipiv.size + 1)).tolist()
 
 
 class TestSharedOperator:
@@ -521,21 +530,41 @@ class TestSharedOperator:
             wall[0] = kind is DomainKind.INTERVAL
         rhs = w + 0.5 * dt * lap @ w
         rhs[wall] = 0.0
-        x = np.linalg.solve(np.eye(n) - 0.5 * dt * lap, rhs)
+        # from data with a jump at a wall the solve undershoots beside it at
+        # dt = 0.1 (to -0.118 at radial N = 1), and the step clamps as here
+        x = np.maximum(np.linalg.solve(np.eye(n) - 0.5 * dt * lap, rhs), 0.0)
         out = _Diffusion(g, bc).step(w, dt)
         assert np.allclose(out, x, atol=1e-11)
         assert np.all(out[wall] == 0.0)
 
-    def test_dt_sequence_swaps_rows_at_a_dirichlet_wall(self):
-        # dgttrf's pivots are 1-based: a row whose pivot is not its own was interchanged
-        op = _Diffusion(interval_grid(41), DIR)
-        swapped = [bool(np.any(op._factor(dt)[-1] != np.arange(1, 42))) for dt in DT_SEQUENCE]
-        assert swapped == [dt > 5e-3 for dt in DT_SEQUENCE]  # dt/2 > h^2 = 2.5e-3
-        assert not any(np.any(op._factor(dt)[-1] != np.arange(1, 42))
-                       for dt in DT_SEQUENCES["unpivoted"])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_no_dirichlet_factorisation_swaps_rows(self, kind, dim_n):
+        # a pinned node's row and column of I - dt/2 L are the identity's, so the wall
+        # is never a pivot candidate, and the interior rows dominate their diagonal
+        op = _Diffusion(grid_of(kind, dim_n, nodes=41), DIR)
+        for dt in DT_SEQUENCE + [10.0**k for k in range(-8, 9)]:
+            assert swapped_rows(op, dt) == [], dt
 
-    # on 41 nodes dt = 8e-3 swaps rows at a Dirichlet wall, dt = 1e-3 does not
-    @pytest.mark.parametrize("dt", [1e-3, 8e-3])
+    @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1), (DomainKind.RADIAL_BALL, 3)])
+    def test_dt_sequence_swaps_rows_at_the_neumann_mirror_row(self, kind, dim_n):
+        # the mirror row's coupling 2/h^2 outweighs the pivot left on the last but one
+        op = _Diffusion(grid_of(kind, dim_n, nodes=41), NEU)
+        assert swapped_rows(op, SWAPPING_DT) == [39]
+        assert all(swapped_rows(op, dt) == [] for dt in DT_SEQUENCES["unpivoted"])
+
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_dirichlet_walls_hold_exact_zeros(self, kind, dim_n):
+        # data that vanish on the walls, and steps up to 0.02 > 2 h^2 on the interval:
+        # no step lets round-off into a wall, as a row interchange there once did
+        g = grid_of(kind, dim_n, nodes=41)
+        u = np.cos(0.5 * np.pi * g.coords) ** 2
+        traj = solve(Field(g, u), Field(g, 0.5 * u + 0.1 * u**2), PowerPair(2, 3),
+                     config(bc=DIR), np.linspace(0.05, 1.0, 20))
+        pinned = LaplacianBands(g, DIR).pinned
+        assert np.all(traj.values[..., pinned] == 0.0)
+
+    # on 41 nodes dt = 1.6e-2 swaps rows at the Neumann mirror row, dt = 1e-3 does not
+    @pytest.mark.parametrize("dt", [1e-3, SWAPPING_DT])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, dt):
