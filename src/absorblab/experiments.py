@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -465,12 +465,17 @@ def _run_blowup_fit(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | 
     return outcome, traj
 
 
+def _saturation_times(params: dict) -> np.ndarray:
+    """estimate_saturation's output times: n_snapshots geometrically spaced from
+    t_probe/32 to t_probe."""
+    return np.geomspace(params["t_probe"] / 32.0, params["t_probe"], params["n_snapshots"])
+
+
 def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     m = params["m"]
     ic = Field(grid, np.full(grid.nodes, m))
     t_probe = params["t_probe"]
-    times = np.geomspace(t_probe / 32.0, t_probe, params["n_snapshots"])
-    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), _saturation_times(params))
     margin = params["margin_frac"] * params["extent"]
     report = dg.check_upper_estimate(traj, pair, margin)
     consts = cf.flat_constants(pair)
@@ -485,11 +490,16 @@ def _run_estimate_saturation(params: dict, pair, grid: Grid) -> tuple[dict, Traj
     return outcome, traj
 
 
+def _trace_times(params: dict) -> np.ndarray:
+    """trace_measurement's output times: n_snapshots geometrically spaced from t_min
+    to t_end."""
+    return np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
+
+
 def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     psi = bump_function(grid, params["psi_center"], params["psi_width"])
-    times = np.geomspace(params["t_min"], params["t_end"], params["n_snapshots"])
-    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), _trace_times(params))
     trace_u, trace_v = dg.trace_functional(traj, psi).T.tolist()
     target = integrate_field(ic, psi)  # u and v start from the same data
     if target == 0.0:
@@ -506,13 +516,19 @@ def _run_trace_measurement(params: dict, pair, grid: Grid) -> tuple[dict, Trajec
     return outcome, traj
 
 
+def _dichotomy_times(params: dict) -> list[float]:
+    """dichotomy_probe's output times: the windows, t_end, and 60 geometrically
+    spaced from a quarter of the smallest window to t_end."""
+    t_end = params["t_end"]
+    ladder = list(np.geomspace(min(params["windows"]) / 4.0, t_end, 60))
+    return sorted(set(ladder) | set(params["windows"]) | {t_end})
+
+
 def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     ic = Field(grid, bump_function(grid, 0.0, params["ic_width"]).values * params["ic_mass"])
     t_end = params["t_end"]
     windows = sorted(params["windows"], reverse=True)  # shrinking lower edges
-    ladder = list(np.geomspace(windows[-1] / 4.0, t_end, 60))
-    times = sorted(set(ladder) | set(windows) | {t_end})
-    traj = solve(ic, ic, pair, _solver_config(params, 0.0), times)
+    traj = solve(ic, ic, pair, _solver_config(params, 0.0), _dichotomy_times(params))
     region = (params["region_lo"], params["region_hi"])
     uq = [dg.cylinder_integral(traj, pair.q, 0, region, (w, t_end)) for w in windows]
     vp = [dg.cylinder_integral(traj, pair.p, 1, region, (w, t_end)) for w in windows]
@@ -535,10 +551,15 @@ def _run_dichotomy_probe(params: dict, pair, grid: Grid) -> tuple[dict, Trajecto
     return outcome, traj
 
 
-def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
+def _probe_times(params: dict) -> list[float]:
+    """removability_sweep's output times: t_probe/4, t_probe/2 and t_probe."""
     t_probe = params["t_probe"]
+    return [t_probe / 4.0, t_probe / 2.0, t_probe]
+
+
+def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
     config = _solver_config(params, 0.0)
-    times = [t_probe / 4.0, t_probe / 2.0, t_probe]
+    times = _probe_times(params)
     masses = []
     last_traj = None
     for eps in params["eps_list"]:
@@ -560,15 +581,19 @@ def _run_removability_sweep(params: dict, pair, grid: Grid) -> tuple[dict, Traje
         "last_first_ratio": last_first,
         "last_two_gap": last_two_gap,
         "verdict": verdict,
-        "t_probe": t_probe,
+        "t_probe": params["t_probe"],
     }
     return outcome, last_traj
 
 
+def _subsolution_times(params: dict) -> np.ndarray:
+    """subsolution_check's output times: n_snapshots evenly spaced after t_start."""
+    t0, t1, n = params["t_start"], params["t_end"], params["n_snapshots"]
+    return np.linspace(t0 + (t1 - t0) / n, t1, n)
+
+
 def _run_subsolution_check(params: dict, pair, grid: Grid) -> tuple[dict, Trajectory | None]:
-    n = params["n_snapshots"]
-    t0, t1 = params["t_start"], params["t_end"]
-    traj = _flat_tracked(pair, grid, params, np.linspace(t0 + (t1 - t0) / n, t1, n))
+    traj = _flat_tracked(pair, grid, params, _subsolution_times(params))
     report = dg.check_f_subsolution(traj, pair)
     bound = report.k**pair.q
     outcome = {
@@ -630,8 +655,26 @@ class _Recipe:
 
 _SUPERLINEAR: _Rule = (lambda c: c["p"] * c["q"] > 1.0, "this recipe requires pq > 1")
 _IC_INSIDE: _Rule = (lambda c: c["ic_width"] <= c["extent"], "ic_width must not exceed extent")
-_FLAT_TIMES_RISE: _Rule = (lambda c: bool(np.all(np.diff(_flat_times(c)) > 0)),
-                           "t_end must exceed 1.02 t_start, the first output time")
+
+
+def _times_rise(times: Callable[[dict], Sequence[float]], start: str | None,
+                message: str) -> _Rule:
+    """The rule that a recipe's output times, times(c), are what `solve` takes from
+    c[start] (from 0 without a key): finite, strictly rising, the first after the
+    start.  np.geomspace refuses an end of 0, and that fails the rule too."""
+    def check(c: dict) -> bool:
+        try:
+            t = np.asarray(times(c), dtype=float)
+        except ValueError:
+            return False
+        return bool(np.isfinite(t).all() and np.all(np.diff(t) > 0)
+                    and t[0] > (c[start] if start else 0.0))
+
+    return check, message
+
+
+_FLAT_TIMES_RISE = _times_rise(_flat_times, "t_start",
+                               "t_end must exceed 1.02 t_start, the first output time")
 
 
 _RECIPES: dict[str, _Recipe] = {
@@ -669,7 +712,11 @@ _RECIPES: dict[str, _Recipe] = {
         n_snapshots=_Param("int", 12, lambda x: x >= 2, "n_snapshots must be >= 2"),
         margin_frac=_Param("float", 0.2, lambda x: 0 < x < 0.5,
                            "margin_frac must lie in (0, 0.5)"),
-    ), (_SUPERLINEAR,)),
+    ), (
+        _SUPERLINEAR,
+        _times_rise(_saturation_times, None, "t_probe/32 must be > 0 and below t_probe: the "
+                    "output times are n_snapshots geometrically spaced between them"),
+    )),
     "trace_measurement": _Recipe(_run_trace_measurement, _schema(*_COUPLED,
         ic_width=0.3,
         ic_mass=1.0,
@@ -688,6 +735,8 @@ _RECIPES: dict[str, _Recipe] = {
         (lambda c: abs(c["psi_center"]) < c["ic_width"] + c["psi_width"],
          "psi must overlap the initial bump: |psi_center| < ic_width + psi_width"),
         (lambda c: c["t_min"] < c["t_end"], "t_min must be below t_end"),
+        _times_rise(_trace_times, None, "t_min and t_end must be far enough apart for "
+                    "n_snapshots strictly rising output times geometrically spaced between them"),
     )),
     "dichotomy_probe": _Recipe(_run_dichotomy_probe, _schema(*_COUPLED,
         nodes=801,
@@ -707,6 +756,8 @@ _RECIPES: dict[str, _Recipe] = {
         (lambda c: _bumps_fit(c, (0.0, c["ic_width"])),
          "the initial bump on ±ic_width must hold a grid node"),
         (lambda c: max(c["windows"]) < c["t_end"], "windows must lie strictly inside (0, t_end)"),
+        _times_rise(_dichotomy_times, None, "a quarter of the smallest window must be > 0: "
+                    "the output times climb geometrically from it to t_end"),
         (lambda c: c["region_lo"] < c["region_hi"], "region_lo must be below region_hi"),
         (lambda c: _inside(c, c["region_lo"], c["region_hi"]),
          "[region_lo, region_hi] must lie inside [-extent, extent]"),
@@ -725,12 +776,16 @@ _RECIPES: dict[str, _Recipe] = {
         (lambda c: max(c["eps_list"]) <= c["extent"], "eps_list values must not exceed extent"),
         (lambda c: _bumps_fit(c, *((0.0, eps) for eps in c["eps_list"])),
          "every eps_list bump on ±eps must hold a grid node"),
+        _times_rise(_probe_times, None,
+                    "t_probe/4, t_probe/2 and t_probe, the output times, must be > 0 and rise"),
     )),
     "subsolution_check": _Recipe(_run_subsolution_check, _schema(*_COUPLED, "t_start", "t_end",
         nodes=201,
         n_snapshots=_Param("int", 40, lambda x: x >= 3, "n_snapshots must be >= 3"),
     ), (
         (lambda c: c["q"] > c["p"] > 1, "composite subsolution needs q > p > 1"),
+        _times_rise(_subsolution_times, "t_start", "t_end must exceed t_start by enough for "
+                    "n_snapshots strictly rising output times after t_start"),
     )),
     "mean_value_check": _Recipe(_run_mean_value_check, _schema("nodes", "extent", "bc", *_SOLVER,
         extent=2.0,
