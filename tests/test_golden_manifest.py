@@ -6,6 +6,8 @@ commit, with
 
     PYTHONPATH=src python3 tools/golden_outputs.py OUT_DIR --manifest tests/golden_manifest.json
 
+after `tools/golden_diff.py` has shown what moved.
+
 The bits of np.power at fractional powers depend on NumPy's SIMD path, so a
 mismatch under another NumPy version than the manifest's says so; it does
 not skip.

@@ -17,9 +17,9 @@ With `--manifest PATH` it also writes PATH, the manifest that
 `tests/test_golden_manifest.py` checks every case against: the NumPy
 version, and per case the sha256 of each file, the step-log length and the
 record's outcome (`golden_diff.digest`).  A change that moves outputs on
-purpose regenerates `tests/golden_manifest.json` this way, and
-`tools/golden_diff.py tests/golden_manifest.json OUT_DIR`, run before,
-shows what moved.
+purpose writes a new manifest, shows what moved with
+`tools/golden_diff.py tests/golden_manifest.json NEW_MANIFEST`, and commits
+the new one as `tests/golden_manifest.json`.
 """
 
 from __future__ import annotations
