@@ -378,14 +378,15 @@ class TestResidualOf:
         assert np.all(r == 0.0)
 
     @pytest.mark.parametrize("nodes", [3, 4, 11, 201])
-    def test_rows_absorb_as_solve_couples_them(self, nodes):
+    @pytest.mark.parametrize("bc", [NEU])
+    def test_rows_absorb_as_solve_couples_them(self, bc, nodes):
         # a steady constant state: L w = 0 at every node under zero-flux walls and on
         # any grid, so r_u = v**p and r_v = u**q exactly; convergence_order's temporal
         # probe, on a flat state, therefore takes no `nodes` (a Dirichlet wall leaves
         # the operator, so beside it L of a constant is not 0)
         g = interval_grid(nodes)
         state = np.stack([np.full(nodes, 2.0), np.full(nodes, 3.0)])
-        r = residual_of(lambda t: state, g, PowerPair(2, 3), NEU, 1.0, 1e-3)
+        r = residual_of(lambda t: state, g, PowerPair(2, 3), bc, 1.0, 1e-3)
         assert np.all(r[0] == 9.0)
         assert np.all(r[1] == 8.0)
 
@@ -486,8 +487,8 @@ def gtsv_step(bands, w, dt):
 # dt clipped to an output time, a return to dt, then more distinct values
 # than the cache holds; the last dt makes the LU factorisation swap rows at
 # the Neumann mirror row on every 41-node grid
-DT_SEQUENCE = [4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)] + [4e-3,
-                                                                                       1.6e-2]
+DT_SEQUENCE = ([4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)]
+               + [4e-3, 1.6e-2])
 SWAPPING_DT = DT_SEQUENCE[-1]
 # the same cache pattern at a quarter of the steps, without the last: no swaps
 DT_SEQUENCES = {"swapping": DT_SEQUENCE, "unpivoted": [dt / 4 for dt in DT_SEQUENCE[:-1]]}
@@ -554,8 +555,8 @@ class TestSharedOperator:
 
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_dirichlet_walls_hold_exact_zeros(self, kind, dim_n):
-        # data that vanish on the walls, and steps up to 0.02 > 2 h^2 on the interval:
-        # no step lets round-off into a wall, as a row interchange there once did
+        # data that vanish on the walls, and steps up to 0.02 > 2 h^2 on the interval,
+        # where a factorisation that pivoted at a wall would mix round-off into it
         g = grid_of(kind, dim_n, nodes=41)
         u = np.cos(0.5 * np.pi * g.coords) ** 2
         traj = solve(Field(g, u), Field(g, 0.5 * u + 0.1 * u**2), PowerPair(2, 3),
@@ -563,8 +564,9 @@ class TestSharedOperator:
         pinned = LaplacianBands(g, DIR).pinned
         assert np.all(traj.values[..., pinned] == 0.0)
 
-    # on 41 nodes dt = 1.6e-2 swaps rows at the Neumann mirror row, dt = 1e-3 does not
-    @pytest.mark.parametrize("dt", [1e-3, SWAPPING_DT])
+    # on 41 nodes dt = 1.6e-2 swaps rows at the Neumann mirror row on every grid,
+    # 8e-3 on the radial grids only, and 1e-3 nowhere
+    @pytest.mark.parametrize("dt", [1e-3, 8e-3, SWAPPING_DT])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, dt):

@@ -181,16 +181,6 @@ BAD_CONFIGS = [
     # geomspace(1.02 t_start, t_end) falls: output times not strictly increasing
     ("flat_validation", {"t_end": 0.102}, "t_end must exceed 1.02 t_start"),
     ("blowup_fit", {"t_end": 0.1015}, "t_end must exceed 1.02 t_start"),
-    # output times that `solve` refused, or that np.geomspace refused to make: each
-    # failed at run time, exit 2; the first and the last two "not strictly increasing",
-    # the other two "Geometric sequence cannot include zero"
-    ("trace_measurement", {"t_min": 0.05 * (1 - 1e-15)}, "t_min and t_end must be far enough"),
-    ("estimate_saturation", {"t_probe": 5e-324}, "t_probe/32 must be > 0 and below t_probe"),
-    ("dichotomy_probe", {"windows": [1e-3, 1e-4, 5e-324]},
-     "a quarter of the smallest window must be > 0"),
-    ("removability_sweep", {"t_probe": 5e-324}, "t_probe/4, t_probe/2 and t_probe"),
-    ("subsolution_check", {"p": 2, "q": 3, "t_start": 1.0, "t_end": 1 + 2.3e-16},
-     "t_end must exceed t_start by enough"),
     # a mask that keeps the node x = 0 of an odd grid, or a neighbour whose stencil
     # reads its floored profile: status ok with residuals of 3.6e49 and order 8e-15,
     # 1.5e28 on every grid and order -2.0, and 1.5e28 on the 101-node grid and order 34.5
@@ -208,6 +198,16 @@ BAD_CONFIGS = [
      "key 'eps_list': expected a comma-separated list of numbers"),
     ("removability_sweep", {"eps_list": True},
      "key 'eps_list': expected a comma-separated list of numbers"),
+    # output times that `solve` refused, or that np.geomspace refused to make: each
+    # failed at run time, exit 2; the first and the last two "not strictly increasing",
+    # the other two "Geometric sequence cannot include zero"
+    ("trace_measurement", {"t_min": 0.05 * (1 - 1e-15)}, "t_min and t_end must be far enough"),
+    ("estimate_saturation", {"t_probe": 5e-324}, "t_probe/32 must be > 0 and below t_probe"),
+    ("dichotomy_probe", {"windows": [1e-3, 1e-4, 5e-324]},
+     "a quarter of the smallest window must be > 0"),
+    ("removability_sweep", {"t_probe": 5e-324}, "t_probe/4, t_probe/2 and t_probe"),
+    ("subsolution_check", {"p": 2, "q": 3, "t_start": 1.0, "t_end": 1 + 2.3e-16},
+     "t_end must exceed t_start by enough"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
