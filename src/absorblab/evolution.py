@@ -214,7 +214,8 @@ class _Diffusion(LaplacianBands):
         x, _ = dgttrs(*self._factor(dt), b.T, overwrite_b=1)
         x -= explicit.T
         x /= 0.5
-        # the explicit half and radial N >= 4 can undershoot slightly; fractional powers and the unclamped absorption need >= 0
+        # the explicit half and radial N >= 4 can undershoot slightly; fractional
+        # powers and the unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
 
 
