@@ -314,12 +314,8 @@ def _rung_dt(j: int, dt_init: float) -> float:
     return math.ldexp(dt_init * 2.0 ** (j % 4 / 4), j // 4)
 
 
-def _integrate(
-    fields: Sequence[Field],
-    config: SolverConfig,
-    output_times: Sequence[float],
-    absorption: _Absorption,
-) -> Trajectory:
+def _output_times(output_times: Sequence[float], t_start: float) -> list[float]:
+    """The output times as floats; refused unless finite, rising and after t_start."""
     times = [float(t) for t in output_times]
     if not times:
         raise ValueError("need at least one output time")
@@ -327,8 +323,18 @@ def _integrate(
         raise ValueError("output times must be finite")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("output times must be strictly increasing")
-    if times[0] <= config.t_start:
+    if times[0] <= t_start:
         raise ValueError("output times must lie after t_start")
+    return times
+
+
+def _integrate(
+    fields: Sequence[Field],
+    config: SolverConfig,
+    output_times: Sequence[float],
+    absorption: _Absorption,
+) -> Trajectory:
+    times = _output_times(output_times, config.t_start)
     state = _stacked(*fields)
 
     grid = fields[0].grid

@@ -46,6 +46,7 @@ from .evolution import (
     NumericsError,
     SolverConfig,
     Trajectory,
+    _output_times,
     heat_solve,
     residual_of,
     solve,
@@ -92,12 +93,15 @@ def _distinct_positives(count: int) -> Callable[[list], bool]:
 
 
 _BC_NAMES = ("neumann_zero", "dirichlet_zero")
+# 1,250 times the largest default grid; np.linspace refuses a grid past NumPy's array limit
+_MAX_NODES = 10**6
 
 # keys that several recipes read, each declared once; see `_schema`
 _SHARED: dict[str, _Param] = {
     "p": _Param("float", _REQUIRED, _positive, "p must be > 0"),
     "q": _Param("float", _REQUIRED, _positive, "q must be > 0"),
-    "nodes": _Param("int", 401, lambda x: x >= 3, "nodes must be >= 3"),
+    "nodes": _Param("int", 401, lambda x: 3 <= x <= _MAX_NODES,
+                    f"nodes must lie in [3, {_MAX_NODES}]"),
     "extent": _Param("float", 1.0, _positive, "extent must be > 0"),
     "bc": _Param("str", "neumann_zero", lambda s: s in _BC_NAMES,
                  f"bc must be one of {_BC_NAMES}"),
@@ -117,7 +121,8 @@ _COUPLED = ("p", "q", "nodes", "extent", "bc", *_SOLVER)
 _FLAT = ("p", "q", "nodes", "extent", *_SOLVER, "t_start", "t_end")
 
 # A rule is a check across keys of the resolved config, with the message of
-# the ConfigError its failure raises.
+# the ConfigError its failure raises.  A check fails by returning a false value
+# or by raising ValueError, whose reason the message then carries.
 _Rule = tuple[Callable[[dict], bool], str]
 
 # (keys, check, message): every recipe whose schema has the keys gets the rule
@@ -129,33 +134,27 @@ _SHARED_RULES = (
 )
 
 
-def _inside(c: dict, lo: float, hi: float) -> bool:
-    """[lo, hi] lies in the recipe's interval [-extent, extent]."""
-    return -c["extent"] <= lo and hi <= c["extent"]
-
-
 def _grid(c: dict) -> Grid:
     """The interval grid every recipe runs on."""
     return build_grid(SpatialDomain(DomainKind.INTERVAL, c["extent"], 1), c["nodes"])
 
 
-def _holds_two(x: np.ndarray, lo: float, hi: float) -> bool:
-    """[lo, hi] holds at least 2 of the nodes or output times x, as the diagnostics count."""
-    return dg._within(x, lo, hi).size >= 2
+def _holds_two(times: np.ndarray, lo: float, hi: float) -> bool:
+    """[lo, hi] holds at least 2 of the output times, as the diagnostics count."""
+    return dg._within(times, lo, hi).size >= 2
+
+
+def _region_nodes(c: dict, lo: float, hi: float) -> int:
+    """The count of grid nodes the diagnostics take for [lo, hi], or their ValueError."""
+    return dg._region_indices(_grid(c), (lo, hi)).size
 
 
 def _bumps_fit(c: dict, *supports: tuple[float, float]) -> bool:
-    """`bump_function` accepts a bump of each (center, width) on the recipe's grid.
-
-    Each recipe's rules keep the supports inside [-extent, extent] before this
-    one runs, so a refusal means a support holds no node where the bump is nonzero.
-    """
+    """`bump_function` accepts a bump of each (center, width) on the recipe's grid, or
+    raises the ValueError of the first it refuses."""
     grid = _grid(c)
-    try:
-        for center, width in supports:
-            bump_function(grid, center, width)
-    except ValueError:
-        return False
+    for center, width in supports:
+        bump_function(grid, center, width)
     return True
 
 
@@ -333,7 +332,11 @@ def _resolve(name, params: dict, lines: dict[str, int] | None = None) -> dict:
     shared = [(check, message) for keys, check, message in _SHARED_RULES
               if set(keys) <= schema.keys()]
     for check, message in (*shared, *recipe.rules):
-        if not check(resolved):
+        try:
+            ok = check(resolved)
+        except ValueError as exc:
+            raise ConfigError(f"{message} ({exc})") from None
+        if not ok:
             raise ConfigError(message)
     return resolved
 
@@ -654,23 +657,13 @@ class _Recipe:
 
 
 _SUPERLINEAR: _Rule = (lambda c: c["p"] * c["q"] > 1.0, "this recipe requires pq > 1")
-_IC_INSIDE: _Rule = (lambda c: c["ic_width"] <= c["extent"], "ic_width must not exceed extent")
 
 
 def _times_rise(times: Callable[[dict], Sequence[float]], start: str | None,
                 message: str) -> _Rule:
-    """The rule that a recipe's output times, times(c), are what `solve` takes from
-    c[start] (from 0 without a key): finite, strictly rising, the first after the
-    start.  np.geomspace refuses an end of 0, and that fails the rule too."""
-    def check(c: dict) -> bool:
-        try:
-            t = np.asarray(times(c), dtype=float)
-        except ValueError:
-            return False
-        return bool(np.isfinite(t).all() and np.all(np.diff(t) > 0)
-                    and t[0] > (c[start] if start else 0.0))
-
-    return check, message
+    """The rule that a recipe's output times, times(c), pass the solver's own check
+    from c[start] (from 0 without a key), which returns them, a nonempty list."""
+    return (lambda c: _output_times(times(c), c[start] if start else 0.0)), message
 
 
 _FLAT_TIMES_RISE = _times_rise(_flat_times, "t_start",
@@ -687,8 +680,8 @@ _RECIPES: dict[str, _Recipe] = {
                        "dt_list must hold >= 2 distinct values, each > 0"),
         node_list=_Param("float_list", [101, 201, 401],
                          lambda ns: len(set(ns)) == len(ns) >= 2
-                         and all(n.is_integer() and n >= 3 for n in ns),
-                         "node_list must hold >= 2 distinct integers, each >= 3"),
+                         and all(n.is_integer() and 3 <= n <= _MAX_NODES for n in ns),
+                         f"node_list must hold >= 2 distinct integers, each in [3, {_MAX_NODES}]"),
         mask_radius=_Param("float", 0.2, _positive, "mask_radius must be > 0"),
     ), (
         _SUPERLINEAR,
@@ -726,15 +719,11 @@ _RECIPES: dict[str, _Recipe] = {
         t_end=0.05,
         n_snapshots=_Param("int", 10, lambda x: x >= 2, "n_snapshots must be >= 2"),
     ), (
-        _IC_INSIDE,
-        (lambda c: _inside(c, c["psi_center"] - c["psi_width"], c["psi_center"] + c["psi_width"]),
-         "psi_center ± psi_width must lie inside [-extent, extent]"),
         (lambda c: _bumps_fit(c, (0.0, c["ic_width"]), (c["psi_center"], c["psi_width"])),
-         "the initial bump on ±ic_width and psi on psi_center ± psi_width must each hold "
-         "a grid node"),
+         "the initial bump on ±ic_width and psi on psi_center ± psi_width must each lie "
+         "inside [-extent, extent] and hold a grid node"),
         (lambda c: abs(c["psi_center"]) < c["ic_width"] + c["psi_width"],
          "psi must overlap the initial bump: |psi_center| < ic_width + psi_width"),
-        (lambda c: c["t_min"] < c["t_end"], "t_min must be below t_end"),
         _times_rise(_trace_times, None, "t_min and t_end must be far enough apart for "
                     "n_snapshots strictly rising output times geometrically spaced between them"),
     )),
@@ -752,17 +741,13 @@ _RECIPES: dict[str, _Recipe] = {
         saturation_tol=_Param("float", 0.05, _positive, "saturation_tol must be > 0"),
         dt_init=1e-6,
     ), (
-        _IC_INSIDE,
         (lambda c: _bumps_fit(c, (0.0, c["ic_width"])),
-         "the initial bump on ±ic_width must hold a grid node"),
+         "the initial bump on ±ic_width must lie inside [-extent, extent] and hold a grid node"),
         (lambda c: max(c["windows"]) < c["t_end"], "windows must lie strictly inside (0, t_end)"),
         _times_rise(_dichotomy_times, None, "a quarter of the smallest window must be > 0: "
                     "the output times climb geometrically from it to t_end"),
-        (lambda c: c["region_lo"] < c["region_hi"], "region_lo must be below region_hi"),
-        (lambda c: _inside(c, c["region_lo"], c["region_hi"]),
-         "[region_lo, region_hi] must lie inside [-extent, extent]"),
-        (lambda c: _holds_two(_grid(c).coords, c["region_lo"], c["region_hi"]),
-         "[region_lo, region_hi] must hold at least 2 grid nodes"),
+        (lambda c: _region_nodes(c, c["region_lo"], c["region_hi"]),
+         "[region_lo, region_hi] must lie in [-extent, extent] and hold at least 2 grid nodes"),
     )),
     "removability_sweep": _Recipe(_run_removability_sweep, _schema(*_COUPLED,
         nodes=801,
@@ -773,9 +758,8 @@ _RECIPES: dict[str, _Recipe] = {
         converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
         dt_init=1e-6,
     ), (
-        (lambda c: max(c["eps_list"]) <= c["extent"], "eps_list values must not exceed extent"),
         (lambda c: _bumps_fit(c, *((0.0, eps) for eps in c["eps_list"])),
-         "every eps_list bump on ±eps must hold a grid node"),
+         "every eps_list bump on ±eps must lie inside [-extent, extent] and hold a grid node"),
         _times_rise(_probe_times, None,
                     "t_probe/4, t_probe/2 and t_probe, the output times, must be > 0 and rise"),
     )),
@@ -800,15 +784,15 @@ _RECIPES: dict[str, _Recipe] = {
         s=_Param("float", 1.0, _positive, "s must be > 0"),
         n_snapshots=_Param("int", 60, lambda x: x >= 5, "n_snapshots must be >= 5"),
     ), (
-        (lambda c: c["t_end"] > c["kernel_time"], "t_end must exceed kernel_time"),
-        (lambda c: _inside(c, c["center_x"] - c["rho"], c["center_x"] + c["rho"]),
-         "center_x ± rho must lie inside [-extent, extent]"),
+        _times_rise(_kernel_times, "kernel_time", "t_end must exceed kernel_time by enough "
+                    "for n_snapshots strictly rising output times after kernel_time"),
+        (lambda c: _region_nodes(c, c["center_x"] - c["rho"], c["center_x"] + c["rho"]),
+         "center_x ± rho must lie inside [-extent, extent] and hold at least 2 grid nodes"),
         (lambda c: _kernel_times(c)[0] <= c["center_t"] - c["rho"] ** 2
          and c["center_t"] <= c["t_end"],
          "[center_t - rho^2, center_t] must lie between the first output time, "
          "kernel_time + (t_end - kernel_time)/n_snapshots, and t_end"),
-        (lambda c: _holds_two(_grid(c).coords, c["center_x"] - _innermost(c),
-                              c["center_x"] + _innermost(c)),
+        (lambda c: _region_nodes(c, c["center_x"] - _innermost(c), c["center_x"] + _innermost(c)),
          "the innermost ball center_x ± rho (1 - max epsilons) must hold at least 2 grid nodes"),
         (lambda c: _holds_two(_kernel_times(c), c["center_t"] - _innermost(c) ** 2, c["center_t"]),
          "[center_t - r^2, center_t] with r = rho (1 - max epsilons) must hold at least 2 "

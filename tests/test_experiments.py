@@ -106,6 +106,9 @@ BAD_TEXT = [
 ]
 
 
+NEAR_1E6 = math.nextafter(math.nextafter(1e6, math.inf), math.inf)
+
+
 def config_text(recipe, *lines):
     pair = [f"{key} = {FAST[recipe][key]}" for key in ("p", "q") if key in FAST[recipe]]
     return "\n".join([f"experiment = {recipe}", *pair, *lines, ""])
@@ -113,23 +116,34 @@ def config_text(recipe, *lines):
 
 # cross-field values that reached the runner and ended as an exit-2
 # ValueError there (the repeated windows completed with a verdict), each
-# with a fragment of the ConfigError message it now raises
+# with a fragment of the ConfigError message it now raises; where a rule calls
+# the check the run meets, the fragment holds that check's reason in parentheses
 BAD_CONFIGS = [
-    ("dichotomy_probe", {"region_lo": 0.5, "region_hi": -0.5}, "region_lo must be below"),
-    ("dichotomy_probe", {"region_lo": 0.2, "region_hi": 0.2}, "region_lo must be below"),
-    ("dichotomy_probe", {"region_hi": 1.5}, "region_hi] must lie inside"),
-    ("dichotomy_probe", {"region_lo": -1.5}, "region_hi] must lie inside"),
-    ("trace_measurement", {"psi_center": 5.0}, "psi_center ± psi_width must lie inside"),
-    ("trace_measurement", {"psi_center": -0.6}, "psi_center ± psi_width must lie inside"),
-    ("trace_measurement", {"ic_width": 1.5}, "ic_width must not exceed extent"),
-    ("dichotomy_probe", {"ic_width": 2.0}, "ic_width must not exceed extent"),
-    ("removability_sweep", {"eps_list": [2.0, 0.1]}, "eps_list values must not exceed extent"),
+    ("dichotomy_probe", {"region_lo": 0.5, "region_hi": -0.5},
+     "2 grid nodes (empty region (0.5, -0.5))"),
+    ("dichotomy_probe", {"region_lo": 0.2, "region_hi": 0.2},
+     "2 grid nodes (empty region (0.2, 0.2))"),
+    ("dichotomy_probe", {"region_hi": 1.5}, "2 grid nodes (region (-0.5, 1.5) exceeds the domain)"),
+    ("dichotomy_probe", {"region_lo": -1.5}, "2 grid nodes (region (-1.5, 0.5) exceeds the domain)"),
+    ("trace_measurement", {"psi_center": 5.0},
+     "psi on psi_center ± psi_width must each lie inside [-extent, extent] and hold a grid "
+     "node (bump support [4.5, 5.5] exceeds the domain)"),
+    ("trace_measurement", {"psi_center": -0.6}, "grid node (bump support [-1.1, -0.0999"),
+    ("trace_measurement", {"ic_width": 1.5}, "grid node (bump support [-1.5, 1.5] exceeds the"),
+    ("dichotomy_probe", {"ic_width": 2.0},
+     "the initial bump on ±ic_width must lie inside [-extent, extent] and hold a grid node "
+     "(bump support [-2.0, 2.0] exceeds the domain)"),
+    ("removability_sweep", {"eps_list": [2.0, 0.1]},
+     "every eps_list bump on ±eps must lie inside [-extent, extent] and hold a grid node "
+     "(bump support [-2.0, 2.0] exceeds the domain)"),
     ("mean_value_check", {"center_x": 9.0}, "center_x ± rho must lie inside"),
     ("mean_value_check", {"center_x": -1.6}, "center_x ± rho must lie inside"),
     ("mean_value_check", {"center_t": 0.1}, "[center_t - rho^2, center_t] must lie between"),
     ("mean_value_check", {"center_t": 0.4}, "[center_t - rho^2, center_t] must lie between"),
-    ("trace_measurement", {"t_min": 0.05}, "t_min must be below t_end"),
-    ("trace_measurement", {"t_min": 0.1}, "t_min must be below t_end"),
+    ("trace_measurement", {"t_min": 0.05},
+     "spaced between them (output times must be strictly increasing)"),
+    ("trace_measurement", {"t_min": 0.1},
+     "spaced between them (output times must be strictly increasing)"),
     ("flat_validation", {"dt_min": 1e-3}, "dt_min must not exceed dt_init"),
     ("dichotomy_probe", {"windows": [1e-3, 1e-3, 1e-3]}, "windows must hold >= 3 distinct"),
     # disjoint supports: the runner divided by a zero target and crashed
@@ -138,8 +152,11 @@ BAD_CONFIGS = [
     # one node or one snapshot short of the limits in AT_THE_LIMIT (h = 0.05, and
     # h = 0.1 on mean_value_check's default extent of 2); rho = 0.05 fails the outer
     # ball too, and at nodes = 401 the outer window
-    ("dichotomy_probe", {"region_lo": 0.0, "region_hi": 0.0499}, "must hold at least 2 grid"),
-    ("mean_value_check", {"rho": 0.05}, "must hold at least 2 grid nodes"),
+    ("dichotomy_probe", {"region_lo": 0.0, "region_hi": 0.0499},
+     "(region (0.0, 0.0499) contains fewer than 2 grid nodes)"),
+    ("mean_value_check", {"rho": 0.05},
+     "center_x ± rho must lie inside [-extent, extent] and hold at least 2 grid nodes "
+     "(region (-0.05, 0.05) contains fewer than 2 grid nodes)"),
     ("mean_value_check", {"center_x": 0.05, "rho": 0.5, "center_t": 0.35,
                           "epsilons": [0.1, 0.91], "n_snapshots": 120},
      "must hold at least 2 grid nodes"),
@@ -164,11 +181,14 @@ BAD_CONFIGS = [
     # a bump whose support holds no grid node (h = 2/39 at nodes = 40, no node at 0):
     # bump_function refused it in the runner
     ("removability_sweep", {"nodes": 40, "eps_list": [0.2, 0.01]},
-     "every eps_list bump on ±eps must hold a grid node"),
+     "every eps_list bump on ±eps must lie inside [-extent, extent] and hold a grid node "
+     "(bump support does not contain any grid node)"),
     ("trace_measurement", {"nodes": 41, "psi_center": 0.025, "psi_width": 0.02},
-     "and psi on psi_center ± psi_width must each hold a grid node"),
+     "and psi on psi_center ± psi_width must each lie inside [-extent, extent] and hold a "
+     "grid node (bump support does not contain any grid node)"),
     ("dichotomy_probe", {"nodes": 40, "ic_width": 0.02},
-     "the initial bump on ±ic_width must hold a grid node"),
+     "the initial bump on ±ic_width must lie inside [-extent, extent] and hold a grid node "
+     "(bump support does not contain any grid node)"),
     ("trace_measurement", {"nodes": 40, "ic_width": 0.02},
      "the initial bump on ±ic_width and psi"),
     # the temporal probe evaluated the flat solution at t_ref - dt <= 0
@@ -208,6 +228,21 @@ BAD_CONFIGS = [
     ("removability_sweep", {"t_probe": 5e-324}, "t_probe/4, t_probe/2 and t_probe"),
     ("subsolution_check", {"p": 2, "q": 3, "t_start": 1.0, "t_end": 1 + 2.3e-16},
      "t_end must exceed t_start by enough"),
+    # the same for mean_value_check's output times, which had no time rule: t_end
+    # two ulps above kernel_time = 1e6 passed every rule, then heat_solve refused them
+    ("mean_value_check", {"kernel_time": 1e6, "t_end": NEAR_1E6, "center_t": NEAR_1E6,
+                          "extent": 1e-4, "rho": 1e-5, "center_x": 0.0, "n_snapshots": 20},
+     "after kernel_time (output times must be strictly increasing)"),
+    # node counts past NumPy's array limit: np.linspace raised a bare ValueError in
+    # the rules or the runner, a traceback or exit 2; the bound is 10**6
+    ("trace_measurement", {"nodes": 10**20}, f"key 'nodes': nodes must lie in [3, {10**6}]"),
+    ("dichotomy_probe", {"nodes": 2**63}, f"key 'nodes': nodes must lie in [3, {10**6}]"),
+    ("removability_sweep", {"nodes": 10**6 + 1}, f"key 'nodes': nodes must lie in [3, {10**6}]"),
+    ("mean_value_check", {"nodes": 10**20}, f"key 'nodes': nodes must lie in [3, {10**6}]"),
+    ("estimate_saturation", {"nodes": 10**20}, f"key 'nodes': nodes must lie in [3, {10**6}]"),
+    ("convergence_order", {"node_list": [101, 1e20]}, f"each in [3, {10**6}]"),
+    ("convergence_order", {"node_list": [101, 2**63]}, f"each in [3, {10**6}]"),
+    ("convergence_order", {"node_list": [101, 10**6 + 1]}, f"each in [3, {10**6}]"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -242,6 +277,10 @@ AT_THE_LIMIT = [
     ("blowup_fit", {"t_end": 0.1021}),
     # b**p underflows in the flat and elliptic amplitudes
     ("blowup_fit", {"p": 1e6, "q": 2}),
+    # a region and a ball within the diagnostics' 1e-12 slack outside -extent,
+    # which the run counts as inside the domain
+    ("dichotomy_probe", {"region_lo": -1 - 5e-13, "t_end": 0.01}),
+    ("mean_value_check", {"center_x": -1.55 - 5e-13, "rho": 0.45, "center_t": 0.35}),
 ]
 
 # every config that the defaults, the demos and perfbench run
@@ -376,6 +415,10 @@ class TestRules:
             parse_config(text_of(name, params))
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_experiment(ExperimentSpec(name, params))
+        # no other error escapes `_resolve`: a sweep records the refusal as its point's
+        [record] = sweep(ExperimentSpec(name, params), {})
+        assert record.failed and record.error.startswith("ConfigError: ")
+        assert message in record.error
 
     @pytest.mark.parametrize("name, extra", AT_THE_LIMIT)
     def test_limit_is_accepted_and_runs(self, name, extra):
@@ -387,6 +430,27 @@ class TestRules:
     @pytest.mark.parametrize("name, params", IN_USE)
     def test_configs_in_use_are_accepted(self, name, params):
         parse_config(text_of(name, params))
+
+    def test_every_solving_recipe_checks_its_output_times(self, monkeypatch):
+        # the time rules call the check that `solve` and `heat_solve` make, so a
+        # grid they would refuse is a config error; convergence_order does not solve
+        calls = []
+        check = experiments._output_times
+        monkeypatch.setattr(experiments, "_output_times",
+                            lambda *args: calls.append(args) or check(*args))
+        checked = set()
+        for name, params in IN_USE:
+            calls.clear()
+            experiments._resolve(name, params)
+            if calls:
+                checked.add(name)
+        assert checked == set(RECIPE_NAMES) - {"convergence_order"}
+
+    def test_node_count_at_the_bound_is_accepted(self):
+        # resolved only: a run on 10**6 nodes is not desk scale
+        params = with_pair("trace_measurement", {"nodes": 10**6})
+        assert experiments._resolve("trace_measurement", params)["nodes"] == 10**6
+        experiments._resolve("convergence_order", {"p": 2, "q": 2, "node_list": [101, 10**6]})
 
     def test_empty_epsilons_is_config_error(self):
         # only a dict holds an empty list; the runner used to end in an IndexError
@@ -604,6 +668,13 @@ class TestSweep:
         assert [r.failed for r in records] == [False, True]
         assert records[1].error == "OverflowError: math range error"
 
+    def test_node_count_past_numpys_limit_is_isolated(self):
+        # np.linspace refused 10**20 nodes with a bare ValueError, which ended the sweep
+        base = ExperimentSpec("trace_measurement", FAST["trace_measurement"])
+        records = sweep(base, {"nodes": [41, 10**20, 61]})
+        assert [r.failed for r in records] == [False, True, False]
+        assert records[1].error.startswith("ConfigError: key 'nodes'")
+
     def test_subsolution_order_error_is_isolated(self):
         base = ExperimentSpec("subsolution_check",
                               {"p": 2, "q": 3, "nodes": 51, "n_snapshots": 5, "t_end": 0.2})
@@ -742,7 +813,7 @@ class TestCli:
         assert result.returncode == 0
         assert "usage: absorblab" in result.stdout
 
-    @pytest.mark.parametrize("index", [0, 9, 15, 17, 24, 30])
+    @pytest.mark.parametrize("index", [0, 9, 15, 17, 24, 30, 56, 57, 58, 62])
     def test_bad_config_exit_one(self, tmp_path, run_cli, index):
         name, extra, message = BAD_CONFIGS[index]
         result = run_cli(["run", "exp.cfg", "--out", str(tmp_path / "out")],
