@@ -159,7 +159,7 @@ def test_07_removability_contrast_radial(p, removable):
     config = SolverConfig(bc=NEU, t_start=0.0, dt_init=1e-6)
     pair = PowerPair(p, p)
     masses = []
-    for eps in (0.2, 0.1, 0.05):
+    for eps in (0.2, 0.1, 0.05, 0.025):
         ic = bump_function(grid, 0.0, eps)
         traj = solve(ic, ic, pair, config, [0.0125, 0.025, 0.05])
         masses.append(integrate_field(Field(grid, traj.values[-1, 0])))
