@@ -310,6 +310,14 @@ def check_f_subsolution(traj: Trajectory, pair: PowerPair) -> SubsolutionReport:
     return SubsolutionReport(max_violation=float(worst), d=d, c=c, k=k)
 
 
+def _time_window(times: Sequence[float], t0: float, rho: float) -> tuple[float, float]:
+    """A cylinder's time window [t0 - rho^2, t0]; refused unless `times`, the snapshot
+    times, reach over it, as `_within` counts."""
+    if t0 - rho**2 < times[0] - _SLACK or t0 > times[-1] + _SLACK:
+        raise ValueError("cylinder exceeds the computed time range")
+    return (t0 - rho**2, t0)
+
+
 def mean_value_check(
     caloric: Trajectory,
     power_s: float,
@@ -341,10 +349,7 @@ def mean_value_check(
             return (0.0, radius)
         return (x0 - radius, x0 + radius)
 
-    if t0 - rho**2 < caloric.times[0] - _SLACK or t0 > caloric.times[-1] + _SLACK:
-        raise ValueError("cylinder exceeds the computed time range")
-
-    window = (t0 - rho**2, t0)
+    window = _time_window(caloric.times, t0, rho)
     _, weights, snaps = _cylinder(caloric, ball(rho), window)
     sizes = np.full(snaps.size, float(weights @ np.ones(weights.size)))
     volume = float(np.trapezoid(sizes, caloric.times[snaps]))

@@ -218,6 +218,8 @@ def bump_function(grid: Grid, center: float, width: float) -> Field:
     raw = Field(grid, values)
     mass = integrate_field(raw)
     if mass <= 0:
-        raise ValueError("bump support does not contain any grid node")
+        raise ValueError(
+            f"bump support [{center - width}, {center + width}] does not contain any grid node"
+        )
     return Field(grid, values / mass)
 

@@ -757,6 +757,7 @@ _RECIPES: dict[str, _Recipe] = {
         collapse_ratio=_Param("float", 0.2, _positive, "collapse_ratio must be > 0"),
         converge_tol=_Param("float", 0.1, _positive, "converge_tol must be > 0"),
         dt_init=1e-6,
+        tol_step=1e-5,  # the work-precision rule in notes/decisions.md
     ), (
         (lambda c: _bumps_fit(c, *((0.0, eps) for eps in c["eps_list"])),
          "every eps_list bump on ±eps must lie inside [-extent, extent] and hold a grid node"),
@@ -788,8 +789,7 @@ _RECIPES: dict[str, _Recipe] = {
                     "for n_snapshots strictly rising output times after kernel_time"),
         (lambda c: _region_nodes(c, c["center_x"] - c["rho"], c["center_x"] + c["rho"]),
          "center_x ± rho must lie inside [-extent, extent] and hold at least 2 grid nodes"),
-        (lambda c: _kernel_times(c)[0] <= c["center_t"] - c["rho"] ** 2
-         and c["center_t"] <= c["t_end"],
+        (lambda c: dg._time_window(_kernel_times(c), c["center_t"], c["rho"]),
          "[center_t - rho^2, center_t] must lie between the first output time, "
          "kernel_time + (t_end - kernel_time)/n_snapshots, and t_end"),
         (lambda c: _region_nodes(c, c["center_x"] - _innermost(c), c["center_x"] + _innermost(c)),

@@ -182,13 +182,14 @@ BAD_CONFIGS = [
     # bump_function refused it in the runner
     ("removability_sweep", {"nodes": 40, "eps_list": [0.2, 0.01]},
      "every eps_list bump on ±eps must lie inside [-extent, extent] and hold a grid node "
-     "(bump support does not contain any grid node)"),
+     "(bump support [-0.01, 0.01] does not contain any grid node)"),
+    # the message names the bump that failed: psi, as the initial bump holds the node 0
     ("trace_measurement", {"nodes": 41, "psi_center": 0.025, "psi_width": 0.02},
      "and psi on psi_center ± psi_width must each lie inside [-extent, extent] and hold a "
-     "grid node (bump support does not contain any grid node)"),
+     "grid node (bump support [0.005000000000000001, 0.045] does not contain any grid node)"),
     ("dichotomy_probe", {"nodes": 40, "ic_width": 0.02},
      "the initial bump on ±ic_width must lie inside [-extent, extent] and hold a grid node "
-     "(bump support does not contain any grid node)"),
+     "(bump support [-0.02, 0.02] does not contain any grid node)"),
     ("trace_measurement", {"nodes": 40, "ic_width": 0.02},
      "the initial bump on ±ic_width and psi"),
     # the temporal probe evaluated the flat solution at t_ref - dt <= 0
@@ -243,6 +244,11 @@ BAD_CONFIGS = [
     ("convergence_order", {"node_list": [101, 1e20]}, f"each in [3, {10**6}]"),
     ("convergence_order", {"node_list": [101, 2**63]}, f"each in [3, {10**6}]"),
     ("convergence_order", {"node_list": [101, 10**6 + 1]}, f"each in [3, {10**6}]"),
+    # a cylinder that starts 1e-9 before the first output time, 0.055, past the
+    # diagnostics' 1e-12 slack: the rule calls the runner's check, with its reason
+    ("mean_value_check", {"nodes": 41, "rho": math.sqrt(0.295 + 1e-9), "center_t": 0.35},
+     "[center_t - rho^2, center_t] must lie between the first output time, kernel_time + "
+     "(t_end - kernel_time)/n_snapshots, and t_end (cylinder exceeds the computed time range)"),
 ]
 BAD_CONFIG_IDS = [f"{name}-{'-'.join(extra)}-{i}" for i, (name, extra, _) in enumerate(BAD_CONFIGS)]
 
@@ -281,6 +287,9 @@ AT_THE_LIMIT = [
     # which the run counts as inside the domain
     ("dichotomy_probe", {"region_lo": -1 - 5e-13, "t_end": 0.01}),
     ("mean_value_check", {"center_x": -1.55 - 5e-13, "rho": 0.45, "center_t": 0.35}),
+    # a cylinder that starts 5e-13 before the first output time, 0.055, within that
+    # slack: the rule without it refused this, the run completes
+    ("mean_value_check", {"nodes": 41, "rho": math.sqrt(0.295 + 5e-13), "center_t": 0.35}),
 ]
 
 # every config that the defaults, the demos and perfbench run
