@@ -68,6 +68,7 @@ import itertools
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -328,6 +329,13 @@ def _output_times(output_times: Sequence[float], t_start: float) -> list[float]:
     return times
 
 
+# Every solve's work, added as it ends, also by StepSizeUnderflow; a run's share
+# is the tally after it minus before.  `calls` counts `_advance` calls, `rows` the
+# right-hand sides they solved, `retries` those of the accepted steps, and
+# `factors` the factor-cache misses, one dgttrf call each.
+_WORK = Counter(calls=0, rows=0, accepted=0, retries=0, factors=0)
+
+
 def _integrate(
     fields: Sequence[Field],
     config: SolverConfig,
@@ -344,44 +352,52 @@ def _integrate(
     rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
     values = np.empty((len(times), *state.shape))
     log: list[StepRecord] = []
+    calls = 0
 
-    for i, t_out in enumerate(times):
-        while t < t_out - 1e-13 * t_out:  # t_out > t_start >= 0
-            dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
-            retries = 0
-            full = _advance(state, dt_try, op, absorption)
-            while True:
-                half = _advance(state, 0.5 * dt_try, op, absorption)
-                two_half = _advance(half, 0.5 * dt_try, op, absorption)
-                err = _error(full, two_half)
-                # a nan or an inf in two_half makes err nan or inf, which fails
-                # the finite tol: an accepted state is always finite, unchecked
-                if err <= tol:
-                    break
-                dt_try *= 0.5
-                retries += 1
-                if dt_try < config.dt_min:
-                    raise StepSizeUnderflow(
-                        f"dt fell below dt_min={config.dt_min} at t={t:.6g}"
-                    )
-                # the retry's full step is the rejected half step: same state, same dt
-                full = half
-            state = two_half
-            t += dt_try
-            log.append(StepRecord(t, dt_try, retries))
-            # the highest rung at or below dt_try: the tried rung is exact, since
-            # halving a rung's float is exact; only a clipped step walks down
-            rung_below = rung - 4 * retries
-            while _rung_dt(rung_below, config.dt_init) > dt_try:
-                rung_below -= 1
-            if retries:
-                rung = rung_below
-            else:
-                # climb k rungs, the most with (2**(k/4))**3 err <= tol; never shrink
-                k = math.floor(min(4.0, 4.0 / 3.0 * math.log2(tol / err))) if err else 4
-                rung = max(rung, rung_below + k)
-        t = t_out
-        values[i] = state
+    try:
+        for i, t_out in enumerate(times):
+            while t < t_out - 1e-13 * t_out:  # t_out > t_start >= 0
+                dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
+                retries = 0
+                calls += 1
+                full = _advance(state, dt_try, op, absorption)
+                while True:
+                    calls += 2
+                    half = _advance(state, 0.5 * dt_try, op, absorption)
+                    two_half = _advance(half, 0.5 * dt_try, op, absorption)
+                    err = _error(full, two_half)
+                    # a nan or an inf in two_half makes err nan or inf, which fails
+                    # the finite tol: an accepted state is always finite, unchecked
+                    if err <= tol:
+                        break
+                    dt_try *= 0.5
+                    retries += 1
+                    if dt_try < config.dt_min:
+                        raise StepSizeUnderflow(
+                            f"dt fell below dt_min={config.dt_min} at t={t:.6g}"
+                        )
+                    # the retry's full step is the rejected half step: same state, same dt
+                    full = half
+                state = two_half
+                t += dt_try
+                log.append(StepRecord(t, dt_try, retries))
+                # the highest rung at or below dt_try: the tried rung is exact, since
+                # halving a rung's float is exact; only a clipped step walks down
+                rung_below = rung - 4 * retries
+                while _rung_dt(rung_below, config.dt_init) > dt_try:
+                    rung_below -= 1
+                if retries:
+                    rung = rung_below
+                else:
+                    # climb k rungs, the most with (2**(k/4))**3 err <= tol; never shrink
+                    k = math.floor(min(4.0, 4.0 / 3.0 * math.log2(tol / err))) if err else 4
+                    rung = max(rung, rung_below + k)
+            t = t_out
+            values[i] = state
+    finally:
+        _WORK.update(calls=calls, rows=calls * len(fields), accepted=len(log),
+                     retries=sum(r.retries for r in log),
+                     factors=op._factor.cache_info().misses)
 
     return Trajectory(grid, np.array(times), values, log)
 

@@ -46,6 +46,7 @@ from .evolution import (
     NumericsError,
     SolverConfig,
     Trajectory,
+    _WORK,
     _output_times,
     heat_solve,
     residual_of,
@@ -187,6 +188,7 @@ class RunRecord:
     error: str | None = None
     wall_time_s: float = 0.0
     version: str = VERSION
+    solver: dict = field(default_factory=dict)  # the run's share of `evolution._WORK`
 
 
 def _parse_scalar(text: str):
@@ -818,7 +820,7 @@ def run_experiment(
     """
     params = _resolve(spec.name, spec.parameters)
     runid = runid or f"{spec.name}-s{spec.seed:04d}"
-    start = time.perf_counter()
+    start, work = time.perf_counter(), dict(_WORK)
     outcome, traj, error = {}, None, None
     try:
         pair = cf.PowerPair(params["p"], params["q"]) if "p" in params else None
@@ -829,6 +831,7 @@ def run_experiment(
     record = RunRecord(
         name=spec.name, runid=runid, seed=spec.seed, params=params, outcome=outcome,
         failed=error is not None, error=error, wall_time_s=time.perf_counter() - start,
+        solver={key: _WORK[key] - count for key, count in work.items()},
     )
     if out_dir is not None and traj is not None:
         out = Path(out_dir)
@@ -872,7 +875,8 @@ def _flatten(record: RunRecord) -> dict:
         "failed": record.failed,
         "error": record.error or "",
     }
-    for prefix, mapping in (("param", record.params), ("out", record.outcome)):
+    for prefix, mapping in (("param", record.params), ("out", record.outcome),
+                            ("solver", record.solver)):
         for key in sorted(mapping):
             value = mapping[key]
             if isinstance(value, list):

@@ -722,8 +722,9 @@ class TestUnclampedAbsorption:
                 assert not np.any(out < 0)
 
 
-def test_rejection_reuses_the_half_step(monkeypatch):
-    # an accepted attempt costs three _advance calls, each retry two more
+def count_advance(monkeypatch) -> list:
+    """The dt of every `_advance` call from here on: a count of the solver's steps
+    made outside it, which its own tally must equal."""
     calls = []
 
     def counted(*args):
@@ -731,12 +732,66 @@ def test_rejection_reuses_the_half_step(monkeypatch):
         return _advance(*args)
 
     monkeypatch.setattr(evolution, "_advance", counted)
+    return calls
+
+
+def work_of(call) -> tuple:
+    """`call()`'s result and its share of the solver's tally `evolution._WORK`."""
+    before = dict(evolution._WORK)
+    result = call()
+    return result, {key: evolution._WORK[key] - count for key, count in before.items()}
+
+
+def test_rejection_reuses_the_half_step(monkeypatch):
+    # an accepted attempt costs three _advance calls, each retry two more
+    calls = count_advance(monkeypatch)
     g = interval_grid(41)
     ic = bump_function(g, 0.0, 0.3)
-    traj = solve(ic, ic, PowerPair(2, 3), config(dt_init=1e-2), [0.02])
+    traj, work = work_of(lambda: solve(ic, ic, PowerPair(2, 3), config(dt_init=1e-2), [0.02]))
     retries = sum(rec.retries for rec in traj.steps)
     assert retries >= 1
     assert len(calls) == 3 * len(traj.steps) + 2 * retries
+    # p != q, so every call advances both rows
+    assert work == {"calls": len(calls), "rows": 2 * len(calls), "accepted": len(traj.steps),
+                    "retries": retries, "factors": work["factors"]}
+    assert 0 < work["factors"] <= len(calls)
+
+
+class TestWorkTally:
+    """`_integrate` adds each solve's work to `evolution._WORK`, and a record
+    carries its run's share as `solver`."""
+
+    @pytest.mark.parametrize("recipe, params, work", [
+        ("trace_measurement", {"p": 2, "q": 2},
+         {"calls": 404, "rows": 404, "accepted": 132, "retries": 4, "factors": 88}),
+        # lab_session's failing point: the attempt that underflows counts too
+        ("estimate_saturation", {"p": 2, "q": 3, "m": 1e4},
+         {"calls": 1019, "rows": 2038, "accepted": 308, "retries": 46, "factors": 102}),
+    ])
+    def test_record_counts_equal_an_advance_count(self, monkeypatch, recipe, params, work):
+        calls = count_advance(monkeypatch)
+        record = run_experiment(ExperimentSpec(recipe, params))
+        assert record.solver["calls"] == len(calls)
+        assert record.solver == work
+        assert record.failed == (recipe == "estimate_saturation")
+
+    def test_back_to_back_runs_record_only_their_own(self, monkeypatch):
+        calls = count_advance(monkeypatch)
+        specs = [ExperimentSpec("blowup_fit", {"p": 2, "q": 3, "nodes": 41}),
+                 ExperimentSpec("flat_validation", {"p": 2, "q": 2, "nodes": 41}),
+                 ExperimentSpec("blowup_fit", {"p": 2, "q": 3, "nodes": 41})]
+        records = []
+        for spec in specs:
+            calls.clear()
+            records.append(run_experiment(spec))
+            assert records[-1].solver["calls"] == len(calls) > 0
+        first, other, again = records
+        assert first.solver == again.solver != other.solver
+
+    def test_a_run_without_a_solve_records_zeros(self):
+        record = run_experiment(ExperimentSpec("convergence_order", {"p": 2, "q": 2}))
+        assert record.solver == dict.fromkeys(
+            ("calls", "rows", "accepted", "retries", "factors"), 0)
 
 
 def on_ladder(dt, dt_init):
@@ -797,21 +852,13 @@ class TestStepController:
         # retried steps are among them: halving a rung's dt lands on a rung
         assert any(rec.retries for rec in free)
 
-    def test_bump_solve_takes_fewer_calls_and_retries(self, monkeypatch):
+    def test_bump_solve_takes_fewer_calls_and_retries(self):
         # the halve / double-below-tol/4 controller took 799 calls and 47 retries here
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return _advance(*args)
-
-        monkeypatch.setattr(evolution, "_advance", counted)
         g = interval_grid(201)
         ic = bump_function(g, 0.0, 0.1)
-        traj = solve(ic, ic, PowerPair(2, 3), config(), [0.02])
-        retries = sum(rec.retries for rec in traj.steps)
+        _, work = work_of(lambda: solve(ic, ic, PowerPair(2, 3), config(), [0.02]))
         # this controller: 565 calls, 185 accepted steps and 5 retries
-        assert len(calls) <= 600 and retries <= 10
+        assert work["calls"] <= 600 and work["retries"] <= 10
 
     def test_ladder_climbs_past_the_float_powers_of_two(self):
         # from 1e-300 to 1e9 the ladder climbs past 2**1024 times dt_init, a

@@ -743,6 +743,22 @@ class TestRecords:
             header, row = csv.reader(fh)
         assert row[header.index("param.nodes")] == "True"
 
+    def test_refused_sweep_point_records_no_solver_counts(self, tmp_path):
+        # the refused point comes first, so the header takes its solver cells from the second
+        records = sweep(ExperimentSpec("trace_measurement", FAST["trace_measurement"]),
+                        {"nodes": [10**20, 41]})
+        assert records[0].error.startswith("ConfigError") and records[0].solver == {}
+        assert not records[1].failed and records[1].solver["calls"] > 0
+        with open(write_records(records, tmp_path, fmt="csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * 2
+        cells = [f"solver.{key}" for key in sorted(records[1].solver)]
+        assert [rows[0][header.index(c)] for c in cells] == [""] * 5
+        assert [rows[1][header.index(c)] for c in cells] == [
+            str(records[1].solver[key]) for key in sorted(records[1].solver)]
+        data = json.loads(write_records(records, tmp_path, fmt="json").read_text())
+        assert [d["solver"] for d in data] == [{}, records[1].solver]
+
     def test_numpy_integer_sweep_values_run(self):
         # NumPy integers pass for integers, and for numbers, as NumPy floats do
         [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),

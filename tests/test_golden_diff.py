@@ -19,12 +19,15 @@ def load_golden_diff():
 
 
 def write_case(root, name, outcome, steps=None):
+    """A case whose record took `steps` accepted steps of three calls each; no
+    solver counts when `steps` is None."""
     case = root / name
     case.mkdir(parents=True)
-    (case / "record.json").write_text(json.dumps({"outcome": outcome}), encoding="utf-8")
+    record = {"outcome": outcome}
     if steps is not None:
-        rows = "".join(f"{0.1 * (k + 1)!r},0.1,0\n" for k in range(steps))
-        (case / f"steps_{name}.csv").write_text("t,dt,retries\n" + rows, encoding="utf-8")
+        record["solver"] = {"accepted": steps, "calls": 3 * steps, "rows": 6 * steps,
+                            "retries": 0, "factors": 2}
+    (case / "record.json").write_text(json.dumps(record), encoding="utf-8")
 
 
 def test_equal_directories_exit_zero(tmp_path, capsys):
@@ -34,9 +37,11 @@ def test_equal_directories_exit_zero(tmp_path, capsys):
         write_case(tmp_path / side, "fit", {"slope": -1.0})
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["case", "bytes", "steps", "A", "->", "B"]
+    assert lines[0].split() == ["case", "bytes", "accepted", "A", "->", "B",
+                                "calls", "A", "->", "B"]
     assert [line.split() for line in lines[1:]] == [
-        ["fit", "equal", "-", "->", "-"], ["flat", "equal", "3", "->", "3"]]
+        ["fit", "equal", "-", "->", "-", "-", "->", "-"],
+        ["flat", "equal", "3", "->", "3", "9", "->", "9"]]
 
 
 def test_moved_fields_show_their_largest_relative_change(tmp_path, capsys):
@@ -47,7 +52,7 @@ def test_moved_fields_show_their_largest_relative_change(tmp_path, capsys):
                                        "tag": "y", "kept": 3.0, "new": [1.0]}, steps=5)
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["run", "differ", "4", "->", "5"]
+    assert lines[1].split() == ["run", "differ", "4", "->", "5", "12", "->", "15"]
     fields = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert fields == {
         "gone": ["only", "in", "A"],
@@ -66,4 +71,15 @@ def test_a_case_on_one_side_only_differs(tmp_path, capsys):
     write_case(tmp_path / "b", "extra", {"x": 1.0}, steps=2)
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split()[:5] == ["extra", "differ", "-", "->", "2"]
+    assert lines[2].split() == ["extra", "differ", "-", "->", "2", "-", "->", "6"]
+
+
+def test_a_manifest_without_solver_counts_reads_dashes():
+    # manifests written before records held solver counts keep a step-log length
+    tool = load_golden_diff()
+    old = {"files": {"record.json": "0" * 64}, "steps": 3, "outcome": {"x": 1.0}}
+    new = {"files": {"record.json": "1" * 64}, "outcome": {"x": 1.0},
+           "solver": {"accepted": 3, "calls": 9}}
+    lines, differ = tool.compare({"run": old}, {"run": new})
+    assert differ == 1
+    assert lines[1].split() == ["run", "differ", "-", "->", "3", "-", "->", "9"]

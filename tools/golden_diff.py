@@ -7,13 +7,15 @@ Usage, from the repository root:
 A and B are each a directory written by `tools/golden_outputs.py` or a
 manifest it wrote with `--manifest`, such as `tests/golden_manifest.json`.
 For every case in A or B it prints one line: whether all its files are
-equal byte for byte (by sha256), and the step-log length (the rows of
-steps_<case>.csv, "-" without one) on both sides. Under a case whose bytes
-differ follows one line per outcome field of record.json that moved, with
-the largest relative change |b - a| / |a| over the field's numbers (the
-absolute change where a is 0) and, for a single number, both values; or a
-word when the field is not numeric, has another length, or is missing on
-one side. Exits 0 when every case is byte-identical, 1 otherwise.
+equal byte for byte (by sha256), and the accepted steps and `_advance` calls
+of all the run's solves, from the `solver` counts of record.json ("-"
+without a record, or in a manifest made before records held them), on both
+sides. Under a case whose bytes differ follows one line per outcome field
+of record.json that moved, with the largest relative change |b - a| / |a|
+over the field's numbers (the absolute change where a is 0) and, for a
+single number, both values; or a word when the field is not numeric, has
+another length, or is missing on one side. Exits 0 when every case is
+byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import math
 import sys
 from pathlib import Path
 
-# a case on one side only: no files, no step log, no outcome
-ABSENT = {"files": {}, "steps": None, "outcome": {}}
+# a case on one side only: no files, no solver counts, no outcome
+ABSENT = {"files": {}, "solver": None, "outcome": {}}
+COUNTED = ("accepted", "calls")  # the solver counts the report shows
 
 
 def leaves(value) -> list:
@@ -67,25 +70,22 @@ def outcome_changes(a: dict, b: dict) -> dict[str, float | str]:
     return out
 
 
-def step_rows(case: Path) -> int | None:
-    """The rows of the case's step log, its header left out; None without one."""
-    logs = list(case.glob("steps_*.csv"))
-    if not logs:
-        return None
-    return len(logs[0].read_text(encoding="utf-8").splitlines()) - 1
-
-
 def digest(case: Path) -> dict:
-    """One case directory as the manifest keeps it: the sha256 of each file, the
-    step-log length and the outcome of record.json."""
+    """One case directory as the manifest keeps it: the sha256 of each file, and the
+    solver counts and the outcome of record.json."""
     path = case / "record.json"
+    record = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
     return {
         "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(case.iterdir())},
-        "steps": step_rows(case),
-        "outcome": json.loads(path.read_text(encoding="utf-8"))["outcome"]
-        if path.is_file() else {},
+        "solver": record.get("solver"),
+        "outcome": record.get("outcome", {}),
     }
+
+
+def count(case: dict, key: str) -> str:
+    """One solver count of a case digest; "-" where it has none."""
+    return str((case.get("solver") or {}).get(key, "-"))
 
 
 def digests(root: Path) -> dict[str, dict]:
@@ -98,14 +98,15 @@ def digests(root: Path) -> dict[str, dict]:
 def compare(a_cases: dict[str, dict], b_cases: dict[str, dict]) -> tuple[list[str], int]:
     """The report's lines for two sets of case digests, and the number of cases
     whose bytes differ."""
-    lines = [f"{'case':<48}{'bytes':<8}steps A -> B"]
+    header = "".join(f"{c + ' A -> B':<20}" for c in COUNTED)
+    lines = [f"{'case':<48}{'bytes':<8}{header}".rstrip()]
     differ = 0
     for name in sorted(a_cases.keys() | b_cases.keys()):
         a, b = a_cases.get(name, ABSENT), b_cases.get(name, ABSENT)
         equal = a["files"] == b["files"]
         differ += not equal
-        steps = " -> ".join("-" if d["steps"] is None else str(d["steps"]) for d in (a, b))
-        lines.append(f"{name:<48}{'equal' if equal else 'differ':<8}{steps}")
+        counts = "".join(f"{count(a, c) + ' -> ' + count(b, c):<20}" for c in COUNTED)
+        lines.append(f"{name:<48}{'equal' if equal else 'differ':<8}{counts}".rstrip())
         if not equal:
             old, new = a["outcome"], b["outcome"]
             for key, change in outcome_changes(old, new).items():

@@ -15,8 +15,8 @@ Each case runs through `absorblab.experiments.run_experiment` with the
 
 With `--manifest PATH` it also writes PATH, the manifest that
 `tests/test_golden_manifest.py` checks every case against: the NumPy
-version, and per case the sha256 of each file, the step-log length and the
-record's outcome (`golden_diff.digest`).  A change that moves outputs on
+version, and per case the sha256 of each file and the record's solver
+counts and outcome (`golden_diff.digest`).  A change that moves outputs on
 purpose writes a new manifest, shows what moved with
 `tools/golden_diff.py tests/golden_manifest.json NEW_MANIFEST`, and commits
 the new one as `tests/golden_manifest.json`.

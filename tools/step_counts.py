@@ -7,21 +7,21 @@ Usage, from the repository root:
 Every unit of `perfbench/workloads.py` (all workloads, or the ones named)
 runs once in this process, in its declared order, as a perfbench pass runs
 it, with its records and CSVs written to a temporary directory. The columns
-are counted by wrapping
-`evolution._advance`, `evolution.StepRecord` and `evolution.dgttrf`:
+sum the `solver` counts of the unit's records, which the solver tallies
+itself (`evolution._WORK`):
 
 - calls:     `_advance` calls, one Strang step each;
-- rows:      the rows those calls advanced, the sum of `w.shape[0]`: two
-             per call for the coupled system, one for a symmetric solve
-             (p = q, u0 = v0) and for the heat equation;
+- rows:      the rows those calls advanced: two per call for the coupled
+             system, one for a symmetric solve (p = q, u0 = v0) and for the
+             heat equation;
 - accepted:  accepted steps;
 - retries:   rejections of the accepted steps (an attempt that ends in
              StepSizeUnderflow logs no step, so its rejections are not here);
 - factors:   factorisations, one dgttrf call per factor-cache miss.
 
-Each unit is counted in a solve of its own, so no unit's factor cache
-serves another and the order does not matter. The counts depend on the code
-only: they compare two commits where `wall_s` is too noisy.
+Each solve has a factor cache of its own, so no unit's cache serves another
+and the order does not matter. The counts depend on the code only: they
+compare two commits where `wall_s` is too noisy.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import importlib.util
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
-from absorblab import evolution, experiments
+from absorblab import experiments
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 COLUMNS = ("calls", "rows", "accepted", "retries", "factors")
@@ -49,39 +48,14 @@ def load_workloads():
     return module
 
 
-@contextmanager
-def counting(counts: Counter):
-    """Count `_advance` calls and rows, accepted steps, retries and factorisations into `counts`."""
-    advance, record, factorise = evolution._advance, evolution.StepRecord, evolution.dgttrf
-
-    def counted_advance(w, *args):
-        counts["calls"] += 1
-        counts["rows"] += w.shape[0]
-        return advance(w, *args)
-
-    def counted_record(t, dt, retries):
-        counts["accepted"] += 1
-        counts["retries"] += retries
-        return record(t, dt, retries)
-
-    def counted_factorise(*args):
-        counts["factors"] += 1
-        return factorise(*args)
-
-    evolution._advance, evolution.StepRecord = counted_advance, counted_record
-    evolution.dgttrf = counted_factorise
-    try:
-        yield counts
-    finally:
-        evolution._advance, evolution.StepRecord = advance, record
-        evolution.dgttrf = factorise
-
-
 def unit_counts(workloads, unit) -> Counter:
-    """The counts of one unit's run, records and CSVs written as perfbench writes them."""
+    """The summed solver counts of one unit's records, written as perfbench writes them."""
     counts = Counter(dict.fromkeys(COLUMNS, 0))
-    with tempfile.TemporaryDirectory() as tmp, counting(counts):
-        workloads.run_pass(experiments, [unit], 0, Path(tmp))  # the seed is a run label
+    with tempfile.TemporaryDirectory() as tmp:
+        # the seed is a run label
+        for result in workloads.run_pass(experiments, [unit], 0, Path(tmp)):
+            for record in result.records:
+                counts.update(record.solver)
     return counts
 
 

@@ -9,7 +9,7 @@ every (p, q) that an acceptance criterion, a perfbench unit or a golden case
 runs it at, once per `tol_step` of LADDER, and prints one row per run:
 
 - accepted, calls, rows: accepted steps, `_advance` calls and the rows those
-  calls advanced, counted by `step_counts.counting`;
+  calls advanced, as the run's record counts them (`RunRecord.solver`);
 - cpu_s:     the run's process time, one run, so it is noisy;
 - time_err:  the largest relative change of the recipe's headline outcome
              (HEADLINE) against the same run at tol_step = REFERENCE_TOL;
@@ -30,14 +30,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
 from absorblab import experiments
 from absorblab.experiments import ExperimentSpec, run_experiment
 from golden_outputs import cases as golden_cases
-from step_counts import counting, load_workloads
+from step_counts import load_workloads
 
 LADDER = (1e-4, 1e-5, 1e-6, 1e-7)
 REFERENCE_TOL = 1e-11
@@ -70,12 +69,17 @@ def pairs(recipe: str) -> list[dict]:
     return [dict(zip(("p", "q"), pair)) for pair in sorted(found)]
 
 
-def headline(recipe: str, params: dict) -> np.ndarray:
-    """The headline outcome of one run of `recipe`."""
+def run(recipe: str, params: dict) -> tuple[np.ndarray, dict]:
+    """The headline outcome of one run of `recipe`, and its record's solver counts."""
     record = run_experiment(ExperimentSpec(recipe, params))
     if record.failed:
         raise RuntimeError(f"{recipe} {params}: {record.error}")
-    return np.array(record.outcome[HEADLINE[recipe]], dtype=float)
+    return np.array(record.outcome[HEADLINE[recipe]], dtype=float), record.solver
+
+
+def headline(recipe: str, params: dict) -> np.ndarray:
+    """The headline outcome of one run of `recipe`."""
+    return run(recipe, params)[0]
 
 
 def largest_change(values: np.ndarray, reference: np.ndarray) -> float:
@@ -91,10 +95,8 @@ def measure(recipe: str, params: dict, ladder=LADDER) -> list[dict]:
     grid_err = 4 / 3 * largest_change(reference, fine)
     rows = []
     for tol in ladder:
-        counts = Counter()
         start = time.process_time()
-        with counting(counts):
-            values = headline(recipe, {**params, "tol_step": tol})
+        values, counts = run(recipe, {**params, "tol_step": tol})
         cpu_s = time.process_time() - start
         time_err = largest_change(values, reference)
         rows.append({"tol_step": tol, "accepted": counts["accepted"], "calls": counts["calls"],
