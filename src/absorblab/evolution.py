@@ -34,6 +34,19 @@ below half the least subnormal, so it rounds to 0.0 and the update stays
 bit-identical to a plain np.power.  -0.0, negatives and nan always go
 through np.power.
 
+Even data are solved on the half line.  On an interval of odd n, build_grid
+mirrors the nodes bit for bit, with +0.0 at the centre.  When every row of
+the state equals its mirror bit for bit (compared by bytes, so -0.0 against
+0.0 differs), the solve steps x >= 0 alone, on the radial N = 1 grid of
+(n + 1) / 2 nodes: it has the interval's h and bands right of 0, its origin
+row 2 (w1 - w0) / h^2 is the interval's row at 0 for even data, and its far
+wall keeps its bc.  The loop, controller and absorption are the same, and
+each snapshot is written into the full-width values and mirrored there.
+The half solve differs from the full one by round-off, about 1e-15 of the
+largest value at 101 nodes and 1e-13 at 801, and took the same steps on
+every case measured.  Even n has no node at 0 and takes the full grid, as
+do radial grids and data off by one bit.
+
 Adaptive stepping is plain step doubling: a full step is compared against
 two half steps, the step is rejected and dt halved whenever the scaled gap
 exceeds the local tolerance, and the half-step composition is what gets
@@ -76,7 +89,15 @@ import numpy as np
 import scipy
 
 from .closed_forms import PowerPair
-from .discretization import BoundaryCondition, Field, Grid, LaplacianBands
+from .discretization import (
+    BoundaryCondition,
+    DomainKind,
+    Field,
+    Grid,
+    LaplacianBands,
+    SpatialDomain,
+    build_grid,
+)
 
 __all__ = [
     "SolverConfig",
@@ -301,6 +322,23 @@ def _stacked(*fields: Field) -> np.ndarray:
     return w
 
 
+def _half_line(grid: Grid, state: np.ndarray) -> Grid | None:
+    """The radial N = 1 grid of (n + 1) / 2 nodes on [0, L] that carries even data
+    of an interval grid of odd n >= 5, or None when the data or the grid are not such.
+
+    Every row must equal its mirror bit for bit: the bytes left of the centre
+    node equal those right of it in reverse order, so -0.0 against 0.0 counts as
+    a difference.  The half grid has the interval's h, and its bands equal the
+    interval's right of 0; its origin row 2 (w1 - w0) / h^2 is the interval's
+    row at 0 for even data, and its far wall keeps its bc.
+    """
+    n = grid.nodes
+    if (grid.domain.kind is not DomainKind.INTERVAL or n % 2 == 0 or n < 5
+            or state[:, :n // 2].tobytes() != state[:, :n // 2:-1].tobytes()):
+        return None
+    return build_grid(SpatialDomain(DomainKind.RADIAL_BALL, grid.domain.extent), (n + 1) // 2)
+
+
 def _error(a: np.ndarray, b: np.ndarray) -> float:
     """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan."""
     gap = np.subtract(a, b)
@@ -346,11 +384,16 @@ def _integrate(
     state = _stacked(*fields)
 
     grid = fields[0].grid
-    op = _Diffusion(grid, config.bc)
+    values = np.empty((len(times), *state.shape))
+    centre = 0  # the first node stepped; on the half line, the nodes left of it are mirrored
+    half_grid = _half_line(grid, state)
+    if half_grid is not None:
+        centre = grid.nodes // 2
+        state = state[:, centre:].copy()
+    op = _Diffusion(half_grid or grid, config.bc)
     tol = config.tol_step
     t = config.t_start
     rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
-    values = np.empty((len(times), *state.shape))
     log: list[StepRecord] = []
     calls = 0
 
@@ -393,7 +436,9 @@ def _integrate(
                     k = math.floor(min(4.0, 4.0 / 3.0 * math.log2(tol / err))) if err else 4
                     rung = max(rung, rung_below + k)
             t = t_out
-            values[i] = state
+            values[i, :, centre:] = state
+            if centre:  # from state: mirroring within values would copy through a buffer
+                values[i, :, :centre] = state[:, :0:-1]
     finally:
         _WORK.update(calls=calls, rows=calls * len(fields), accepted=len(log),
                      retries=sum(r.retries for r in log),

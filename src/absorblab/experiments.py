@@ -94,7 +94,7 @@ def _distinct_positives(count: int) -> Callable[[list], bool]:
 
 
 _BC_NAMES = ("neumann_zero", "dirichlet_zero")
-# 1,250 times the largest default grid; np.linspace refuses a grid past NumPy's array limit
+# 1,250 times the largest default grid; NumPy refuses a grid past its array limit
 _MAX_NODES = 10**6
 
 # keys that several recipes read, each declared once; see `_schema`

@@ -40,6 +40,20 @@ class TestBuildGrid:
         assert np.allclose(g.coords, np.arange(11) * 0.1)
         assert g.coords[0] == 0.0
 
+    @pytest.mark.parametrize("extent", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("nodes", [5, 100, 101, 800, 801])
+    def test_interval_coords_are_mirrored_bit_for_bit(self, nodes, extent):
+        # np.linspace(-L, L, 801) misses -coords[::-1] by an ulp on 344 nodes
+        x = interval_grid(nodes, extent).coords
+        assert np.all(x == -x[::-1])  # == is bit for bit on nonzero floats
+        assert np.all(np.diff(x) > 0)
+        assert x[0] == -extent and x[-1] == extent
+        if nodes % 2:
+            centre = x[nodes // 2]
+            assert centre == 0.0 and not math.copysign(1.0, centre) < 0
+        bump = bump_function(interval_grid(nodes, extent), 0.0, 0.9 * extent).values
+        assert bump.tobytes() == bump[::-1].tobytes()
+
     def test_rejects_two_nodes(self):
         with pytest.raises(ValueError):
             interval_grid(2)

@@ -368,6 +368,123 @@ class TestSymmetricSolve:
         assert traj.values.shape == (1, 2, 101)
 
 
+def spy_on_half_line(monkeypatch):
+    """Record, per `_integrate` call, the node count of the half grid it solves on,
+    or None for the full path."""
+    calls, half_line = [], evolution._half_line
+
+    def spy(grid, state):
+        half = half_line(grid, state)
+        calls.append(None if half is None else half.nodes)
+        return half
+
+    monkeypatch.setattr(evolution, "_half_line", spy)
+    return calls
+
+
+def one_ulp_up(values, node):
+    out = values.copy()
+    out[node] = np.nextafter(out[node], math.inf)
+    return out
+
+
+class TestHalfLine:
+    """Even data on an interval of odd n are solved on x >= 0, the radial N = 1
+    grid of (n + 1) / 2 nodes, and returned mirrored on the full grid."""
+
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("extent", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("nodes", [5, 101, 801])
+    def test_half_grid_bands_are_the_interval_bands_right_of_0(self, nodes, extent, bc):
+        full_grid = interval_grid(nodes, extent)
+        half_grid = evolution._half_line(full_grid, np.zeros((1, nodes)))
+        assert half_grid.domain == SpatialDomain(DomainKind.RADIAL_BALL, extent, 1)
+        assert half_grid.nodes == (nodes + 1) // 2 and half_grid.h == full_grid.h
+        full, half = LaplacianBands(full_grid, bc), LaplacianBands(half_grid, bc)
+        c = nodes // 2
+        # right of 0 the rows are the interval's; the origin row 2 (w1 - w0) / h^2 is
+        # the interval's row at 0 with w[-1] = w[1]
+        np.testing.assert_array_max_ulp(half.sub[1:], full.sub[c + 1:], maxulp=4)
+        np.testing.assert_array_max_ulp(half.diag, full.diag[c:], maxulp=4)
+        np.testing.assert_array_max_ulp(half.sup[1:], full.sup[c + 1:], maxulp=4)
+        np.testing.assert_array_max_ulp(half.sup[0], full.sub[c] + full.sup[c], maxulp=4)
+        assert np.array_equal(half.pinned, full.pinned[c:])
+        w = smooth_positive(full_grid)
+        w = w + w[::-1]
+        np.testing.assert_allclose(half.apply(w[c:]), full.apply(w)[c:], rtol=1e-12)
+
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind", ["coupled", "p = q", "heat"])
+    def test_even_data_give_an_even_trajectory_with_the_twin_steps(self, monkeypatch, kind, bc):
+        # the twin differs in one tail node by one ulp, so it takes the full path; at
+        # 101 nodes the two differ by at most 3.0e-15 of the largest value (measured
+        # over these cases, on bumps with and without a floor of 0.5 and at 401 and
+        # 801 nodes too, where the gap grows to 3.1e-14 and 1.4e-13)
+        g = interval_grid(101)
+        even = bump_function(g, 0.0, 0.1).values + 0.5
+        twin = one_ulp_up(even, 99)
+        cfg, times = config(bc, tol_step=1e-5), [0.001, 0.01, 0.05]
+
+        def run(u):
+            if kind == "coupled":
+                return solve(Field(g, u), Field(g, 2.0 * even), PowerPair(2, 3), cfg, times)
+            if kind == "p = q":
+                return solve(Field(g, u), Field(g, u), PowerPair(3, 3), cfg, times)
+            return heat_solve(Field(g, u), cfg, times)
+
+        halves = spy_on_half_line(monkeypatch)
+        traj, full = run(even), run(twin)
+        assert halves == [51, None]
+        assert traj.grid is g
+        assert traj.values.shape == full.values.shape == (3, 1 if kind == "heat" else 2, 101)
+        assert traj.values.tobytes() == traj.values[..., ::-1].tobytes()
+        assert traj.steps == full.steps
+        gap = np.abs(traj.values - full.values).max() / np.abs(full.values).max()
+        assert gap <= 1e-14
+
+    @pytest.mark.parametrize("change", ["one ulp", "negative zero", "one row only"])
+    def test_data_off_by_one_bit_take_the_full_path(self, monkeypatch, change):
+        g = interval_grid(101)
+        u = bump_function(g, 0.0, 0.4).values
+        v = u
+        if change == "one ulp":
+            u = one_ulp_up(u, 30)
+        elif change == "negative zero":
+            assert u[0] == u[-1] == 0.0  # the bump vanishes at the walls
+            u = u.copy()
+            u[0] = -0.0
+        else:
+            v = bump_function(g, 0.1, 0.4).values
+        halves = spy_on_half_line(monkeypatch)
+        traj = solve(Field(g, u), Field(g, v), PowerPair(2, 3), config(), [0.01])
+        assert halves == [None]
+        assert traj.values.shape == (1, 2, 101)
+
+    @pytest.mark.parametrize("grid", ["even n", "three nodes", "radial"])
+    def test_grids_without_a_half_line_take_the_full_path(self, monkeypatch, grid):
+        g = {"even n": interval_grid(100), "three nodes": interval_grid(3),
+             "radial": grid_of(DomainKind.RADIAL_BALL, 1, nodes=51)}[grid]
+        ic = Field(g, np.cos(0.5 * np.pi * g.coords) ** 2)
+        assert ic.values.tobytes() == ic.values[::-1].tobytes() or grid == "radial"
+        halves = spy_on_half_line(monkeypatch)
+        traj = heat_solve(ic, config(), [0.01])
+        assert halves == [None]
+        assert traj.grid is g and traj.values.shape == (1, 1, g.nodes)
+
+    @pytest.mark.parametrize("wall, times, message", [
+        (-1.0, [0.01], "must be nonnegative"),
+        (np.nan, [0.01], "must be finite"),
+        (1.0, [], "at least one output time"),
+        (1.0, [0.02, 0.01], "strictly increasing"),
+    ])
+    def test_even_bad_input_raises_as_before(self, wall, times, message):
+        g = interval_grid(11)
+        ic = np.ones(11)
+        ic[[0, -1]] = wall
+        with pytest.raises(ValueError, match=message):
+            solve(Field(g, ic), Field(g, ic), PowerPair(2, 3), config(), times)
+
+
 class TestResidualOf:
     def test_zero_fields_give_zero_residual(self):
         g = interval_grid(101)
