@@ -1315,17 +1315,106 @@ def awkward_trajectory(rows):
     return Trajectory(g, np.array([0.1 + 0.2, 1.0 / 3.0, 1.0]), values, steps)
 
 
-def solved_trajectory(rows):
+def solved_trajectory(rows, centre=0.1, pair=PowerPair(2, 3)):
     g = interval_grid(31)
-    ic = bump_function(g, 0.1, 0.3)
+    ic = bump_function(g, centre, 0.3)
     cfg = config(dt_init=1e-5)
     times = np.geomspace(1e-3, 0.02, 5)
     if rows == 2:
-        return solve(ic, ic, PowerPair(2, 3), cfg, times)
+        return solve(ic, ic, pair, cfg, times)
     return heat_solve(ic, cfg, times)
 
 
-@pytest.mark.parametrize("make", [awkward_trajectory, solved_trajectory])
+def solved_even_trajectory(rows):
+    """Even data on the half line; at p = q the two rows are one row repeated."""
+    traj = solved_trajectory(rows, centre=0.0, pair=PowerPair(2, 2))
+    assert all(row.tobytes() == row[::-1].tobytes() for row in traj.values[:, 0])
+    return traj
+
+
+def even_row(right, odd=True):
+    """The row whose nodes right of the centre are `right`, mirrored bit for bit;
+    on an odd n, right[0] is the centre node."""
+    right = np.array(right, dtype=float)
+    return np.concatenate([right[:0:-1] if odd else right[::-1], right])
+
+
+def assert_mirrored_by_value_only(*rows):
+    for row in rows:
+        assert np.array_equal(row, row[::-1]) and row.tobytes() != row[::-1].tobytes()
+
+
+def snapshot_trajectory(snapshots, rows):
+    """A trajectory of the given (2, n) snapshots, with their first `rows` rows."""
+    values = np.array(snapshots, dtype=float)[:, :rows]
+    times = (np.arange(len(values)) + 1.0) / 3.0
+    steps = [StepRecord(float(t), 1.0 / 3.0, 0) for t in times]
+    return Trajectory(interval_grid(values.shape[-1]), times, values, steps)
+
+
+def even_odd_n_trajectory(rows):
+    right = np.array(AWKWARD)
+    return snapshot_trajectory([[even_row(right), even_row(np.roll(right, 3))],
+                                [even_row(right[::-1]), even_row(right / 3.0)]], rows)
+
+
+def ulp_off_tail_trajectory(rows):
+    """Even but for one tail node, a single ulp off its mirror."""
+    u, v = even_row(AWKWARD), even_row(np.roll(AWKWARD, 2))
+    u[0] = np.nextafter(u[0], 0.0)
+    v[-1] = np.nextafter(v[-1], 0.0)
+    return snapshot_trajectory([[u, v]], rows)
+
+
+def signed_zero_mirror_trajectory(rows):
+    """Even by value, but -0.0 faces 0.0 across the centre."""
+    u, v = even_row([1.0, 0.0, 0.1 + 0.2, 0.0]), even_row([0.0, 1.0 / 3.0, 0.0, 2.5])
+    u[2] = -0.0
+    v[-2] = -0.0
+    assert_mirrored_by_value_only(u, v)
+    return snapshot_trajectory([[u, v]], rows)
+
+
+def nonfinite_mirror_trajectory(rows):
+    """nan and inf at mirrored nodes; then nans of other payloads facing each other."""
+    u = even_row([1.0 / 3.0, math.nan, math.inf, 0.1 + 0.2, -math.inf])
+    v = even_row([math.inf, 2.0, math.nan, 5e-324, 0.0])
+    other = u.copy()
+    other[3] = np.uint64(0x7FF8000000000001).view(np.float64)
+    assert math.isnan(other[3]) and other.tobytes() != other[::-1].tobytes()
+    return snapshot_trajectory([[u, v], [other, u]], rows)
+
+
+def even_n_trajectory(rows):
+    """An even n has no centre node: the mirror pairs node i with node n - 1 - i."""
+    right = np.array(AWKWARD)
+    u, v, w = (even_row(r, odd=False) for r in (right, right[::-1], right / 7.0))
+    return snapshot_trajectory([[u, np.roll(u, 1)], [v, w]], rows)
+
+
+def equal_rows_trajectory(rows):
+    """Two equal rows, even and uneven, as `solve` returns one row at p = q."""
+    even, uneven = even_row(np.roll(AWKWARD, 1)), np.roll(even_row(AWKWARD), 2)
+    return snapshot_trajectory([[even, even], [uneven, uneven]], rows)
+
+
+def signed_zero_rows_trajectory(rows):
+    """Two rows equal by value that differ only in -0.0 against 0.0, at the centre and off it."""
+    u = even_row([0.0, 0.1 + 0.2, 1.0 / 3.0, 0.0])
+    v = u.copy()
+    v[3] = -0.0
+    w = u.copy()
+    w[0] = -0.0
+    assert_mirrored_by_value_only(w)
+    assert np.array_equal(u, v) and np.array_equal(u, w) and u.tobytes() != v.tobytes()
+    return snapshot_trajectory([[u, v], [u, w]], rows)
+
+
+@pytest.mark.parametrize("make", [
+    awkward_trajectory, solved_trajectory, solved_even_trajectory, even_odd_n_trajectory,
+    ulp_off_tail_trajectory, signed_zero_mirror_trajectory, nonfinite_mirror_trajectory,
+    even_n_trajectory, equal_rows_trajectory, signed_zero_rows_trajectory,
+])
 @pytest.mark.parametrize("rows", [2, 1], ids=["coupled", "heat"])
 def test_csv_writers_match_per_node_reference(tmp_path, make, rows):
     traj = make(rows)
