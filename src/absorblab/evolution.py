@@ -508,30 +508,24 @@ def residual_of(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Long-format CSV with one row per (snapshot, node); v is empty for one row.
 
-    A value is written as its repr, the writer's main cost, so a snapshot
-    makes no repr twice that symmetry gives it: a row that equals its mirror
-    bit for bit (the bytes left of the centre equal those right of it in
-    reverse, as `_half_line` compares them) reprs its right half and reads
-    its left half from those strings in reverse, and a row whose bytes equal
-    the row before it, as at p = q, reuses that row's strings.  Comparing
-    bytes keeps -0.0 against 0.0 apart.
+    A value is written as its repr, the writer's main cost, so a row that
+    equals its mirror bit for bit (the bytes left of the centre equal those
+    right of it in reverse, as `_half_line` compares them) reprs its right
+    half once and reads its left half from those strings in reverse.
+    Comparing bytes keeps -0.0 against 0.0 apart.
     """
     coords = list(map(repr, traj.grid.coords.tolist()))
     half = len(coords) // 2  # the nodes left of the centre; an odd n has a centre node
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,node_coordinate,u,v\n")
         for t, snapshot in zip(map(repr, traj.times.tolist()), traj.values):
-            columns, before = [], None
+            columns = []
             for row in snapshot:
-                data = row.tobytes()
-                if data != before:
-                    if row[:half].tobytes() == row[::-1][:half].tobytes():
-                        right = list(map(repr, row[half:].tolist()))
-                        strings = right[::-1][:half] + right
-                    else:
-                        strings = list(map(repr, row.tolist()))
-                    before = data
-                columns.append(strings)
+                if row[:half].tobytes() == row[::-1][:half].tobytes():
+                    right = list(map(repr, row[half:].tolist()))
+                    columns.append(right[::-1][:half] + right)
+                else:
+                    columns.append(list(map(repr, row.tolist())))
             if len(columns) == 1:
                 columns.append(itertools.repeat(""))
             fh.writelines(f"{t},{x},{u},{v}\n" for x, u, v in zip(coords, *columns))
