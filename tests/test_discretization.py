@@ -62,6 +62,10 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             SpatialDomain(DomainKind.INTERVAL, 1.0, 3)
 
+    def test_rejects_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            SpatialDomain(DomainKind.RADIAL_BALL, 1.0, dim_n=0)
+
     @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0])
     def test_rejects_extent_that_is_not_positive_and_finite(self, extent):
         # a nan extent used to build a grid of nan coordinates

@@ -733,6 +733,11 @@ class TestRecords:
         assert data["name"] == "flat_validation"
         assert data["outcome"]["max_rel_err_u"] < 1e-4
 
+    def test_unknown_format_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            write_records([], tmp_path, fmt="xml")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejected_sweep_value_is_written_as_given(self, tmp_path):
         [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
                          {"nodes": np.array([True])})

@@ -37,11 +37,13 @@ def test_equal_directories_exit_zero(tmp_path, capsys):
         write_case(tmp_path / side, "fit", {"slope": -1.0})
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["case", "bytes", "accepted", "A", "->", "B",
-                                "calls", "A", "->", "B"]
+    assert lines[0].split() == ["case", "bytes", "calls", "A", "->", "B", "rows", "A", "->", "B",
+                                "accepted", "A", "->", "B", "retries", "A", "->", "B",
+                                "factors", "A", "->", "B"]
     assert [line.split() for line in lines[1:]] == [
-        ["fit", "equal", "-", "->", "-", "-", "->", "-"],
-        ["flat", "equal", "3", "->", "3", "9", "->", "9"]]
+        ["fit", "equal", *["-", "->", "-"] * 5],
+        ["flat", "equal", "9", "->", "9", "18", "->", "18", "3", "->", "3", "0", "->", "0",
+         "2", "->", "2"]]
 
 
 def test_moved_fields_show_their_largest_relative_change(tmp_path, capsys):
@@ -52,7 +54,8 @@ def test_moved_fields_show_their_largest_relative_change(tmp_path, capsys):
                                        "tag": "y", "kept": 3.0, "new": [1.0]}, steps=5)
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["run", "differ", "4", "->", "5", "12", "->", "15"]
+    assert lines[1].split() == ["run", "differ", "12", "->", "15", "24", "->", "30",
+                                "4", "->", "5", "0", "->", "0", "2", "->", "2"]
     fields = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert fields == {
         "gone": ["only", "in", "A"],
@@ -71,7 +74,8 @@ def test_a_case_on_one_side_only_differs(tmp_path, capsys):
     write_case(tmp_path / "b", "extra", {"x": 1.0}, steps=2)
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split() == ["extra", "differ", "-", "->", "2", "-", "->", "6"]
+    assert lines[2].split() == ["extra", "differ", "-", "->", "6", "-", "->", "12",
+                                "-", "->", "2", "-", "->", "0", "-", "->", "2"]
 
 
 def test_a_manifest_without_solver_counts_reads_dashes():
@@ -79,7 +83,8 @@ def test_a_manifest_without_solver_counts_reads_dashes():
     tool = load_golden_diff()
     old = {"files": {"record.json": "0" * 64}, "steps": 3, "outcome": {"x": 1.0}}
     new = {"files": {"record.json": "1" * 64}, "outcome": {"x": 1.0},
-           "solver": {"accepted": 3, "calls": 9}}
+           "solver": {"calls": 9, "rows": 18, "accepted": 3, "retries": 1, "factors": 4}}
     lines, differ = tool.compare({"run": old}, {"run": new})
     assert differ == 1
-    assert lines[1].split() == ["run", "differ", "-", "->", "3", "-", "->", "9"]
+    assert lines[1].split() == ["run", "differ", "-", "->", "9", "-", "->", "18",
+                                "-", "->", "3", "-", "->", "1", "-", "->", "4"]

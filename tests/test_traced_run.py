@@ -6,27 +6,12 @@ It is imported here as it stands, so a renamed function, a changed call or
 a moved `Trajectory` field fails this test and not only the benchmark.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from absorblab import ExperimentSpec
 from absorblab import experiments
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses resolve their annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_traced_flat_validation_counts_its_steps(tmp_path, monkeypatch):
-    tracing = load_tracing(monkeypatch)
+def test_traced_flat_validation_counts_its_steps(tmp_path, load_perfbench):
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     spec = ExperimentSpec("flat_validation", {"p": 2, "q": 2, "nodes": 41})
     with tracing.installed(tracer, experiments), tracer.request(0):

@@ -2,7 +2,7 @@
 error, and `removability_sweep`'s default `tol_step` keeps the rule it states.
 
 The tool is loaded from its file as it stands, with `tools/` on the path for
-its imports of `step_counts` and `golden_outputs`.
+its import of `golden_outputs`.
 """
 
 import importlib

@@ -7,15 +7,15 @@ Usage, from the repository root:
 A and B are each a directory written by `tools/golden_outputs.py` or a
 manifest it wrote with `--manifest`, such as `tests/golden_manifest.json`.
 For every case in A or B it prints one line: whether all its files are
-equal byte for byte (by sha256), and the accepted steps and `_advance` calls
-of all the run's solves, from the `solver` counts of record.json ("-"
-without a record, or in a manifest made before records held them), on both
-sides. Under a case whose bytes differ follows one line per outcome field
-of record.json that moved, with the largest relative change |b - a| / |a|
-over the field's numbers (the absolute change where a is 0) and, for a
-single number, both values; or a word when the field is not numeric, has
-another length, or is missing on one side. Exits 0 when every case is
-byte-identical, 1 otherwise.
+equal byte for byte (by sha256), and the five `solver` counts of record.json
+on both sides ("-" without a record, or in a manifest made before records
+held them): `_advance` calls, the rows they advanced, accepted steps,
+retries and factorisations, summed over all the run's solves. Under a case
+whose bytes differ follows one line per outcome field of record.json that
+moved, with the largest relative change |b - a| / |a| over the field's
+numbers (the absolute change where a is 0) and, for a single number, both
+values; or a word when the field is not numeric, has another length, or is
+missing on one side. Exits 0 when every case is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 # a case on one side only: no files, no solver counts, no outcome
 ABSENT = {"files": {}, "solver": None, "outcome": {}}
-COUNTED = ("accepted", "calls")  # the solver counts the report shows
+COUNTED = ("calls", "rows", "accepted", "retries", "factors")  # `RunRecord.solver`
 
 
 def leaves(value) -> list:
@@ -98,22 +98,22 @@ def digests(root: Path) -> dict[str, dict]:
 def compare(a_cases: dict[str, dict], b_cases: dict[str, dict]) -> tuple[list[str], int]:
     """The report's lines for two sets of case digests, and the number of cases
     whose bytes differ."""
-    header = "".join(f"{c + ' A -> B':<20}" for c in COUNTED)
-    lines = [f"{'case':<48}{'bytes':<8}{header}".rstrip()]
+    header = "".join(f"{c + ' A -> B':<17}" for c in COUNTED)
+    lines = [f"{'case':<36}{'bytes':<8}{header}".rstrip()]
     differ = 0
     for name in sorted(a_cases.keys() | b_cases.keys()):
         a, b = a_cases.get(name, ABSENT), b_cases.get(name, ABSENT)
         equal = a["files"] == b["files"]
         differ += not equal
-        counts = "".join(f"{count(a, c) + ' -> ' + count(b, c):<20}" for c in COUNTED)
-        lines.append(f"{name:<48}{'equal' if equal else 'differ':<8}{counts}".rstrip())
+        counts = "".join(f"{count(a, c) + ' -> ' + count(b, c):<17}" for c in COUNTED)
+        lines.append(f"{name:<36}{'equal' if equal else 'differ':<8}{counts}".rstrip())
         if not equal:
             old, new = a["outcome"], b["outcome"]
             for key, change in outcome_changes(old, new).items():
                 shown = change if isinstance(change, str) else f"{change:.3g}"
                 if not isinstance(change, str) and not isinstance(old[key], list):
                     shown += f"  ({old[key]!r} -> {new[key]!r})"
-                lines.append(f"    {key:<44}{shown}")
+                lines.append(f"    {key:<32}{shown}")
     return lines, differ
 
 

@@ -48,7 +48,13 @@ VARIANT = {"bc": "dirichlet_zero"}
 
 
 def cases() -> list[tuple[str, str, dict]]:
-    """(case name, recipe, parameters); 25 cases."""
+    """(case name, recipe, parameters); 30 cases.
+
+    Every run of a perfbench unit, sweep points included, resolves to the
+    config of exactly one case (`tests/test_golden_manifest.py`), so the
+    manifest pins the solver counts of every benchmark run. The (p, q) of the
+    bump recipes' cases are the pairs `tools/work_precision.py` measures.
+    """
     out = []
     for name in RECIPE_NAMES:
         if name == "mean_value_check":  # no (p, q): one run at its defaults
@@ -61,12 +67,18 @@ def cases() -> list[tuple[str, str, dict]]:
                     {"p": p, "q": q, **VARIANT}))
     out.append(("mean_value_check-dirichlet", "mean_value_check", dict(VARIANT)))
     # the power shortcut (`evolution._power_into`) at a fractional power, and with
-    # the cube on row 0's source
-    for p, q in ((1.5, 1.5), (3, 2)):
+    # the cube on row 0's source; (1.5, 1.5) and (3, 3) are criterion 7's runs
+    for p, q in ((1.5, 1.5), (3, 2), (3, 3)):
         out.append((f"removability_sweep-p{p:g}q{q:g}", "removability_sweep", {"p": p, "q": q}))
-    for m in (10.0, 1e4):
-        out.append((f"estimate_saturation-p2q3-m{m:g}", "estimate_saturation",
-                    {"p": 2, "q": 3, "m": m}))
+    # criterion 6's pair, at the default width
+    out.append(("dichotomy_probe-p3q3", "dichotomy_probe", {"p": 3, "q": 3}))
+    out.append(("blowup_fit-p3q2", "blowup_fit", {"p": 3, "q": 2}))
+    # m defaults to 1e4: the other points of perfbench's (2, 2) sweep
+    for m in (10.0, 100.0, 1000.0):
+        out.append((f"estimate_saturation-p2q2-m{m:g}", "estimate_saturation",
+                    {"p": 2, "q": 2, "m": m}))
+    out.append(("estimate_saturation-p2q3-m10", "estimate_saturation",
+                {"p": 2, "q": 3, "m": 10.0}))
     # an even `nodes` has no node at 0, so even data take the full interval grid
     # (`evolution._half_line`), and round-off leaves no snapshot row mirrored bit
     # for bit: the trajectory CSV takes its plain path

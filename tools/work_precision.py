@@ -5,8 +5,9 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tools/work_precision.py [--recipe NAME ...]
 
 Each bump recipe (all of RECIPES, or the ones named) runs at its defaults at
-every (p, q) that an acceptance criterion, a perfbench unit or a golden case
-runs it at, once per `tol_step` of LADDER, and prints one row per run:
+every (p, q) that a golden case of `tools/golden_outputs.py` runs it at
+(which covers the acceptance criteria's pairs and perfbench's units), once
+per `tol_step` of LADDER, and prints one row per run:
 
 - accepted, calls, rows: accepted steps, `_advance` calls and the rows those
   calls advanced, as the run's record counts them (`RunRecord.solver`);
@@ -36,7 +37,6 @@ import numpy as np
 from absorblab import experiments
 from absorblab.experiments import ExperimentSpec, run_experiment
 from golden_outputs import cases as golden_cases
-from step_counts import load_workloads
 
 LADDER = (1e-4, 1e-5, 1e-6, 1e-7)
 REFERENCE_TOL = 1e-11
@@ -47,25 +47,17 @@ HEADLINE = {
     "dichotomy_probe": "uq_integrals",
 }
 RECIPES = tuple(HEADLINE)
-# the pairs `tests/test_acceptance.py` runs these recipes at with their defaults
-ACCEPTANCE = {
-    "removability_sweep": ({"p": 3, "q": 3}, {"p": 1.5, "q": 1.5}),
-    "dichotomy_probe": ({"p": 3, "q": 3},),
-}
 FORMATS = {"tol_step": ">9.2g", "accepted": ">9,", "calls": ">9,", "rows": ">9,",
            "cpu_s": ">9.3f", "time_err": ">9.1e", "grid_err": ">9.1e", "ratio": ">9.2g"}
 COLUMNS = tuple(FORMATS)
 
 
 def pairs(recipe: str) -> list[dict]:
-    """The (p, q) parameters of every default run of `recipe` in the acceptance
-    criteria, perfbench's units and the golden cases; [{}] for a recipe without a pair."""
-    runs = [*ACCEPTANCE.get(recipe, ()),
-            *(params for _, name, params in golden_cases() if name == recipe)]
-    for workload in load_workloads().WORKLOADS.values():
-        runs += [unit.params for unit in workload.units if unit.recipe == recipe]
+    """The (p, q) parameters of every golden case that runs `recipe` at its defaults;
+    [{}] for a recipe without a pair."""
     found = {tuple(float(params[k]) for k in ("p", "q") if k in params)
-             for params in runs if set(params) <= {"p", "q"}}
+             for _, name, params in golden_cases()
+             if name == recipe and set(params) <= {"p", "q"}}
     return [dict(zip(("p", "q"), pair)) for pair in sorted(found)]
 
 
