@@ -3,10 +3,11 @@
 Two mesh geometries: a symmetric interval [-L, L] and the radial reduction
 of a ball of radius R in dimension N (nodes on [0, R], integrals weighted
 by the sphere area omega * r^(N-1)).  All grids are uniform; the Laplacian
-is the second-order central stencil, stored once as tridiagonal bands that
-the solver steps with and every probe applies.  A zero-flux wall mirrors
-the ghost node.  A homogeneous Dirichlet wall node is pinned at 0 by the
-solver, so it is not an unknown: its Laplacian row and column are zero.
+is the second-order finite-volume stencil, which conserves mass under zero
+flux in every dimension, stored once as tridiagonal bands that the solver
+steps with and every probe applies.  A homogeneous Dirichlet wall node is
+pinned at 0 by the solver, so it is not an unknown: its Laplacian row and
+column are zero.
 """
 
 from __future__ import annotations
@@ -134,49 +135,59 @@ def trapezoid_weights(grid: Grid, idx: slice | np.ndarray = slice(None)) -> np.n
 
 
 class LaplacianBands:
-    """Tridiagonal bands of the discrete Laplacian under one boundary condition.
+    """The discrete Laplacian L = V^-1 A under one boundary condition, as bands.
 
-    Row i of L w is sub[i] w[i-1] + diag[i] w[i] + sup[i] w[i+1].  Interval:
-    (w[i-1] - 2 w[i] + w[i+1]) / h^2.  Radial: w'' + (N-1)/r * w' with the
-    regularized origin row 2N (w[1] - w[0]) / h^2.  A zero-flux wall row uses
-    the mirrored ghost.  Dirichlet wall nodes are `pinned`: the solver holds
-    them at 0, so their rows and columns are zero, and L w never reads a
-    (finite) wall value.
+    The finite-volume form: node i owns the cell between the faces r_(i-1/2)
+    and r_(i+1/2), cut at 0 and at the far wall, of volume V_i =
+    (r_(i+1/2)^N - r_(i-1/2)^N) / N, and the flux through a face is
+    r_(i+1/2)^(N-1) (w[i+1] - w[i]) / h.  A is the symmetric flux matrix, so
+    the V-mass sum(V L w) = sum(A w) changes only through the walls: L
+    conserves it exactly under zero flux, in every dimension.  The interval is
+    the form at N = 1, its end cells halves.  V and A are stored times
+    N / h^N, with the faces at i + 1/2 in units of h from the first node:
+
+        volume[i] = (i + 1/2)^N - (i - 1/2)^N, the faces cut at 0 and n - 1,
+        flux[i]   = N (i + 1/2)^(N-1) / h^2 = A[i, i+1] = A[i+1, i],
+
+    and flux_diag[i] = A[i, i] = -(the fluxes through node i's faces).  At
+    N = 1 a volume is 1.0 inside and 0.5 at an end and a flux is 1.0 / h^2,
+    so the rows are (w[i-1] - 2 w[i] + w[i+1]) / h^2 inside and
+    2 (w[1] - w[0]) / h^2 at an end, bit for bit; at N >= 2 the origin row
+    is 2N (w[1] - w[0]) / h^2.  Row i of L w is sub[i] w[i-1] + diag[i] w[i]
+    + sup[i] w[i+1].
+
+    Dirichlet wall nodes are `pinned`: the solver holds them at 0, so their
+    rows and columns of A are zero, L w never reads a (finite) wall value,
+    and their volume is 1.0, so that their rows of V - c A are the
+    identity's.  The flux through a wall face still leaves its neighbour's
+    diagonal.
     """
 
     def __init__(self, grid: Grid, bc: BoundaryCondition):
         n = grid.nodes
-        h = grid.h
-        sub = np.full(n, 1.0 / h**2)
-        diag = np.full(n, -2.0 / h**2)
-        sup = np.full(n, 1.0 / h**2)
+        dim = grid.domain.dim_n
+        faces = np.arange(-0.5, n)  # the n + 1 cell faces in units of h, cut at both ends
+        faces[0], faces[-1] = 0.0, n - 1.0
+        volume = np.diff(faces**dim)
+        flux = dim * faces[1:-1] ** (dim - 1) * (1.0 / grid.h**2)
+        flux_diag = np.zeros(n)
+        flux_diag[:-1] -= flux
+        flux_diag[1:] -= flux
         pinned = np.zeros(n, dtype=bool)
-        neumann = bc is BoundaryCondition.NEUMANN_ZERO
-
-        if grid.domain.kind is DomainKind.RADIAL_BALL:
-            dim = grid.domain.dim_n
-            drift = (dim - 1) / (2.0 * h * grid.coords[1:-1])
-            sub[1:-1] -= drift
-            sup[1:-1] += drift
-            diag[0] = -2.0 * dim / h**2
-            sup[0] = 2.0 * dim / h**2
-        elif neumann:
-            sup[0] = 2.0 / h**2
-        else:
-            pinned[0] = True
-        if neumann:
-            sub[-1] = 2.0 / h**2
-        else:
+        if bc is BoundaryCondition.DIRICHLET_ZERO:
             pinned[-1] = True
-        for band in (sub, diag, sup):
-            band[pinned] = 0.0
-        sub[1:][pinned[:-1]] = 0.0
-        sup[:-1][pinned[1:]] = 0.0
+            pinned[0] = grid.domain.kind is DomainKind.INTERVAL  # the origin is no wall
+        flux[pinned[:-1] | pinned[1:]] = 0.0
+        flux_diag[pinned] = 0.0
+        volume[pinned] = 1.0
 
-        self.sub = sub
-        self.diag = diag
-        self.sup = sup
+        self.volume = volume
+        self.flux = flux
+        self.flux_diag = flux_diag
         self.pinned = pinned
+        self.sub = np.concatenate([[0.0], flux / volume[1:]])
+        self.diag = flux_diag / volume
+        self.sup = np.concatenate([flux / volume[:-1], [0.0]])
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """L w for one field of n values, or row by row for a (k, n) stack."""

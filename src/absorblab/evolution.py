@@ -1,14 +1,16 @@
 """Time integration of the coupled system with positivity preservation.
 
 One step of size dt is a Strang splitting, A(dt/2) -> D(dt) -> A(dt/2),
-second order in dt.  D is Crank-Nicolson diffusion: one tridiagonal solve
-covering all components along the 1D/radial line, on LU factors computed
-once per dt and kept in a small least-recently-used cache, its result
-clamped at 0.  The explicit half is never applied: with M = I - dt/2 L,
-the step is x = (M^-1 w - w/2) / (1/2), twice the backward half step minus
-w.  A(h) is a positive second-order Patankar update of the absorption
-(MPRK22 with a geometric mean of the rates) for every row i absorbed by
-row s = source:
+second order in dt.  D is Crank-Nicolson diffusion: one symmetric
+tridiagonal solve covering all components along the 1D/radial line, on the
+L D L^T factors of V - dt/2 A (L = V^-1 A, discretization.LaplacianBands)
+computed once per dt and kept in a small least-recently-used cache, its
+result clamped at 0.  The explicit half is never applied: the step is
+x = 2 y - w with (V - dt/2 A) y = V w, twice the backward half step minus
+w.  V - dt/2 A is symmetric positive definite for every dt > 0, so the
+factorisation needs no pivoting.  A(h) is a positive second-order Patankar
+update of the absorption (MPRK22 with a geometric mean of the rates) for
+every row i absorbed by row s = source:
 
     d0  = w_s**power                              (the rate at w)
     w1  = w_i / (1 + h * d0 / max(w_i, floor))
@@ -64,7 +66,7 @@ k = min(4, floor(4/3 log2(tol/err))), the most rungs with
 (2**(k/4))**3 err <= tol for the step's third-order local error, and k = 4
 at err = 0: it never shrinks on an accepted step.
 
-The factorisation and the solve are LAPACK's dgttrf and dgttrs, the only
+The factorisation and the solve are LAPACK's dpttrf and dpttrs, the only
 part of scipy in use.  They are loaded from scipy's Fortran extension,
 scipy.linalg._flapack, by its file, which skips scipy.linalg's package init
 (about 0.3 s and 22 MiB per interpreter); a later `import scipy.linalg`
@@ -113,8 +115,8 @@ __all__ = [
 ]
 
 
-def _gttr() -> tuple[Callable, Callable]:
-    """LAPACK's dgttrf and dgttrs from scipy's Fortran extension, loaded from its file
+def _pttr() -> tuple[Callable, Callable]:
+    """LAPACK's dpttrf and dpttrs from scipy's Fortran extension, loaded from its file
     without running `scipy.linalg`'s package init.  The module goes into sys.modules
     under its own name, so a later `import scipy.linalg` reuses it and its lapack
     functions are these very objects.  With no file found, scipy.linalg supplies them."""
@@ -130,13 +132,13 @@ def _gttr() -> tuple[Callable, Callable]:
                 sys.modules[name] = flapack
                 break
         else:
-            from scipy.linalg.lapack import dgttrf, dgttrs
+            from scipy.linalg.lapack import dpttrf, dpttrs
 
-            return dgttrf, dgttrs
-    return flapack.dgttrf, flapack.dgttrs
+            return dpttrf, dpttrs
+    return flapack.dpttrf, flapack.dpttrs
 
 
-dgttrf, dgttrs = _gttr()
+dpttrf, dpttrs = _pttr()
 
 
 class NumericsError(RuntimeError):
@@ -194,22 +196,23 @@ _FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently u
 
 
 class _Diffusion(LaplacianBands):
-    """Crank-Nicolson diffusion step on the shared Laplacian bands."""
+    """Crank-Nicolson diffusion step on the shared Laplacian L = V^-1 A."""
 
     def __init__(self, grid: Grid, bc: BoundaryCondition):
         super().__init__(grid, bc)
-        self._pinned_at = np.flatnonzero(self.pinned)
-        sub, diag, sup = self.sub[1:], self.diag, self.sup[:-1]
+        # twice V, with 0 at the pinned nodes: the right-hand side's weight
+        self._weight = np.where(self.pinned, 0.0, 2.0 * self.volume)
+        volume, flux_diag, flux = self.volume, self.flux_diag, self.flux
 
         # a closure over the bands, not a bound method: the cache holds no
         # reference to self, so an operator is freed without the cycle collector
         @functools.lru_cache(_FACTOR_CACHE_SIZE)
-        def factor(dt: float) -> list:
-            """LU factors of I - dt/2 L."""
-            c = -0.5 * dt
-            *factors, info = dgttrf(c * sub, 1.0 + c * diag, c * sup)
+        def factor(dt: float) -> tuple:
+            """L D L^T factors of V - dt/2 A, symmetric positive definite."""
+            c = 0.5 * dt
+            *factors, info = dpttrf(volume - c * flux_diag, -c * flux)
             if info != 0:
-                raise NumericsError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
+                raise NumericsError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
             return factors
 
         self._factor = factor
@@ -217,27 +220,22 @@ class _Diffusion(LaplacianBands):
     def step(self, w: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt/2 L) x = (I + dt/2 L) w, pinned nodes -> 0.
 
-        With M = I - dt/2 L the right-hand side is never formed: M x = w~ +
-        dt/2 L w~ is x = (M^-1 w~ - w~/2) / (1/2), with w~ = w whose pinned
+        With M = V - dt/2 A, so that I - dt/2 L = V^-1 M, the right-hand side
+        is never formed: x = 2 y - w~ with M y = V w~, w~ = w whose pinned
         nodes are 0: twice the backward half step minus w~, one solve and no
-        product with L.  A pinned node's row and column of L are zero, so L w~
-        is L w, and M's pinned rows are identity rows that gttrf never swaps:
-        x is exactly 0 there.
+        product with A.  The solve takes 2 V w~ and returns 2 y, since scaling
+        by 2 is exact.  A pinned node's row and column of A are zero, so A w~
+        is A w, and M's pinned rows are identity rows: 2 y is exactly 0 there,
+        and so is x, clamped from -w <= 0.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
-        one LAPACK gttrs call on the cached factors of M.  gttrf + gttrs do
-        the same floating-point operations as one gtsv call, row interchanges
-        included, so M^-1 w~ equals a gtsv solve bit for bit.
+        one LAPACK pttrs call on the cached factors of M.
         """
-        b = w.copy()  # w~, then M^-1 w~ in place
-        if self._pinned_at.size:
-            b[..., self._pinned_at] = 0.0
-        explicit = np.multiply(b, 0.5)
-        x, _ = dgttrs(*self._factor(dt), b.T, overwrite_b=1)
-        x -= explicit.T
-        x /= 0.5
-        # the explicit half and radial N >= 4 can undershoot slightly; fractional
-        # powers and the unclamped absorption need >= 0
+        b = np.multiply(w, self._weight)  # 2 V w~, then 2 y in place
+        x, _ = dpttrs(*self._factor(dt), b.T, overwrite_b=1)
+        x -= w.T
+        # the explicit half can undershoot slightly; fractional powers and the
+        # unclamped absorption need >= 0
         return np.maximum(x, 0.0, out=x).T
 
 
@@ -370,7 +368,7 @@ def _output_times(output_times: Sequence[float], t_start: float) -> list[float]:
 # Every solve's work, added as it ends, also by StepSizeUnderflow; a run's share
 # is the tally after it minus before.  `calls` counts `_advance` calls, `rows` the
 # right-hand sides they solved, `retries` those of the accepted steps, and
-# `factors` the factor-cache misses, one dgttrf call each.
+# `factors` the factor-cache misses, one dpttrf call each.
 _WORK = Counter(calls=0, rows=0, accepted=0, retries=0, factors=0)
 
 
@@ -486,8 +484,8 @@ def residual_of(
     v**p, r_v carries u**q, each from the solver's own power rule, the cube
     as x * x * x.  Used to verify exact solutions against the discrete
     operator: L is `LaplacianBands(grid, bc)`, the bands the solver steps
-    with.  Zero-flux wall rows use the mirrored ghost; Dirichlet wall rows and
-    columns of L are zero, because the solver pins those nodes.  Exclude
+    with.  Zero-flux wall rows pass no flux through the wall; Dirichlet wall
+    rows and columns of L are zero, because the solver pins those nodes.  Exclude
     boundary nodes, and their neighbours under Dirichlet walls, when the
     probed state does not satisfy the condition of `bc`.
     """

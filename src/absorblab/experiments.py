@@ -887,7 +887,10 @@ def _flatten(record: RunRecord) -> dict:
 
 
 def write_records(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv") -> Path:
-    """Write record.csv or record.json; returns the written path."""
+    """Write record.csv or record.json; returns the written path.  An unknown
+    `fmt` is refused before the directory is made."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format '{fmt}'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
@@ -899,8 +902,6 @@ def write_records(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv
         text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
         path.write_text(text + "\n", encoding="utf-8")
         return path
-    if fmt != "csv":
-        raise ConfigError(f"unknown output format '{fmt}'")
     path = out / "record.csv"
     rows = [_flatten(r) for r in records]
     header = list(dict.fromkeys(key for row in rows for key in row))

@@ -146,6 +146,32 @@ class TestLaplacian:
         assert np.all(lap[bands.pinned] == 0.0)
         assert np.all(lap[:, bands.pinned] == 0.0)
 
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind", [DomainKind.INTERVAL, DomainKind.RADIAL_BALL])
+    @pytest.mark.parametrize("extent", [0.5, 1.0, 3.0, 7.3])
+    @pytest.mark.parametrize("nodes", [3, 5, 41, 400, 801])
+    def test_one_dimensional_bands_are_the_central_stencil(self, nodes, extent, kind, bc):
+        # at N = 1 the finite-volume form is the second-difference stencil bit for
+        # bit: 1/h^2 and -2/h^2 inside, 2/h^2 towards a zero-flux wall or the origin,
+        # and a pinned node's row and column 0
+        g = build_grid(SpatialDomain(kind, extent, 1), nodes)
+        h = g.h
+        sub = np.full(nodes, 1.0 / h**2)
+        diag = np.full(nodes, -2.0 / h**2)
+        sup = np.full(nodes, 1.0 / h**2)
+        if kind is DomainKind.RADIAL_BALL or bc is NEU:
+            sup[0] = 2.0 / h**2
+        else:
+            diag[0] = sup[0] = sub[1] = 0.0
+        if bc is NEU:
+            sub[-1] = 2.0 / h**2
+        else:
+            diag[-1] = sub[-1] = sup[-2] = 0.0
+        bands = LaplacianBands(g, bc)
+        assert bands.sub[1:].tobytes() == sub[1:].tobytes()
+        assert bands.diag.tobytes() == diag.tobytes()
+        assert bands.sup[:-1].tobytes() == sup[:-1].tobytes()
+
     def test_discrete_green_identity_interval(self):
         # zero-flux walls: the weighted row sums of the stencil telescope away
         rng = np.random.default_rng(3)

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import solveh_banded
 
 from absorblab import (
     BoundaryCondition,
@@ -91,20 +90,20 @@ class TestLapackLoader:
         assert result.stdout.split() == [self.FLAPACK]
 
     def test_routines_are_scipy_lapack_ones(self):
-        assert evolution.dgttrf is scipy.linalg.lapack.dgttrf
-        assert evolution.dgttrs is scipy.linalg.lapack.dgttrs
+        assert evolution.dpttrf is scipy.linalg.lapack.dpttrf
+        assert evolution.dpttrs is scipy.linalg.lapack.dpttrs
 
     def test_loaded_module_is_reused(self, monkeypatch):
-        stand_in = types.SimpleNamespace(dgttrf=object(), dgttrs=object())
+        stand_in = types.SimpleNamespace(dpttrf=object(), dpttrs=object())
         monkeypatch.setitem(sys.modules, self.FLAPACK, stand_in)
-        dgttrf, dgttrs = evolution._gttr()
-        assert dgttrf is stand_in.dgttrf and dgttrs is stand_in.dgttrs
+        dpttrf, dpttrs = evolution._pttr()
+        assert dpttrf is stand_in.dpttrf and dpttrs is stand_in.dpttrs
 
     def test_no_extension_file_falls_back_to_scipy_linalg(self, monkeypatch):
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
         monkeypatch.delitem(sys.modules, self.FLAPACK)
-        dgttrf, dgttrs = evolution._gttr()
-        assert dgttrf is scipy.linalg.lapack.dgttrf and dgttrs is scipy.linalg.lapack.dgttrs
+        dpttrf, dpttrs = evolution._pttr()
+        assert dpttrf is scipy.linalg.lapack.dpttrf and dpttrs is scipy.linalg.lapack.dpttrs
         assert self.FLAPACK not in sys.modules  # nothing was loaded from a file
 
 
@@ -567,55 +566,49 @@ def list_based_absorb(components, h, pair):
     return [np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)]
 
 
-def crank_nicolson_rhs(bands, w):
-    """Reference: the right-hand side w~ of the Crank-Nicolson step's one solve, w
-    with its pinned nodes 0."""
-    w_pinned = w.copy()
-    w_pinned[..., bands.pinned] = 0.0
-    return w_pinned
+def symmetric_bands(bands, dt):
+    """Reference: V - dt/2 A in solveh_banded's upper form, built from the bands'
+    volumes and fluxes."""
+    c = 0.5 * dt
+    ab = np.zeros((2, bands.volume.size))
+    ab[0, 1:] = -c * bands.flux
+    ab[1, :] = bands.volume - c * bands.flux_diag
+    return ab
 
 
 def list_based_advance(components, dt, bands, pair):
-    """Reference: the per-component Strang step, one solve_banded call per field, then
-    x = (y - w~/2) / (1/2)."""
+    """Reference: the per-component Strang step, one solveh_banded call per field on
+    (V - dt/2 A) y = V w~, w~ = w with its pinned nodes 0, then x = 2 y - w~."""
     halves = []
     for w in list_based_absorb(components, 0.5 * dt, pair):
-        b = crank_nicolson_rhs(bands, w)
-        ab = np.zeros((3, w.size))
-        ab[0, 1:] = -0.5 * dt * bands.sup[:-1]
-        ab[1, :] = 1.0 - 0.5 * dt * bands.diag
-        ab[2, :-1] = -0.5 * dt * bands.sub[1:]
-        y = solve_banded((1, 1), ab, b)
-        halves.append(np.maximum((y - 0.5 * b) / 0.5, 0.0))
+        w_pinned = np.where(bands.pinned, 0.0, w)
+        y = solveh_banded(symmetric_bands(bands, dt), bands.volume * w_pinned)
+        halves.append(np.maximum(2.0 * y - w_pinned, 0.0))
     return list_based_absorb(halves, 0.5 * dt, pair)
 
 
-def gtsv_step(bands, w, dt):
-    """Reference: the uncached step, one LAPACK gtsv solve y of b on freshly built
-    bands, then x = (y - w~/2) / (1/2)."""
-    b = crank_nicolson_rhs(bands, w)
-    c = -0.5 * dt
-    *_, y, info = dgtsv(c * bands.sub[1:], 1.0 + c * bands.diag, c * bands.sup[:-1], b.T)
-    assert info == 0
-    return np.maximum((y.T - 0.5 * b) / 0.5, 0.0)
+def dense_flux(bands):
+    """Reference: the flux matrix A, dense, from its diagonal and off-diagonal."""
+    return np.diag(bands.flux_diag) + np.diag(bands.flux, 1) + np.diag(bands.flux, -1)
+
+
+def dense_symmetric_step(bands, w, dt):
+    """Reference: (V - dt/2 A) y = V w~ by a dense np.linalg.solve, then x = 2 y - w~,
+    clamped at 0."""
+    w_pinned = np.where(bands.pinned, 0.0, w)
+    y = np.linalg.solve(np.diag(bands.volume) - 0.5 * dt * dense_flux(bands),
+                        (bands.volume * w_pinned).T).T
+    return np.maximum(2.0 * y - w_pinned, 0.0)
 
 
 # hit, miss and evict: a dt, its half as a retry takes it and its double, a
 # dt clipped to an output time, a return to dt, then more distinct values
-# than the cache holds; the last dt makes the LU factorisation swap rows at
-# the Neumann mirror row on every 41-node grid
+# than the cache holds; the last dt has dt/2 > 10 h^2 on every 41-node grid
 DT_SEQUENCE = ([4e-3, 2e-3, 8e-3, 2.9e-3, 4e-3] + [4e-3 * 1.1**k for k in range(1, 7)]
                + [4e-3, 1.6e-2])
-SWAPPING_DT = DT_SEQUENCE[-1]
-# the same cache pattern at a quarter of the steps, without the last: no swaps
-DT_SEQUENCES = {"swapping": DT_SEQUENCE, "unpivoted": [dt / 4 for dt in DT_SEQUENCE[:-1]]}
-
-
-def swapped_rows(op, dt):
-    """The rows that dgttrf interchanged: its pivots are 1-based, and a row whose
-    pivot is not its own was swapped."""
-    ipiv = op._factor(dt)[-1]
-    return np.flatnonzero(ipiv != np.arange(1, ipiv.size + 1)).tolist()
+LARGE_DT = DT_SEQUENCE[-1]
+# the same cache pattern at a quarter of the steps, without the last
+DT_SEQUENCES = {"large": DT_SEQUENCE, "small": [dt / 4 for dt in DT_SEQUENCE[:-1]]}
 
 
 class TestSharedOperator:
@@ -655,20 +648,33 @@ class TestSharedOperator:
         assert np.allclose(out, x, atol=1e-11)
         assert np.all(out[wall] == 0.0)
 
+    @pytest.mark.parametrize("dt", [1e-3, LARGE_DT])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_no_dirichlet_factorisation_swaps_rows(self, kind, dim_n):
-        # a pinned node's row and column of I - dt/2 L are the identity's, so the wall
-        # is never a pivot candidate, and the interior rows dominate their diagonal
-        op = _Diffusion(grid_of(kind, dim_n, nodes=41), DIR)
-        for dt in DT_SEQUENCE + [10.0**k for k in range(-8, 9)]:
-            assert swapped_rows(op, dt) == [], dt
+    def test_step_is_dense_symmetric_solve(self, kind, dim_n, bc, dt):
+        # V^-1 A is L, and the step is the dense solve of (V - dt/2 A) y = V w~
+        g = grid_of(kind, dim_n, nodes=41)
+        op = _Diffusion(g, bc)
+        lap = np.column_stack([op.apply(e) for e in np.eye(g.nodes)])
+        np.testing.assert_allclose(dense_flux(op) / op.volume[:, None], lap, rtol=1e-15, atol=0.0)
+        w = two_rows(g)
+        np.testing.assert_allclose(op.step(w, dt), dense_symmetric_step(op, w, dt),
+                                   rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1), (DomainKind.RADIAL_BALL, 3)])
-    def test_dt_sequence_swaps_rows_at_the_neumann_mirror_row(self, kind, dim_n):
-        # the mirror row's coupling 2/h^2 outweighs the pivot left on the last but one
-        op = _Diffusion(grid_of(kind, dim_n, nodes=41), NEU)
-        assert swapped_rows(op, SWAPPING_DT) == [39]
-        assert all(swapped_rows(op, dt) == [] for dt in DT_SEQUENCES["unpivoted"])
+    @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
+    def test_pinned_rows_are_exactly_zero(self, kind, dim_n):
+        # a pinned node's row and column of V - dt/2 A are the identity's, so the
+        # step returns +0.0 there from data that do not vanish at the wall
+        g = grid_of(kind, dim_n, nodes=41)
+        op = _Diffusion(g, DIR)
+        w = two_rows(g)
+        assert np.all(w[:, op.pinned] > 0.0)
+        for dt in DT_SEQUENCE + [10.0**k for k in range(-8, 9)]:
+            d, e = op._factor(dt)
+            assert np.all(d[op.pinned] == 1.0), dt
+            assert np.all(e[op.pinned[:-1] | op.pinned[1:]] == 0.0), dt
+            out = op.step(w, dt)
+            assert out[:, op.pinned].tobytes() == np.zeros((2, op.pinned.sum())).tobytes(), dt
 
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_dirichlet_walls_hold_exact_zeros(self, kind, dim_n):
@@ -681,9 +687,7 @@ class TestSharedOperator:
         pinned = LaplacianBands(g, DIR).pinned
         assert np.all(traj.values[..., pinned] == 0.0)
 
-    # on 41 nodes dt = 1.6e-2 swaps rows at the Neumann mirror row on every grid,
-    # 8e-3 on the radial grids only, and 1e-3 nowhere
-    @pytest.mark.parametrize("dt", [1e-3, 8e-3, SWAPPING_DT])
+    @pytest.mark.parametrize("dt", [1e-3, 8e-3, LARGE_DT])
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
     def test_stacked_rows_equal_single_rows(self, kind, dim_n, bc, dt):
@@ -715,16 +719,18 @@ class TestSharedOperator:
     @pytest.mark.parametrize("dts", DT_SEQUENCES)
     @pytest.mark.parametrize("bc", [NEU, DIR])
     @pytest.mark.parametrize("kind, dim_n", GEOMETRIES)
-    def test_cached_factors_equal_gtsv_reference(self, kind, dim_n, bc, dts):
+    def test_cached_factors_equal_fresh_factors(self, kind, dim_n, bc, dts):
+        # every step on the cached factors equals a step of a new operator, whose
+        # factors are computed afresh, bit for bit
         dts = DT_SEQUENCES[dts]
         g = grid_of(kind, dim_n, nodes=41)
         op = _Diffusion(g, bc)
         w = ref = two_rows(g)
         for dt in dts:
             w = op.step(w, dt)
-            ref = gtsv_step(op, ref, dt)
+            ref = _Diffusion(g, bc).step(ref, dt)
             assert np.array_equal(w, ref)
-            assert np.array_equal(op.step(w[1], dt), gtsv_step(op, ref[1], dt))
+            assert np.array_equal(op.step(w[1], dt), _Diffusion(g, bc).step(ref[1], dt))
             info = op._factor.cache_info()
             assert info.maxsize == _FACTOR_CACHE_SIZE == 4 and info.currsize <= 4
         hits, misses = op._factor.cache_info()[:2]
@@ -742,6 +748,50 @@ class TestSharedOperator:
             assert ref() is None  # no cycle through the factor cache keeps it
         finally:
             gc.enable()
+
+
+def cell_volumes(g):
+    """Reference: node i's cell, between the midpoints to its neighbours and cut at
+    the walls, in the N-ball up to a common factor: hi^N - lo^N in units of h / 2,
+    exact in integers."""
+    dim, last = g.domain.dim_n, 2 * (g.nodes - 1)
+    return np.array([min(k + 1, last) ** dim - max(k - 1, 0) ** dim
+                     for k in range(0, last + 1, 2)], dtype=float)
+
+
+MASS_GEOMETRIES = [(DomainKind.INTERVAL, 1)] + [(DomainKind.RADIAL_BALL, n) for n in (1, 2, 3)]
+
+
+class TestMassConservation:
+    """Under zero flux L = V^-1 A conserves the V-mass, on the interval, the half
+    line and in the N-ball."""
+
+    @pytest.mark.parametrize("kind, dim_n", MASS_GEOMETRIES)
+    def test_laplacian_has_zero_v_mass(self, kind, dim_n):
+        # the fluxes cancel in pairs; each flux is about |diag| w, so the sum is
+        # compared with the total size of the terms that cancel
+        g = grid_of(kind, dim_n, nodes=201)
+        bands = LaplacianBands(g, NEU)
+        volume = cell_volumes(g)
+        w = smooth_positive(g)
+        assert abs(volume @ bands.apply(w)) <= 1e-13 * (volume @ (-2.0 * bands.diag * w))
+        assert np.ptp(volume / bands.volume) == 0.0
+
+    @pytest.mark.parametrize("kind, dim_n", MASS_GEOMETRIES)
+    def test_crank_nicolson_keeps_the_v_mass(self, kind, dim_n):
+        # (V - dt/2 A) y = V w keeps sum(V y) = sum(V w) but for rounding: the
+        # diagonal V - dt/2 A_ii rounds alike at every node of a uniform N = 1
+        # grid, so the loss adds up, by up to eps (1 - dt/2 L_ii) a step
+        g = grid_of(kind, dim_n, nodes=201)
+        op, dt, steps = _Diffusion(g, NEU), 1e-3, 200
+        volume = cell_volumes(g)
+        w = smooth_positive(g)
+        x = w
+        for _ in range(steps):
+            x = op.step(x, dt)
+        bound = steps * np.finfo(float).eps * np.max(1.0 - 0.5 * dt * op.diag)
+        assert abs(volume @ x - volume @ w) <= bound * (volume @ w)
+        assert not np.allclose(x, w, rtol=1e-3)  # the data did diffuse
 
 
 def reference_absorb(w, rates, h):

@@ -736,7 +736,9 @@ class TestRecords:
     def test_unknown_format_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown output format 'xml'"):
             write_records([], tmp_path, fmt="xml")
-        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            write_records([], tmp_path / "x" / "out", fmt="xml")
+        assert list(tmp_path.iterdir()) == []  # no record, and no directory made
 
     def test_rejected_sweep_value_is_written_as_given(self, tmp_path):
         [record] = sweep(ExperimentSpec("flat_validation", FAST["flat_validation"]),
