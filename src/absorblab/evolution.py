@@ -207,7 +207,7 @@ class _Diffusion(LaplacianBands):
         # a closure over the bands, not a bound method: the cache holds no
         # reference to self, so an operator is freed without the cycle collector
         @functools.lru_cache(_FACTOR_CACHE_SIZE)
-        def factor(dt: float) -> tuple:
+        def factor(dt: float) -> list:
             """L D L^T factors of V - dt/2 A, symmetric positive definite."""
             c = 0.5 * dt
             *factors, info = dpttrf(volume - c * flux_diag, -c * flux)
