@@ -85,6 +85,21 @@ class SubsolutionReport:
     k: float
 
 
+def _fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line y = slope * x + intercept, as (slope, intercept), from centred
+    sums: slope = sum(dx dy) / sum(dx**2) with dx = x - mean(x), dy = y - mean(y), by
+    plain NumPy reductions and no BLAS or LAPACK call.  x must hold two distinct
+    values, checked on x itself: rounding can leave sum(dx**2) above 0 when it does not."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.min() == x.max():
+        raise ValueError(f"a line fit needs two distinct abscissae, got only {float(x[0])!r}")
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    return float(slope), float(y_mean - slope * x_mean)
+
+
 def fit_power_law(
     samples: Iterable[tuple[float, float]], window: tuple[float, float]
 ) -> FitResult:
@@ -106,10 +121,10 @@ def fit_power_law(
         raise ValueError(bad)
     log_t = np.log([t for t, _ in pts])
     log_v = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(log_t, log_v, 1)
+    slope, intercept = _fit_line(log_t, log_v)
     resid = log_v - (slope * log_t + intercept)
     return FitResult(
-        exponent=float(slope),
+        exponent=slope,
         amplitude=float(np.exp(intercept)),
         rms_residual=float(np.sqrt(np.mean(resid**2))),
     )

@@ -68,10 +68,12 @@ at err = 0: it never shrinks on an accepted step.
 
 The factorisation and the solve are LAPACK's dpttrf and dpttrs, the only
 part of scipy in use.  They are loaded from scipy's Fortran extension,
-scipy.linalg._flapack, by its file, which skips scipy.linalg's package init
-(about 0.3 s and 22 MiB per interpreter); a later `import scipy.linalg`
-reuses that module, so they are scipy.linalg.lapack's own functions.  If
-the file is not there, scipy.linalg.lapack supplies them.
+scipy.linalg._flapack, by its file, found through scipy's import spec: no
+scipy package init runs, neither scipy.linalg's (about 0.3 s and 22 MiB per
+interpreter) nor scipy's own (1 MiB), and that module is the one scipy
+module loaded.  A later `import scipy.linalg` reuses it, so they are
+scipy.linalg.lapack's own functions.  If the file is not there, or loading
+it raises ImportError or OSError, scipy.linalg.lapack supplies them.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
 
 from .closed_forms import PowerPair
 from .discretization import (
@@ -117,21 +118,29 @@ __all__ = [
 
 def _pttr() -> tuple[Callable, Callable]:
     """LAPACK's dpttrf and dpttrs from scipy's Fortran extension, loaded from its file
-    without running `scipy.linalg`'s package init.  The module goes into sys.modules
-    under its own name, so a later `import scipy.linalg` reuses it and its lapack
-    functions are these very objects.  With no file found, scipy.linalg supplies them."""
+    without running any scipy package init.  The module goes into sys.modules under
+    its own name, so a later `import scipy.linalg` reuses it and its lapack functions
+    are these very objects.  With no file found, or one that raises ImportError or
+    OSError as it loads (its half-made module is dropped), scipy.linalg supplies them."""
     name = "scipy.linalg._flapack"
     flapack = sys.modules.get(name)
     if flapack is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ImportError("absorblab needs scipy, which is not installed")
+        linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+            path = os.path.join(linalg, "_flapack" + suffix)
             if os.path.isfile(path):
                 spec = importlib.util.spec_from_file_location(name, path)
-                flapack = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(flapack)
-                sys.modules[name] = flapack
+                try:
+                    flapack = sys.modules[name] = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(flapack)
+                except (ImportError, OSError):
+                    sys.modules.pop(name, None)
+                    flapack = None
                 break
-        else:
+        if flapack is None:
             from scipy.linalg.lapack import dpttrf, dpttrs
 
             return dpttrf, dpttrs

@@ -414,8 +414,7 @@ def _fit_slope(xs, errs, name: str) -> float:
     them underflow, or that is not finite has no logarithm: that is a failed run."""
     if not all(0.0 < e < math.inf for e in errs):
         raise ValueError(f"{name} {list(errs)} must all be finite and > 0 to fit an order")
-    slope, _ = np.polyfit(np.log(xs), np.log(errs), 1)
-    return float(slope)
+    return dg._fit_line(np.log(xs), np.log(errs))[0]
 
 
 def _run_convergence_order(params: dict, pair, grid: None) -> tuple[dict, Trajectory | None]:

@@ -8,6 +8,7 @@ import pytest
 from absorblab import (
     BoundaryCondition,
     DomainKind,
+    ExperimentSpec,
     Field,
     LaplacianBands,
     PowerPair,
@@ -27,11 +28,13 @@ from absorblab import (
     integrate_field,
     mass_in_region,
     mean_value_check,
+    run_experiment,
     solve,
     subsolution_constants,
     trace_functional,
     trapezoid_weights,
 )
+from absorblab.diagnostics import _fit_line
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 
@@ -91,6 +94,41 @@ class TestFitPowerLaw:
         samples = [(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), (0.4, 1.0)]
         with pytest.raises(ValueError):
             fit_power_law(samples, (0.05, 0.5))
+
+    def test_rejects_equal_times(self):
+        samples = [(0.4, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        # five log(0.4) average to log(0.4) + 1.1e-16: the squared deviations do not sum to 0
+        log_t = np.log([t for t, _ in samples])
+        assert np.sum((log_t - log_t.mean()) ** 2) > 0.0
+        with pytest.raises(ValueError, match="two distinct abscissae"):
+            fit_power_law(samples, (0.1, 1.0))
+
+
+# fixed, well-conditioned sets: log t over a decade or more and a wobble off the line
+LINE_SETS = {
+    "3-points": (np.log([0.01, 0.03, 0.1]), [2.0, 1.3, 0.4]),
+    "5-points": (np.log(np.geomspace(0.01, 0.1, 5)),
+                 -0.6 * np.log(np.geomspace(0.01, 0.1, 5)) + [0.01, -0.02, 0.0, 0.015, -0.01]),
+    "16-points": (np.linspace(-5.0, -1.0, 16), 1.5 * np.linspace(-5.0, -1.0, 16) + 0.7
+                  + 0.05 * np.sin(np.arange(16.0))),
+}
+
+
+@pytest.mark.parametrize("x, y", LINE_SETS.values(), ids=LINE_SETS.keys())
+def test_line_fit_matches_polyfit(x, y):
+    slope, intercept = _fit_line(x, y)
+    assert np.allclose((slope, intercept), np.polyfit(x, y, 1), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name, p, q", [("blowup_fit", 2, 3), ("convergence_order", 2, 2)])
+def test_fit_recipes_call_no_lapack(monkeypatch, name, p, q):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line fit reached LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    record = run_experiment(ExperimentSpec(name, {"p": p, "q": q}))
+    assert not record.failed, record.error
 
 
 class TestTraceFunctional:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import importlib.abc
 import importlib.machinery
+import importlib.util
 import math
 import os
 import subprocess
@@ -79,15 +81,25 @@ def one_step(u, v, pair, dt=1e-3):
 class TestLapackLoader:
     FLAPACK = "scipy.linalg._flapack"
 
-    def test_import_skips_scipy_linalg(self):
+    @staticmethod
+    def child_output(code):
         # a child interpreter, because this process imports scipy.linalg for its oracles
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, inherited])))
-        code = ("import sys, absorblab, absorblab.cli; "
-                "print(*sorted(k for k in sys.modules if k.startswith('scipy.linalg')))")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, check=True)
-        assert result.stdout.split() == [self.FLAPACK]
+        return result.stdout.split()
+
+    def test_import_skips_scipy_linalg(self):
+        code = ("import sys, absorblab, absorblab.cli; "
+                "print(*sorted(k for k in sys.modules if k.startswith('scipy')))")
+        assert self.child_output(code) == [self.FLAPACK]
+
+    def test_later_scipy_linalg_import_reuses_the_routines(self):
+        code = ("import absorblab, scipy.linalg.lapack as lapack; "
+                "from absorblab import evolution; "
+                "print(evolution.dpttrf is lapack.dpttrf, evolution.dpttrs is lapack.dpttrs)")
+        assert self.child_output(code) == ["True", "True"]
 
     def test_routines_are_scipy_lapack_ones(self):
         assert evolution.dpttrf is scipy.linalg.lapack.dpttrf
@@ -105,6 +117,29 @@ class TestLapackLoader:
         dpttrf, dpttrs = evolution._pttr()
         assert dpttrf is scipy.linalg.lapack.dpttrf and dpttrs is scipy.linalg.lapack.dpttrs
         assert self.FLAPACK not in sys.modules  # nothing was loaded from a file
+
+    @pytest.mark.parametrize("error", [ImportError, OSError])
+    def test_failed_load_falls_back_to_scipy_linalg(self, monkeypatch, error):
+        executed = []
+
+        class FailingLoader(importlib.abc.Loader):
+            def exec_module(self, module):
+                executed.append(sys.modules.get(TestLapackLoader.FLAPACK) is module)
+                raise error("a library of the extension is missing")
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location",
+                            lambda name, path: importlib.util.spec_from_loader(name, FailingLoader()))
+        monkeypatch.delitem(sys.modules, self.FLAPACK)
+        dpttrf, dpttrs = evolution._pttr()
+        assert executed == [True]  # the half-made module was registered, then dropped
+        assert dpttrf is scipy.linalg.lapack.dpttrf and dpttrs is scipy.linalg.lapack.dpttrs
+        assert self.FLAPACK not in sys.modules
+
+    def test_missing_scipy_is_named(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        monkeypatch.delitem(sys.modules, self.FLAPACK)
+        with pytest.raises(ImportError, match="needs scipy, which is not installed"):
+            evolution._pttr()
 
 
 class TestOneStep:
