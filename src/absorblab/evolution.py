@@ -70,7 +70,7 @@ The factorisation and the solve are LAPACK's dpttrf and dpttrs, the only
 part of scipy in use.  They are loaded from scipy's Fortran extension,
 scipy.linalg._flapack, by its file, found through scipy's import spec: no
 scipy package init runs, neither scipy.linalg's (about 0.3 s and 22 MiB per
-interpreter) nor scipy's own (1 MiB), and that module is the one scipy
+interpreter) nor scipy's own (about 1 MiB), and that module is the one scipy
 module loaded.  A later `import scipy.linalg` reuses it, so they are
 scipy.linalg.lapack's own functions.  If the file is not there, or loading
 it raises ImportError or OSError, scipy.linalg.lapack supplies them.
