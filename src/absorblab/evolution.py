@@ -36,6 +36,14 @@ below half the least subnormal, so it rounds to 0.0 and the update stays
 bit-identical to a plain np.power.  -0.0, negatives and nan always go
 through np.power.
 
+A solve allocates its arrays once.  The operator holds, per state shape,
+2V at that shape and the buffers the step loop writes: `_advance` writes its
+result into a given `out` and its intermediates into the operator's
+buffers, an accepted step or a retry swaps buffer references, and h, 1.0,
+0.0 and the absorption floor reach the ufuncs as 0-d arrays, which they
+take without converting a Python float on every call.  Called without
+`out`, as the unit tests call them, the same kernels return new arrays.
+
 Even data are solved on the half line.  On an interval of odd n, build_grid
 mirrors the nodes bit for bit, with +0.0 at the centre.  When every row of
 the state equals its mirror bit for bit (compared by bytes, so -0.0 against
@@ -87,7 +95,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,6 +211,21 @@ class Trajectory:
 
 _FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently used out first
 
+# 0-d operands: a ufunc takes an array as it is, where it converts a Python
+# float on every call.  Read-only, since every solve shares them.  _FLOOR is
+# the floor in the absorption update's max(u, floor).
+_ZERO, _ONE, _FLOOR = np.array(0.0), np.array(1.0), np.array(1e-300)
+_ZERO.flags.writeable = _ONE.flags.writeable = _FLOOR.flags.writeable = False
+
+
+class _Buffers(NamedTuple):
+    """The arrays that steps on states of one shape write, made once per operator."""
+
+    weight: np.ndarray  # 2V at the state's shape, with 0 at the pinned nodes
+    stepped: np.ndarray  # the diffusion step's result inside `_advance`
+    work: tuple[np.ndarray, np.ndarray]  # `_absorb`'s scratch; work[0] is also `_error`'s
+    attempts: tuple[np.ndarray, np.ndarray, np.ndarray]  # `_integrate`'s full, half, two-half
+
 
 class _Diffusion(LaplacianBands):
     """Crank-Nicolson diffusion step on the shared Laplacian L = V^-1 A."""
@@ -211,6 +234,8 @@ class _Diffusion(LaplacianBands):
         super().__init__(grid, bc)
         # twice V, with 0 at the pinned nodes: the right-hand side's weight
         self._weight = np.where(self.pinned, 0.0, 2.0 * self.volume)
+        # a plain dict of arrays, which refer to nothing: no cycle through self
+        self._buffers: dict[tuple[int, ...], _Buffers] = {}
         volume, flux_diag, flux = self.volume, self.flux_diag, self.flux
 
         # a closure over the bands, not a bound method: the cache holds no
@@ -226,8 +251,19 @@ class _Diffusion(LaplacianBands):
 
         self._factor = factor
 
-    def step(self, w: np.ndarray, dt: float) -> np.ndarray:
-        """Solve (I - dt/2 L) x = (I + dt/2 L) w, pinned nodes -> 0.
+    def buffers(self, shape: tuple[int, ...]) -> _Buffers:
+        """The arrays for states of `shape`, made on the first call with it and the
+        same ones on every later call."""
+        made = self._buffers.get(shape)
+        if made is None:
+            scratch = np.empty((6, *shape))
+            made = self._buffers[shape] = _Buffers(
+                np.broadcast_to(self._weight, shape).copy(), scratch[0],
+                tuple(scratch[1:3]), tuple(scratch[3:]))
+        return made
+
+    def step(self, w: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve (I - dt/2 L) x = (I + dt/2 L) w, pinned nodes -> 0, into out (new if None).
 
         With M = V - dt/2 A, so that I - dt/2 L = V^-1 M, the right-hand side
         is never formed: x = 2 y - w~ with M y = V w~, w~ = w whose pinned
@@ -238,19 +274,22 @@ class _Diffusion(LaplacianBands):
         and so is x, clamped from -w <= 0.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
-        one LAPACK pttrs call on the cached factors of M.
+        one LAPACK pttrs call on the cached factors of M.  The weight 2V is
+        held at w's shape: NumPy's iterator takes a buffer on every call to
+        broadcast an (n,) weight over (k, n).  out, C-contiguous and not
+        overlapping w, holds the result; the return value is a view of it.
         """
-        b = np.multiply(w, self._weight)  # 2 V w~, then 2 y in place
+        b = np.multiply(w, self.buffers(w.shape).weight, out=out)  # 2 V w~, then 2 y
+        # on a C-contiguous b, b.T is Fortran-contiguous and pttrs solves in place
         x, _ = dpttrs(*self._factor(dt), b.T, overwrite_b=1)
         x -= w.T
         # the explicit half can undershoot slightly; fractional powers and the
         # unclamped absorption need >= 0
-        return np.maximum(x, 0.0, out=x).T
+        return np.maximum(x, _ZERO, out=x).T
 
 
 # (source row, power) per row: row i is absorbed at the rate w[source] ** power
 _Absorption = tuple[tuple[int, float], ...]
-_ABSORPTION_FLOOR = 1e-300  # the floor in the update's max(u, floor)
 
 
 def _coupled(pair: PowerPair) -> _Absorption:
@@ -287,15 +326,21 @@ def _power_into(out: np.ndarray, x: np.ndarray, power: float) -> None:
     np.power(x, power, out=out)
 
 
-def _absorb(w: np.ndarray, h: float, absorption: _Absorption) -> np.ndarray:
-    """A(h): the geometric-mean Patankar update of every row over h, into new buffers."""
-    d0 = np.empty_like(w)
+def _absorb(w: np.ndarray, h: float | np.ndarray, absorption: _Absorption,
+            out: np.ndarray | None = None,
+            work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """A(h): the geometric-mean Patankar update of every row over h, into out.
+
+    h is a float or a 0-d array.  work is two scratch arrays of w's shape;
+    neither they nor out may overlap w.  What is not given is new."""
+    d0 = np.empty(w.shape) if out is None else out
+    floor, w1 = np.empty((2, *w.shape)) if work is None else work
     for row, (source, power) in enumerate(absorption):
         _power_into(d0[row], w[source], power)
-    floor = np.maximum(w, _ABSORPTION_FLOOR)
-    w1 = np.multiply(d0, h)
+    np.maximum(w, _FLOOR, out=floor)
+    np.multiply(d0, h, out=w1)
     w1 /= floor
-    w1 += 1.0
+    w1 += _ONE
     np.divide(w, w1, out=w1)
     d1 = floor  # the floor of w is spent: it takes the rate at w1
     for row, (source, power) in enumerate(absorption):
@@ -304,17 +349,26 @@ def _absorb(w: np.ndarray, h: float, absorption: _Absorption) -> np.ndarray:
     d0 *= h
     np.sqrt(d1, out=d1)
     d0 *= d1
-    d0 /= np.maximum(w1, _ABSORPTION_FLOOR, out=w1)
-    d0 += 1.0
+    d0 /= np.maximum(w1, _FLOOR, out=w1)
+    d0 += _ONE
     return np.divide(w, d0, out=d0)
 
 
-def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption) -> np.ndarray:
-    """One Strang step A(dt/2) -> diffusion over dt -> A(dt/2); without absorption, diffusion."""
+def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """One Strang step A(dt/2) -> diffusion over dt -> A(dt/2); without absorption, diffusion.
+
+    Given out, which must not overlap w, the step writes out and op's
+    buffers and nothing else: out holds A(dt/2) w until diffusion has read
+    it.  Without out every array is new."""
     if not absorption:
-        return op.step(w, dt)
-    half = 0.5 * dt
-    return _absorb(op.step(_absorb(w, half, absorption), dt), half, absorption)
+        return op.step(w, dt, out)
+    h = np.array(0.5 * dt)  # one 0-d operand for the four products with h
+    stepped = work = None
+    if out is not None:
+        _, stepped, work, _ = op.buffers(w.shape)
+    mid = _absorb(w, h, absorption, out, work)
+    return _absorb(op.step(mid, dt, stepped), h, absorption, out, work)
 
 
 def _stacked(*fields: Field) -> np.ndarray:
@@ -346,12 +400,17 @@ def _half_line(grid: Grid, state: np.ndarray) -> Grid | None:
     return build_grid(SpatialDomain(DomainKind.RADIAL_BALL, grid.domain.extent), (n + 1) // 2)
 
 
-def _error(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan."""
-    gap = np.subtract(a, b)
-    err = np.abs(gap, out=gap).max(axis=-1)
-    scale = 1.0 + np.abs(b, out=gap).max(axis=-1)
-    return float((err / scale).max())
+def _error(a: np.ndarray, b: np.ndarray, gap: np.ndarray | None = None) -> float:
+    """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan.
+
+    gap, a scratch array of a's shape (new if None), takes |a - b| and then
+    |b|.  np.maximum.reduce is what ndarray.max calls, without its wrapper."""
+    gap = np.subtract(a, b, out=gap)
+    err = np.maximum.reduce(np.abs(gap, out=gap), axis=-1)
+    scale = np.maximum.reduce(np.abs(b, out=gap), axis=-1)
+    scale += _ONE
+    err /= scale
+    return float(np.maximum.reduce(err))
 
 
 def _rung_dt(j: int, dt_init: float) -> float:
@@ -398,6 +457,9 @@ def _integrate(
         centre = grid.nodes // 2
         state = state[:, centre:].copy()
     op = _Diffusion(half_grid or grid, config.bc)
+    buffers = op.buffers(state.shape)
+    full, half, two_half = buffers.attempts  # each attempt's _advance writes into these
+    gap = buffers.work[0]
     tol = config.tol_step
     t = config.t_start
     rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
@@ -410,12 +472,12 @@ def _integrate(
                 dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
                 retries = 0
                 calls += 1
-                full = _advance(state, dt_try, op, absorption)
+                _advance(state, dt_try, op, absorption, full)
                 while True:
                     calls += 2
-                    half = _advance(state, 0.5 * dt_try, op, absorption)
-                    two_half = _advance(half, 0.5 * dt_try, op, absorption)
-                    err = _error(full, two_half)
+                    _advance(state, 0.5 * dt_try, op, absorption, half)
+                    _advance(half, 0.5 * dt_try, op, absorption, two_half)
+                    err = _error(full, two_half, gap)
                     # a nan or an inf in two_half makes err nan or inf, which fails
                     # the finite tol: an accepted state is always finite, unchecked
                     if err <= tol:
@@ -427,8 +489,8 @@ def _integrate(
                             f"dt fell below dt_min={config.dt_min} at t={t:.6g}"
                         )
                     # the retry's full step is the rejected half step: same state, same dt
-                    full = half
-                state = two_half
+                    full, half = half, full
+                state, two_half = two_half, state
                 t += dt_try
                 log.append(StepRecord(t, dt_try, retries))
                 # the highest rung at or below dt_try: the tried rung is exact, since

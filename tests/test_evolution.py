@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from fractions import Fraction
@@ -880,8 +881,8 @@ class ClampOnlyDiffusion:
     """A diffusion step that only clamps at 0, as `_Diffusion.step` ends, so the
     updates see chosen values."""
 
-    def step(self, w, dt):
-        return np.maximum(w, 0.0)
+    def step(self, w, dt, out=None):
+        return np.maximum(w, 0.0, out=out)
 
 
 class TestUnclampedAbsorption:
@@ -957,6 +958,80 @@ def test_rejection_reuses_the_half_step(monkeypatch):
     assert work == {"calls": len(calls), "rows": 2 * len(calls), "accepted": len(traj.steps),
                     "retries": retries, "factors": work["factors"]}
     assert 0 < work["factors"] <= len(calls)
+
+
+def spy_on_buffers(monkeypatch) -> list:
+    """Every `_Buffers` that an operator hands out from here on."""
+    made = []
+    buffers = _Diffusion.buffers
+
+    def spied(self, shape):
+        made.append(buffers(self, shape))
+        return made[-1]
+
+    monkeypatch.setattr(_Diffusion, "buffers", spied)
+    return made
+
+
+def test_buffers_never_reach_a_result(monkeypatch):
+    # test_rejection_reuses_the_half_step's solve: a retry swaps the full and half
+    # buffers and every accepted step swaps the state and two-half ones
+    made = spy_on_buffers(monkeypatch)
+    g = interval_grid(41)
+    ic = bump_function(g, 0.0, 0.3)
+    data = ic.values.tobytes()
+    run = lambda: solve(ic, ic, PowerPair(2, 3), config(dt_init=1e-2), [0.02])
+    first = run()
+    assert sum(rec.retries for rec in first.steps) >= 1
+    arrays = [array for buffers in made
+              for array in (buffers.weight, buffers.stepped, *buffers.work, *buffers.attempts)]
+    assert arrays and not any(np.shares_memory(first.values, array) for array in arrays)
+    kept = first.values.tobytes()
+    second = run()
+    assert first.values.tobytes() == kept == second.values.tobytes()
+    assert ic.values.tobytes() == data  # the first state buffer is a copy of the data
+
+
+class TestStepBuffers:
+    """Given `out`, `_advance` writes only `out` and the operator's buffers."""
+
+    @staticmethod
+    def peak_above_start(call, times=50) -> int:
+        """The traced peak over `times` calls after a warm-up call, above its start."""
+        call()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(times):
+                call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    def test_no_temporaries(self, bc):
+        # a 2 x 401 radial state, as removability's half line carries it
+        g = grid_of(DomainKind.RADIAL_BALL, 1, nodes=401)
+        w = two_rows(g)
+        op = _Diffusion(g, bc)
+        out = np.empty_like(w)
+        absorption = _coupled(PAIR_23)
+        assert self.peak_above_start(lambda: _advance(w, 1e-4, op, absorption, out)) < w.nbytes
+        gap = op.buffers(w.shape).work[0]
+        assert self.peak_above_start(lambda: _error(w, out, gap)) < w.nbytes
+
+    @pytest.mark.parametrize("rows", ["coupled", "scalar", "heat"])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    def test_buffered_step_equals_new_arrays(self, bc, rows):
+        absorption = {"coupled": _coupled(PAIR_23), "scalar": ((0, 2.5),), "heat": ()}[rows]
+        g = grid_of(DomainKind.RADIAL_BALL, 1, nodes=41)
+        op = _Diffusion(g, bc)
+        w = two_rows(g)[:max(len(absorption), 1)]
+        out = np.empty_like(w)
+        for dt in DT_SEQUENCE:
+            _advance(w, dt, op, absorption, out)
+            assert same_bits(out, _advance(w, dt, op, absorption))
+            w = out.copy()
 
 
 class TestWorkTally:
