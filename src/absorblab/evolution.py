@@ -74,19 +74,30 @@ k = min(4, floor(4/3 log2(tol/err))), the most rungs with
 (2**(k/4))**3 err <= tol for the step's third-order local error, and k = 4
 at err = 0: it never shrinks on an accepted step.
 
-The factorisation and the solve are LAPACK's dpttrf and dpttrs, the only
-part of scipy in use.  They are loaded from scipy's Fortran extension,
-scipy.linalg._flapack, by its file, found through scipy's import spec: no
-scipy package init runs, neither scipy.linalg's (about 0.3 s and 22 MiB per
-interpreter) nor scipy's own (about 1 MiB), and that module is the one scipy
-module loaded.  A later `import scipy.linalg` reuses it, so they are
-scipy.linalg.lapack's own functions.  If the file is not there, or loading
-it raises ImportError or OSError, scipy.linalg.lapack supplies them.
+The factorisation and the solve are LAPACK's dpttrf and dpttrs.  They are
+called through ctypes in the OpenBLAS that NumPy's wheel bundles and has
+already loaded, numpy.libs/libscipy_openblas64_*.so, as scipy_dpttrf_64_
+and scipy_dpttrs_64_ (ILP64: every integer is 64 bits).  No scipy module
+and no second BLAS are loaded, which keeps about 2.5 MiB off every
+interpreter's peak memory and the extension's load off its import.  The
+calls take prebuilt references: n and info once per operator, the
+factors' once per factorisation, and a right-hand side's once per array,
+since the step loop solves into the same few buffers; c_double.from_buffer
+makes them and refuses a read-only or non-contiguous array.  Where NumPy
+bundles no such library, or it lacks the two symbols (NumPy built on
+Accelerate, MKL or a system BLAS), the same routines come from scipy's
+Fortran extension, scipy.linalg._flapack, loaded by its file without any
+scipy package init; if that file is not there, or loading it raises
+ImportError or OSError, scipy.linalg.lapack supplies them.  What is on
+disk picks the routines: no option does.  Both give the same bits on every
+golden case.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import importlib.machinery
 import importlib.util
 import itertools
@@ -155,7 +166,23 @@ def _pttr() -> tuple[Callable, Callable]:
     return flapack.dpttrf, flapack.dpttrs
 
 
-dpttrf, dpttrs = _pttr()
+def _openblas() -> tuple[Callable, Callable] | None:
+    """scipy_dpttrf_64_ and scipy_dpttrs_64_ of the OpenBLAS in numpy.libs, beside the
+    numpy package, as ctypes functions; None when NumPy bundles no such library, the
+    library lacks either symbol, or loading it raises OSError.  NumPy has already
+    loaded it, so the loader maps nothing new."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas64_*.so")))
+    if not paths:
+        return None
+    try:
+        library = ctypes.CDLL(paths[0])
+        routines = library.scipy_dpttrf_64_, library.scipy_dpttrs_64_
+    except (OSError, AttributeError):
+        return None
+    for routine in routines:
+        routine.restype = None  # Fortran subroutines
+    return routines
 
 
 class NumericsError(RuntimeError):
@@ -216,6 +243,8 @@ _FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently u
 # the floor in the absorption update's max(u, floor).
 _ZERO, _ONE, _FLOOR = np.array(0.0), np.array(1.0), np.array(1e-300)
 _ZERO.flags.writeable = _ONE.flags.writeable = _FLOOR.flags.writeable = False
+_FLOAT64 = np.dtype(np.float64)  # the dtype the ctypes routines read
+_RHS_KEPT = 4  # right-hand sides whose references a ctypes operator keeps: `stepped` and the attempts
 
 
 class _Buffers(NamedTuple):
@@ -225,6 +254,102 @@ class _Buffers(NamedTuple):
     stepped: np.ndarray  # the diffusion step's result inside `_advance`
     work: tuple[np.ndarray, np.ndarray]  # `_absorb`'s scratch; work[0] is also `_error`'s
     attempts: tuple[np.ndarray, np.ndarray, np.ndarray]  # `_integrate`'s full, half, two-half
+
+
+class _Factors(NamedTuple):
+    """L D L^T factors of a symmetric positive definite tridiagonal matrix, as dpttrf
+    leaves them, with the references the ctypes dpttrs takes (None for scipy's)."""
+
+    d: np.ndarray  # D's diagonal
+    e: np.ndarray  # L's subdiagonal
+    d_ref: object = None
+    e_ref: object = None
+
+
+class _OpenBlasPttr:
+    """dpttrf and dpttrs through ctypes, for systems of n equations.
+
+    No argtypes are declared: checking the seven arguments of every dpttrs
+    call would cost 0.85 to 1.3 µs, a sixth to a quarter of a 2 x 401
+    solve.  Instead every argument is a reference made here to a ctypes
+    object of the type the routine reads, c_int64 or c_double, from arrays
+    whose dtype and length are checked first.
+
+    A right-hand side's references, its row count and its data, are made
+    once per array: the step loop solves into the same few buffers, and
+    making them costs 0.5 µs, a sixth of a 2 x 201 solve.  Up to _RHS_KEPT
+    arrays are kept by identity, and one more empties the cache; each is
+    held with its references, so that its id is not reused while it is
+    kept.  A kept array cannot be
+    resized, since its data reference holds its buffer, so the solve never
+    writes past the bytes that were checked."""
+
+    def __init__(self, pttrf: Callable, pttrs: Callable, n: int):
+        self._pttrf, self._pttrs = pttrf, pttrs
+        self._n = n
+        self._info = ctypes.c_int64()
+        self._n_ref, self._info_ref = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(self._info)
+        self._rhs: dict[int, tuple] = {}  # id(b) -> (b, its row count's reference, its data's)
+
+    def factor(self, d: np.ndarray, e: np.ndarray) -> tuple[_Factors, int]:
+        """Factor in place the matrix with diagonal d and off-diagonal e, C-contiguous,
+        writable float64 arrays of n and n - 1 values; returns the factors and info."""
+        if d.shape != (self._n,) or e.shape != (self._n - 1,) or not d.dtype == e.dtype == _FLOAT64:
+            raise ValueError(f"factors of {self._n} equations need float64 arrays of "
+                             f"{self._n} and {self._n - 1} values")
+        d_ref = ctypes.byref(ctypes.c_double.from_buffer(d))
+        # one equation has no off-diagonal, and from_buffer refuses an empty buffer:
+        # a null pointer, which LAPACK does not read at n = 1
+        e_ref = ctypes.byref(ctypes.c_double.from_buffer(e)) if e.size else None
+        self._pttrf(self._n_ref, d_ref, e_ref, self._info_ref)
+        return _Factors(d, e, d_ref, e_ref), self._info.value
+
+    def solve(self, factors: _Factors, b: np.ndarray) -> None:
+        """Overwrite b, C-contiguous and writable, n values or rows of n, with the
+        solution of the factored system for each row."""
+        kept = self._rhs.get(id(b))  # a kept array is alive, so its id is its own
+        if kept is None:
+            kept = self._keep(b)
+        self._pttrs(self._n_ref, kept[1], factors.d_ref, factors.e_ref, kept[2],
+                    self._n_ref, self._info_ref)
+
+    def _keep(self, b: np.ndarray) -> tuple:
+        """b with the references the solve passes for it, checked and kept."""
+        if b.dtype != _FLOAT64 or b.shape[-1] != self._n:
+            raise ValueError(f"right-hand side of {b.dtype} and shape {b.shape}, "
+                             f"not float64 rows of {self._n}")
+        data = ctypes.byref(ctypes.c_double.from_buffer(b))  # refuses read-only, non-contiguous
+        if len(self._rhs) >= _RHS_KEPT:
+            self._rhs.clear()
+        kept = self._rhs[id(b)] = b, ctypes.byref(ctypes.c_int64(b.size // self._n)), data
+        return kept
+
+
+class _ScipyPttr:
+    """dpttrf and dpttrs as scipy's Fortran extension wraps them."""
+
+    def __init__(self, pttrf: Callable, pttrs: Callable, n: int):
+        self._pttrf, self._pttrs = pttrf, pttrs
+
+    def factor(self, d: np.ndarray, e: np.ndarray) -> tuple[_Factors, int]:
+        d, e, info = self._pttrf(d, e)
+        return _Factors(d, e), info
+
+    def solve(self, factors: _Factors, b: np.ndarray) -> None:
+        # on a C-contiguous b, b.T is Fortran-contiguous and pttrs solves in place
+        self._pttrs(factors.d, factors.e, b.T, overwrite_b=1)
+
+
+def _lapack() -> Callable[[int], _OpenBlasPttr | _ScipyPttr]:
+    """What makes an operator's dpttrf/dpttrs for n equations: the ctypes routines
+    of NumPy's OpenBLAS where `_openblas` finds them, else `_pttr`'s."""
+    routines = _openblas()
+    if routines is not None:
+        return functools.partial(_OpenBlasPttr, *routines)
+    return functools.partial(_ScipyPttr, *_pttr())
+
+
+_LAPACK = _lapack()
 
 
 class _Diffusion(LaplacianBands):
@@ -237,14 +362,16 @@ class _Diffusion(LaplacianBands):
         # a plain dict of arrays, which refer to nothing: no cycle through self
         self._buffers: dict[tuple[int, ...], _Buffers] = {}
         volume, flux_diag, flux = self.volume, self.flux_diag, self.flux
+        lapack = _LAPACK(grid.nodes)
+        self._solve = lapack.solve
 
         # a closure over the bands, not a bound method: the cache holds no
         # reference to self, so an operator is freed without the cycle collector
         @functools.lru_cache(_FACTOR_CACHE_SIZE)
-        def factor(dt: float) -> list:
+        def factor(dt: float) -> _Factors:
             """L D L^T factors of V - dt/2 A, symmetric positive definite."""
             c = 0.5 * dt
-            *factors, info = dpttrf(volume - c * flux_diag, -c * flux)
+            factors, info = lapack.factor(volume - c * flux_diag, -c * flux)
             if info != 0:
                 raise NumericsError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
             return factors
@@ -274,18 +401,17 @@ class _Diffusion(LaplacianBands):
         and so is x, clamped from -w <= 0.
 
         w is one field or a (k, n) stack; every row is a right-hand side of
-        one LAPACK pttrs call on the cached factors of M.  The weight 2V is
-        held at w's shape: NumPy's iterator takes a buffer on every call to
-        broadcast an (n,) weight over (k, n).  out, C-contiguous and not
-        overlapping w, holds the result; the return value is a view of it.
+        one LAPACK pttrs call on the cached factors of M, solved in place.
+        The weight 2V is held at w's shape: NumPy's iterator takes a buffer
+        on every call to broadcast an (n,) weight over (k, n).  out,
+        C-contiguous and not overlapping w, holds the result and is returned.
         """
         b = np.multiply(w, self.buffers(w.shape).weight, out=out)  # 2 V w~, then 2 y
-        # on a C-contiguous b, b.T is Fortran-contiguous and pttrs solves in place
-        x, _ = dpttrs(*self._factor(dt), b.T, overwrite_b=1)
-        x -= w.T
+        self._solve(self._factor(dt), b)
+        b -= w
         # the explicit half can undershoot slightly; fractional powers and the
         # unclamped absorption need >= 0
-        return np.maximum(x, _ZERO, out=x).T
+        return np.maximum(b, _ZERO, out=b)
 
 
 # (source row, power) per row: row i is absorbed at the rate w[source] ** power

@@ -1,6 +1,7 @@
 """Time integration: the IMEX step, adaptive solves, and the oracles."""
 
 import dataclasses
+import functools
 import gc
 import importlib.abc
 import importlib.machinery
@@ -91,20 +92,23 @@ class TestLapackLoader:
                                 env=env, check=True)
         return result.stdout.split()
 
-    def test_import_skips_scipy_linalg(self):
+    def test_import_loads_no_scipy_module(self):
         code = ("import sys, absorblab, absorblab.cli; "
                 "print(*sorted(k for k in sys.modules if k.startswith('scipy')))")
-        assert self.child_output(code) == [self.FLAPACK]
+        # where NumPy bundles its OpenBLAS, the solver calls it and loads no scipy module
+        bundled = list((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas64_*.so"))
+        assert self.child_output(code) == ([] if bundled else [self.FLAPACK])
 
     def test_later_scipy_linalg_import_reuses_the_routines(self):
-        code = ("import absorblab, scipy.linalg.lapack as lapack; "
-                "from absorblab import evolution; "
-                "print(evolution.dpttrf is lapack.dpttrf, evolution.dpttrs is lapack.dpttrs)")
+        code = ("from absorblab import evolution; dpttrf, dpttrs = evolution._pttr(); "
+                "import scipy.linalg.lapack as lapack; "
+                "print(dpttrf is lapack.dpttrf, dpttrs is lapack.dpttrs)")
         assert self.child_output(code) == ["True", "True"]
 
     def test_routines_are_scipy_lapack_ones(self):
-        assert evolution.dpttrf is scipy.linalg.lapack.dpttrf
-        assert evolution.dpttrs is scipy.linalg.lapack.dpttrs
+        dpttrf, dpttrs = evolution._pttr()
+        assert dpttrf is scipy.linalg.lapack.dpttrf and dpttrs is scipy.linalg.lapack.dpttrs
 
     def test_loaded_module_is_reused(self, monkeypatch):
         stand_in = types.SimpleNamespace(dpttrf=object(), dpttrs=object())
@@ -706,9 +710,9 @@ class TestSharedOperator:
         w = two_rows(g)
         assert np.all(w[:, op.pinned] > 0.0)
         for dt in DT_SEQUENCE + [10.0**k for k in range(-8, 9)]:
-            d, e = op._factor(dt)
-            assert np.all(d[op.pinned] == 1.0), dt
-            assert np.all(e[op.pinned[:-1] | op.pinned[1:]] == 0.0), dt
+            factors = op._factor(dt)
+            assert np.all(factors.d[op.pinned] == 1.0), dt
+            assert np.all(factors.e[op.pinned[:-1] | op.pinned[1:]] == 0.0), dt
             out = op.step(w, dt)
             assert out[:, op.pinned].tobytes() == np.zeros((2, op.pinned.sum())).tobytes(), dt
 
@@ -784,6 +788,163 @@ class TestSharedOperator:
             assert ref() is None  # no cycle through the factor cache keeps it
         finally:
             gc.enable()
+
+
+OPENBLAS = evolution._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="NumPy bundles no libscipy_openblas64_")
+BACKENDS = {"openblas": lambda: functools.partial(evolution._OpenBlasPttr, *OPENBLAS),
+            "scipy": lambda: functools.partial(evolution._ScipyPttr, *evolution._pttr())}
+
+
+@pytest.fixture(params=[pytest.param("openblas", marks=needs_openblas), "scipy"])
+def backend(request, monkeypatch):
+    """Every operator made in the test solves with the routines of one backend."""
+    monkeypatch.setattr(evolution, "_LAPACK", BACKENDS[request.param]())
+    return request.param
+
+
+def random_spd(rng, n):
+    """A random symmetric tridiagonal matrix, diagonally dominant: (d, e)."""
+    e = rng.standard_normal(n - 1)
+    return np.abs(rng.standard_normal(n)) + 0.1 + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]), e
+
+
+class TestLapackBackends:
+    """The ctypes routines of NumPy's OpenBLAS, and `_pttr`'s where they are absent."""
+
+    @staticmethod
+    def numpy_beside(monkeypatch, tmp_path, libraries: dict) -> None:
+        """Point `_openblas` at a numpy package in tmp_path whose numpy.libs holds
+        `libraries`, file name -> bytes, or a symlink to a path."""
+        libs = tmp_path / "numpy.libs"
+        libs.mkdir()
+        for name, content in libraries.items():
+            if isinstance(content, Path):
+                (libs / name).symlink_to(content)
+            else:
+                (libs / name).write_bytes(content)
+        monkeypatch.setattr(evolution.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+
+    @needs_openblas
+    def test_the_bundled_library_is_used(self):
+        assert isinstance(evolution._Diffusion(interval_grid(9), NEU)._solve.__self__,
+                          evolution._OpenBlasPttr)
+
+    @pytest.mark.parametrize("library", ["none", "missing symbols", "unloadable"])
+    def test_fallback_is_pttr(self, monkeypatch, tmp_path, library):
+        name = "libscipy_openblas64_-0.so"
+        if library == "missing symbols":
+            # libgfortran, bundled beside NumPy's OpenBLAS, loads but has neither symbol
+            fortran = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libgfortran*"))
+            if not fortran:
+                pytest.skip("NumPy bundles no libgfortran")
+            libraries = {name: fortran[0]}
+        elif library == "unloadable":
+            libraries = {name: b"not a shared object"}  # CDLL raises OSError
+        else:
+            libraries = {}
+        self.numpy_beside(monkeypatch, tmp_path, libraries)
+        assert evolution._openblas() is None
+        lapack = evolution._lapack()
+        assert lapack.func is evolution._ScipyPttr
+        assert lapack.args == (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs)
+
+    @needs_openblas
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 51, 401])
+    def test_routines_equal_scipy_bit_for_bit(self, n, nrhs):
+        rng = np.random.default_rng(1000 * n + nrhs)
+        routines = evolution._OpenBlasPttr(*OPENBLAS, n)
+        for _ in range(5):
+            d, e = random_spd(rng, n)
+            d_ref, e_ref, info = scipy.linalg.lapack.dpttrf(d, e)
+            factors, info_c = routines.factor(d.copy(), e.copy())
+            assert info == info_c == 0
+            assert same_bits(factors.d, d_ref) and same_bits(factors.e, e_ref)
+            b = rng.standard_normal((nrhs, n))
+            x, info = scipy.linalg.lapack.dpttrs(d_ref, e_ref, b.T)
+            assert info == 0
+            routines.solve(factors, b)
+            assert same_bits(b, np.ascontiguousarray(x.T))
+            one = b[0].copy()  # one field, as `_Diffusion.step` takes it
+            routines.solve(factors, one)
+            assert same_bits(one, np.ascontiguousarray(scipy.linalg.lapack.dpttrs(
+                d_ref, e_ref, b[0])[0]))
+
+    @needs_openblas
+    def test_kept_right_hand_sides(self):
+        # the same array solved again with new data, and more arrays than are kept
+        n = 51
+        rng = np.random.default_rng(4)
+        routines = evolution._OpenBlasPttr(*OPENBLAS, n)
+        d, e = random_spd(rng, n)
+        factors, _ = routines.factor(d.copy(), e.copy())
+        d_ref, e_ref, _ = scipy.linalg.lapack.dpttrf(d, e)
+        arrays = [np.empty((2, n)) for _ in range(3 * evolution._RHS_KEPT)]
+        for b in arrays + arrays[:2] + [np.empty(n)]:
+            b[...] = rng.standard_normal(b.shape)
+            expected = scipy.linalg.lapack.dpttrs(d_ref, e_ref, b.T)[0].T.copy()
+            routines.solve(factors, b)
+            assert same_bits(b, expected)
+            assert len(routines._rhs) <= evolution._RHS_KEPT
+            assert routines._rhs[id(b)][0] is b
+
+    @needs_openblas
+    def test_one_equation_has_no_off_diagonal(self):
+        # e is empty and from_buffer refuses empty buffers: e goes as a null pointer
+        routines = evolution._OpenBlasPttr(*OPENBLAS, 1)
+        factors, info = routines.factor(np.array([4.0]), np.empty(0))
+        assert info == 0 and factors.d.tolist() == [4.0] and factors.e_ref is None
+        b = np.array([[3.0], [-1.0]])
+        routines.solve(factors, b)
+        assert b.tolist() == [[0.75], [-0.25]]
+
+    @needs_openblas
+    def test_solve_refuses_what_lapack_would_misread(self):
+        n = 5
+        routines = evolution._OpenBlasPttr(*OPENBLAS, n)
+        factors, _ = routines.factor(*random_spd(np.random.default_rng(2), n))
+        read_only = np.ones((2, n))
+        read_only.flags.writeable = False
+        with pytest.raises(TypeError):
+            routines.solve(factors, read_only)
+        with pytest.raises(TypeError):
+            routines.solve(factors, np.ones((n, 2)).T)  # not C-contiguous
+        with pytest.raises(ValueError, match="not float64 rows of 5"):
+            routines.solve(factors, np.ones((2, n), dtype=np.float32))
+        with pytest.raises(ValueError, match="not float64 rows of 5"):
+            routines.solve(factors, np.ones((2, n + 1)))
+        d, e = random_spd(np.random.default_rng(3), n)
+        for bad in [(d[:-1], e), (d, e[:-1]), (d.astype(np.float32), e)]:
+            with pytest.raises(ValueError, match="float64 arrays of 5 and 4 values"):
+                routines.factor(*bad)
+
+    @pytest.mark.parametrize("bc, info", [(NEU, 1), (DIR, 2)])
+    def test_factorisation_failure_raises(self, backend, bc, info):
+        # dt < 0 makes V - dt/2 A indefinite: pttrf stops at the first pivot that is
+        # not positive, the second under Dirichlet walls, whose first row is the identity's
+        op = _Diffusion(interval_grid(41), bc)
+        with pytest.raises(evolution.NumericsError, match=f"pttrf info={info}$"):
+            op._factor(-1.0)
+        assert op._factor.cache_info().currsize == 0
+
+    @needs_openblas
+    @pytest.mark.parametrize("rows", ["coupled", "scalar", "heat"])
+    @pytest.mark.parametrize("bc", [NEU, DIR])
+    @pytest.mark.parametrize("kind, dim_n", [(DomainKind.INTERVAL, 1), (DomainKind.RADIAL_BALL, 3)])
+    def test_backends_step_the_same_bits(self, monkeypatch, kind, dim_n, bc, rows):
+        absorption = {"coupled": _coupled(PAIR_23), "scalar": ((0, 2.5),), "heat": ()}[rows]
+        g = grid_of(kind, dim_n, nodes=41)
+        w0 = two_rows(g)[:max(len(absorption), 1)]
+        states = {}
+        for name, lapack in BACKENDS.items():
+            monkeypatch.setattr(evolution, "_LAPACK", lapack())
+            op = _Diffusion(g, bc)
+            w, out, states[name] = w0, np.empty_like(w0), []
+            for dt in DT_SEQUENCE:
+                w = _advance(w, dt, op, absorption, out).copy()
+                states[name].append(w.tobytes() + op._factor(dt).d.tobytes())
+        assert states["openblas"] == states["scipy"]
 
 
 def cell_volumes(g):
