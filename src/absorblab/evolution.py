@@ -57,6 +57,22 @@ largest value at 101 nodes and 1e-13 at 801, and took the same steps on
 every case measured.  Even n has no node at 0 and takes the full grid, as
 do radial grids and data off by one bit.
 
+Flat data are stepped as one node.  Under zero-flux walls L 1 = 0, so a
+state whose every row is constant bit for bit (compared by bytes, so -0.0
+beside 0.0 is not constant) solves an ODE in its k row values: diffusion
+is the identity and the Strang step is A(dt/2) -> A(dt/2).  The solve
+holds the k values as Python floats and steps them through `_flat_advance`
+and `_flat_error`, the same absorption formula and error as `_absorb` and
+`_error` in a second storage form: the same operations in the same order,
+the square x * x, the cube (x * x) * x, any other power np.power's, and the
+floor and the maximum over rows keeping a nan.  They equal the array
+kernels on one value per row bit for bit.  The loop, controller and tally
+are the same; nothing is factored, so the tally's `factors` stays 0, and
+each snapshot broadcasts the values across the grid, every row constant.
+The array step of such data drifts by round-off: one D step leaves most
+random flat states no longer flat.  Interval and radial grids alike take the
+flat step; Dirichlet walls and data off by one bit take the array path.
+
 Adaptive stepping is plain step doubling: a full step is compared against
 two half steps, the step is rejected and dt halved whenever the scaled gap
 exceeds the local tolerance, and the half-step composition is what gets
@@ -243,6 +259,7 @@ _FACTOR_CACHE_SIZE = 4  # dt factorisations one operator keeps, least recently u
 # the floor in the absorption update's max(u, floor).
 _ZERO, _ONE, _FLOOR = np.array(0.0), np.array(1.0), np.array(1e-300)
 _ZERO.flags.writeable = _ONE.flags.writeable = _FLOOR.flags.writeable = False
+_FLOAT_FLOOR = float(_FLOOR)  # the floor as the float step takes it
 _FLOAT64 = np.dtype(np.float64)  # the dtype the ctypes routines read
 _RHS_KEPT = 4  # right-hand sides whose references a ctypes operator keeps: `stepped` and the attempts
 
@@ -497,6 +514,40 @@ def _advance(w: np.ndarray, dt: float, op: _Diffusion, absorption: _Absorption,
     return _absorb(op.step(mid, dt, stepped), h, absorption, out, work)
 
 
+def _flat_power(x: float, power: float) -> float:
+    """x ** power as `_power_into` computes it on a row: the cube (x * x) * x, the
+    square x * x, and any other power np.power's value, whose loop may differ
+    from the C library's pow in the last bit."""
+    if power == 3.0:
+        return x * x * x
+    if power == 2.0:
+        return x * x
+    return float(np.power(x, power))
+
+
+def _flat_absorb(w: list[float], h: float, absorption: _Absorption) -> list[float]:
+    """A(h) on one value per row, as floats: `_absorb`'s operations in its order,
+    so every value equals `_absorb`'s on the rows held as arrays, bit for bit.
+    The floor is np.maximum's, which keeps a nan where max() would drop it."""
+    floor = _FLOAT_FLOOR
+    d0 = [_flat_power(w[source], power) for source, power in absorption]
+    w1 = [x / (d * h / (floor if x < floor else x) + 1.0) for x, d in zip(w, d0)]
+    return [x / (math.sqrt(d) * h * math.sqrt(_flat_power(w1[source], power))
+                 / (floor if y < floor else y) + 1.0)
+            for x, y, d, (source, power) in zip(w, w1, d0, absorption)]
+
+
+def _flat_advance(w: list[float], dt: float, op: None, absorption: _Absorption,
+                  out: None = None) -> list[float]:
+    """`_advance` on rows that are each one value under zero-flux walls: L 1 = 0, so
+    diffusion is the identity and the Strang step is A(dt/2) -> A(dt/2).  op and
+    out are not read: the step returns a new list, or w itself without absorption."""
+    if not absorption:
+        return w
+    h = 0.5 * dt
+    return _flat_absorb(_flat_absorb(w, h, absorption), h, absorption)
+
+
 def _stacked(*fields: Field) -> np.ndarray:
     """The fields' values as a (k, n) solver state; rejects bad data."""
     if not all(f.grid.compatible(fields[0].grid) for f in fields):
@@ -526,6 +577,15 @@ def _half_line(grid: Grid, state: np.ndarray) -> Grid | None:
     return build_grid(SpatialDomain(DomainKind.RADIAL_BALL, grid.domain.extent), (n + 1) // 2)
 
 
+def _flat_rows(state: np.ndarray, bc: BoundaryCondition) -> list[float] | None:
+    """Each row's one value when every row of the state is constant bit for bit
+    under zero-flux walls, else None.  Bytes are compared, as `_half_line`
+    compares them, so a -0.0 beside 0.0 is not constant."""
+    if bc is BoundaryCondition.NEUMANN_ZERO and state[:, 1:].tobytes() == state[:, :-1].tobytes():
+        return state[:, 0].tolist()
+    return None
+
+
 def _error(a: np.ndarray, b: np.ndarray, gap: np.ndarray | None = None) -> float:
     """Largest per-row max |a - b| / (1 + max |b|); nan if any row is nan.
 
@@ -537,6 +597,17 @@ def _error(a: np.ndarray, b: np.ndarray, gap: np.ndarray | None = None) -> float
     scale += _ONE
     err /= scale
     return float(np.maximum.reduce(err))
+
+
+def _flat_error(a: list[float], b: list[float], gap: None = None) -> float:
+    """`_error` on one value per row, as floats; nan if any row is nan, as
+    np.maximum.reduce gives it and max() would not.  gap is not read."""
+    err = 0.0
+    for x, y in zip(a, b):
+        row = abs(x - y) / (abs(y) + 1.0)
+        if err == err and not row <= err:  # a larger row or a nan; a nan stays
+            err = row
+    return err
 
 
 def _rung_dt(j: int, dt_init: float) -> float:
@@ -578,14 +649,21 @@ def _integrate(
     grid = fields[0].grid
     values = np.empty((len(times), *state.shape))
     centre = 0  # the first node stepped; on the half line, the nodes left of it are mirrored
-    half_grid = _half_line(grid, state)
-    if half_grid is not None:
-        centre = grid.nodes // 2
-        state = state[:, centre:].copy()
-    op = _Diffusion(half_grid or grid, config.bc)
-    buffers = op.buffers(state.shape)
-    full, half, two_half = buffers.attempts  # each attempt's _advance writes into these
-    gap = buffers.work[0]
+    flat = _flat_rows(state, config.bc)
+    if flat is not None:
+        # one float per row, with nothing to factor and no buffers to write
+        state, op, advance, error = flat, None, _flat_advance, _flat_error
+        full = half = two_half = gap = None
+    else:
+        half_grid = _half_line(grid, state)
+        if half_grid is not None:
+            centre = grid.nodes // 2
+            state = state[:, centre:].copy()
+        op = _Diffusion(half_grid or grid, config.bc)
+        advance, error = _advance, _error
+        buffers = op.buffers(state.shape)
+        full, half, two_half = buffers.attempts  # each attempt's _advance writes into these
+        gap = buffers.work[0]
     tol = config.tol_step
     t = config.t_start
     rung = 0  # dt is _rung_dt(rung, dt_init), the same float on every visit
@@ -598,12 +676,12 @@ def _integrate(
                 dt_try = min(_rung_dt(rung, config.dt_init), t_out - t)
                 retries = 0
                 calls += 1
-                _advance(state, dt_try, op, absorption, full)
+                full = advance(state, dt_try, op, absorption, full)
                 while True:
                     calls += 2
-                    _advance(state, 0.5 * dt_try, op, absorption, half)
-                    _advance(half, 0.5 * dt_try, op, absorption, two_half)
-                    err = _error(full, two_half, gap)
+                    half = advance(state, 0.5 * dt_try, op, absorption, half)
+                    two_half = advance(half, 0.5 * dt_try, op, absorption, two_half)
+                    err = error(full, two_half, gap)
                     # a nan or an inf in two_half makes err nan or inf, which fails
                     # the finite tol: an accepted state is always finite, unchecked
                     if err <= tol:
@@ -631,13 +709,16 @@ def _integrate(
                     k = math.floor(min(4.0, 4.0 / 3.0 * math.log2(tol / err))) if err else 4
                     rung = max(rung, rung_below + k)
             t = t_out
-            values[i, :, centre:] = state
-            if centre:  # from state: mirroring within values would copy through a buffer
-                values[i, :, :centre] = state[:, :0:-1]
+            if op is None:  # each row's one value, across the grid
+                values[i] = np.reshape(state, (-1, 1))
+            else:
+                values[i, :, centre:] = state
+                if centre:  # from state: mirroring within values would copy through a buffer
+                    values[i, :, :centre] = state[:, :0:-1]
     finally:
         _WORK.update(calls=calls, rows=calls * len(fields), accepted=len(log),
                      retries=sum(r.retries for r in log),
-                     factors=op._factor.cache_info().misses)
+                     factors=0 if op is None else op._factor.cache_info().misses)
 
     return Trajectory(grid, np.array(times), values, log)
 
@@ -703,11 +784,12 @@ def residual_of(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Long-format CSV with one row per (snapshot, node); v is empty for one row.
 
-    A value is written as its repr, the writer's main cost, so a row that
-    equals its mirror bit for bit (the bytes left of the centre equal those
-    right of it in reverse, as `_half_line` compares them) reprs its right
-    half once and reads its left half from those strings in reverse.
-    Comparing bytes keeps -0.0 against 0.0 apart.
+    A value is written as its repr, the writer's main cost, so a row that is
+    constant bit for bit, as a flat solve leaves every row, reprs one value,
+    and a row that equals its mirror bit for bit (the bytes left of the
+    centre equal those right of it in reverse, as `_half_line` compares them)
+    reprs its right half once and reads its left half from those strings in
+    reverse.  Comparing bytes keeps -0.0 against 0.0 apart.
     """
     coords = list(map(repr, traj.grid.coords.tolist()))
     half = len(coords) // 2  # the nodes left of the centre; an odd n has a centre node
@@ -716,7 +798,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         for t, snapshot in zip(map(repr, traj.times.tolist()), traj.values):
             columns = []
             for row in snapshot:
-                if row[:half].tobytes() == row[::-1][:half].tobytes():
+                if row[1:].tobytes() == row[:-1].tobytes():
+                    columns.append(itertools.repeat(repr(row[0].item())))
+                elif row[:half].tobytes() == row[::-1][:half].tobytes():
                     right = list(map(repr, row[half:].tolist()))
                     columns.append(right[::-1][:half] + right)
                 else:
